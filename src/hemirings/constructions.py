@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     FiniteHemiring,
     SizeGuardExceeded,
+    _lex_least_relabeling,
     canonical_form,
     check_hemiring_axioms,
 )
@@ -337,23 +338,6 @@ class Catalog:
         return [e.algebra for e in self.entries]
 
 
-def _canonical_join_table(join: np.ndarray, zero: int) -> tuple[int, ...]:
-    n = join.shape[0]
-    rest = [x for x in range(n) if x != zero]
-    best = None
-    for perm in itertools.permutations(range(1, n)):
-        p = np.empty(n, dtype=np.int32)
-        p[zero] = 0
-        for src, dst in zip(rest, perm):
-            p[src] = dst
-        t2 = np.empty_like(join)
-        t2[np.ix_(p, p)] = p[join]
-        cand = tuple(int(v) for v in t2.ravel())
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     """All isomorphism classes of semilattices with zero of the given order.
 
@@ -401,7 +385,7 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
                 join[a, b] = join[b, a] = lub
         if not ok:
             continue
-        key = _canonical_join_table(join, 0)
+        key = _lex_least_relabeling((join,), 0)[0]
         if key not in seen:
             M = FiniteSemilattice(np.array(key, dtype=np.int32).reshape(n, n),
                                   zero=0, name=f"sl{n}_{len(seen):03d}")
@@ -440,7 +424,7 @@ def _commutative_monoids(order: int, idempotent: bool) -> list[np.ndarray]:
                 break
         if not ok:
             continue
-        key = _canonical_join_table(t, 0)
+        key = _lex_least_relabeling((t,), 0)[0]
         if key not in seen:
             seen.add(key)
             out.append(np.array(key, dtype=np.int32).reshape(n, n))

@@ -52,17 +52,24 @@ class AxiomError(ValueError):
 
 
 def as_op_table(entries, order: int | None = None) -> np.ndarray:
-    """Coerce ``entries`` into a read-only square index table."""
-    table = np.ascontiguousarray(entries, dtype=np.int32)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise ValueError(f"operation table must be square, got shape {table.shape}")
-    n = table.shape[0]
+    """Coerce ``entries`` into a read-only square index table.
+
+    Entries must already be integers: a float table is rejected rather than
+    truncated.
+    """
+    raw = np.asarray(entries)
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+        raise ValueError(f"operation table must be square, got shape {raw.shape}")
+    n = raw.shape[0]
     if n == 0:
         raise ValueError("empty carrier")
+    if raw.dtype.kind not in "iu":
+        raise ValueError(f"operation table entries must be integers, got dtype {raw.dtype}")
     if order is not None and n != order:
         raise ValueError(f"table order {n} does not match expected order {order}")
-    if table.min() < 0 or table.max() >= n:
+    if raw.min() < 0 or raw.max() >= n:
         raise ValueError("table entry out of range [0, order)")
+    table = np.ascontiguousarray(raw, dtype=np.int32)
     table.setflags(write=False)
     return table
 
@@ -315,10 +322,6 @@ class PartialOrder:
                 out[a, b] = out[b, a] = m
         return out
 
-    def rank_profile(self) -> tuple[int, ...]:
-        """Sorted down-set sizes; a cheap isomorphism invariant."""
-        return tuple(sorted(int(k) for k in self.leq.sum(axis=0)))
-
     def comparable(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b] or self.leq[b, a])
 
@@ -434,102 +437,126 @@ class HomMap:
     def image(self) -> frozenset[int]:
         return frozenset(self.map)
 
-    def compose(self, first: "HomMap") -> "HomMap":
-        """self after first (first.target must be self.source)."""
-        if first.target is not self.source and first.target != self.source:
-            raise ValueError("composition mismatch")
-        return HomMap(first.source, self.target,
-                      tuple(self.map[v] for v in first.map))
 
-
-def _is_hom(R: FiniteHemiring, S: FiniteHemiring, f: tuple[int, ...],
-            unital: bool = False) -> bool:
+def _is_hom(R: FiniteHemiring, S: FiniteHemiring, f: tuple[int, ...]) -> bool:
     arr = np.asarray(f, dtype=np.int32)
     if f[R.zero] != S.zero:
         return False
-    if unital:
-        if R.one is None or S.one is None or f[R.one] != S.one:
-            return False
     if not (S.add[np.ix_(arr, arr)] == arr[R.add]).all():
         return False
     return bool((S.mul[np.ix_(arr, arr)] == arr[R.mul]).all())
 
 
+HOM_SEARCH_BOUND = 2_000_000   # node budget of every map search
+
+
+def _map_search(n: int, order: list[int], domains, tables=(), actions=(),
+                injective: bool = False, node_budget: int = HOM_SEARCH_BOUND):
+    """Lazily yield every map f: 0..n-1 -> targets, as a tuple, that preserves
+
+    - each binary table pair (S, T) in ``tables``: f(S[x, y]) = T[f(x), f(y)];
+    - each action pair (A, B) in ``actions``: f(A[r, x]) = B[r, f(x)];
+
+    takes f(x) from ``domains[x]`` and is injective when asked.
+
+    Elements are placed in ``order`` and candidates tried in domain order, so
+    maps come out in lexicographic order of (f(order[0]), f(order[1]), ...).
+    Every constraint is checked as soon as all its elements are placed, and
+    an element that is S[x, y] or A[r, x] of elements placed before it gets
+    the single candidate the constraint forces.  Each partial map visited
+    counts against ``node_budget``; exceeding it raises SizeGuardExceeded.
+    """
+    pos = [0] * n
+    for k, z in enumerate(order):
+        pos[z] = k
+    # f is extended with constant slots f[n + r] = r, so that an action
+    # constraint is a table constraint whose first argument is the slot n + r
+    consts = max((A.shape[0] for A, _ in actions), default=0)
+    checks: list[list[tuple]] = [[] for _ in range(n)]   # per level: (T, x, y, out)
+    forcing: list[tuple | None] = [None] * n             # per level: (T, x, y)
+
+    def constrain(T, x, y, out):
+        px = pos[x] if x < n else -1
+        k = max(px, pos[y], pos[out])
+        checks[k].append((T, x, y, out))
+        if pos[out] > max(px, pos[y]) and forcing[k] is None:
+            forcing[k] = (T, x, y)
+
+    for S, T in tables:
+        symmetric = bool((S == S.T).all() and (T == T.T).all())
+        S, T = S.tolist(), T.tolist()
+        for x in range(n):
+            for y in range(x if symmetric else 0, n):
+                constrain(T, x, y, S[x][y])
+    for A, B in actions:
+        A, B = A.tolist(), B.tolist()
+        for r, row in enumerate(A):
+            for x in range(n):
+                constrain(B, n + r, x, row[x])
+
+    domain_sets = [frozenset(d) for d in domains]
+    f = [-1] * n + list(range(consts))
+    used: set[int] = set()
+    nodes = 0
+
+    def extend(k: int):
+        nonlocal nodes
+        if k == n:
+            yield tuple(f[:n])
+            return
+        nodes += 1
+        if nodes > node_budget:
+            raise SizeGuardExceeded(
+                f"map search exceeded its node budget of {node_budget} nodes")
+        z = order[k]
+        force = forcing[k]
+        if force is None:
+            candidates = domains[z]
+        else:
+            T, x, y = force
+            v = T[f[x]][f[y]]
+            candidates = (v,) if v in domain_sets[z] else ()
+        for v in candidates:
+            if injective and v in used:
+                continue
+            f[z] = v
+            for T, x, y, out in checks[k]:
+                if T[f[x]][f[y]] != f[out]:
+                    break
+            else:
+                used.add(v)    # consulted only when injective
+                yield from extend(k + 1)
+                used.discard(v)
+        f[z] = -1
+
+    return extend(0)
+
+
 def hom_search(R: FiniteHemiring, S: FiniteHemiring, *,
                surjective: bool = False, unital: bool = False,
                injective: bool = False, limit: int | None = None) -> list[HomMap]:
-    """All maps R -> S preserving add, mul and zero (and one when asked).
-
-    Plain backtracking with incremental constraint propagation; complete for
-    the desk-scale orders this package targets.
+    """All maps R -> S preserving add, mul and zero (and one when asked),
+    in lexicographic order of their values on zero, one, then the rest.
     """
     n, m = R.order, S.order
-    if unital and (R.one is None or S.one is None):
+    if unital and (R.one is None or S.one is None
+                   or (R.one == R.zero and S.one != S.zero)):
         return []
     if injective and n > m:
         return []
-
-    tables = ((R.add, S.add), (R.mul, S.mul))
-    # pairs whose product is z, checked the moment z gets an image
-    preim: list[list[list[tuple[int, int]]]] = []
-    for Rt, _ in tables:
-        lists: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for x, y in np.argwhere(Rt >= 0):
-            lists[int(Rt[x, y])].append((int(x), int(y)))
-        preim.append(lists)
-
-    f = [-1] * n
-    used = [0] * m if injective else None
-    order_elems = [R.zero] + ([R.one] if unital else []) + \
-        [x for x in range(n) if x != R.zero and (not unital or x != R.one)]
+    first = [R.zero] + ([R.one] if unital and R.one != R.zero else [])
+    domains = [range(m)] * n
+    if unital:
+        domains[R.one] = (S.one,)
+    domains[R.zero] = (S.zero,)
     results: list[HomMap] = []
-
-    def consistent(z: int) -> bool:
-        fz = f[z]
-        for t, (Rt, St) in enumerate(tables):
-            for x in order_elems:
-                fx = f[x]
-                if fx < 0:
-                    continue
-                r = Rt[x, z]
-                if f[r] >= 0 and St[fx, fz] != f[r]:
-                    return False
-                r = Rt[z, x]
-                if f[r] >= 0 and St[fz, fx] != f[r]:
-                    return False
-            for x, y in preim[t][z]:
-                if f[x] >= 0 and f[y] >= 0 and St[f[x], f[y]] != fz:
-                    return False
-        return True
-
-    def extend(k: int) -> bool:
-        if k == n:
-            if surjective and len(set(f)) != m:
-                return False
-            results.append(HomMap(R, S, tuple(f)))
-            return limit is not None and len(results) >= limit
-        z = order_elems[k]
-        if z == R.zero:
-            candidates = [S.zero]
-        elif unital and z == R.one:
-            candidates = [S.one]
-        else:
-            candidates = range(m)
-        for v in candidates:
-            if injective and used[v]:
-                continue
-            f[z] = v
-            if consistent(z):
-                if injective:
-                    used[v] = 1
-                if extend(k + 1):
-                    return True
-                if injective:
-                    used[v] = 0
-            f[z] = -1
-        return False
-
-    extend(0)
+    for f in _map_search(n, first + [x for x in range(n) if x not in first], domains,
+                         tables=((R.add, S.add), (R.mul, S.mul)), injective=injective):
+        if surjective and len(set(f)) != m:
+            continue
+        results.append(HomMap(R, S, f))
+        if limit is not None and len(results) >= limit:
+            break
     return results
 
 
@@ -573,44 +600,47 @@ def is_isomorphic(R: FiniteHemiring, S: FiniteHemiring) -> HomMap | None:
     by_color: dict[int, list[int]] = {}
     for y, c in enumerate(colS):
         by_color.setdefault(c, []).append(y)
+    domains = [by_color[c] for c in colR]
     # most constrained elements first
-    order_elems = sorted(range(n), key=lambda x: (len(by_color[colR[x]]), x))
+    order = sorted(range(n), key=lambda x: (len(domains[x]), x))
+    f = next(_map_search(n, order, domains, tables=((R.add, S.add), (R.mul, S.mul)),
+                         injective=True), None)
+    if f is None:
+        return None
+    if not _is_hom(R, S, f):
+        raise RuntimeError(f"isomorphism search returned a non-homomorphism {f}")
+    return HomMap(R, S, f)
 
-    f = [-1] * n
-    used = [False] * n
-    tables = ((R.add, S.add), (R.mul, S.mul))
 
-    def consistent(z: int) -> bool:
-        for Rt, St in tables:
-            for x in range(n):
-                if f[x] < 0:
-                    continue
-                for p, q in ((x, z), (z, x)):
-                    r = Rt[p, q]
-                    if f[r] >= 0 and St[f[p], f[q]] != f[r]:
-                        return False
-        return True
+def _lex_least_relabeling(tables, zero: int) -> tuple[tuple[int, ...], list[int]]:
+    """The lexicographically least concatenation of the relabelled ``tables``
+    over all relabelings that send ``zero`` to 0, and a relabeling (new label
+    of each element) that attains it.
 
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        z = order_elems[k]
-        for v in by_color[colR[z]]:
-            if used[v]:
-                continue
-            f[z] = v
-            used[v] = True
-            if consistent(z) and extend(k + 1):
-                return True
-            used[v] = False
-            f[z] = -1
-        return False
-
-    if extend(0):
-        hom = HomMap(R, S, tuple(f))
-        assert _is_hom(R, S, hom.map)
-        return hom
-    return None
+    Positions of the concatenation are decided one at a time over the
+    relabelings still tied on every earlier position, so no relabelled table
+    is built except the winner's.
+    """
+    n = tables[0].shape[0]
+    rest = [x for x in range(n) if x != zero]
+    # q[k, i]: the element relabeling k puts at i; p[k, x]: the label it gives
+    # x.  int8 keeps these (n-1)! x n arrays small; the factorial cost keeps n
+    # far below 128.
+    perms = itertools.permutations(rest)
+    q = np.fromiter(itertools.chain.from_iterable((zero, *x) for x in perms),
+                    dtype=np.int8).reshape(-1, n)
+    p = np.empty_like(q)
+    np.put_along_axis(p, q, np.arange(n), axis=1)
+    for T, i, j in itertools.product(tables, range(n), range(n)):
+        if len(q) == 1:
+            break
+        col = p[np.arange(len(q)), T[q[:, i], q[:, j]]]
+        keep = col == col.min()
+        if not keep.all():
+            q, p = q[keep], p[keep]
+    best = itertools.chain.from_iterable(
+        p[0][T[np.ix_(q[0], q[0])]].ravel().tolist() for T in tables)
+    return tuple(best), p[0].tolist()
 
 
 def canonical_form(R: FiniteHemiring) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
@@ -621,23 +651,8 @@ def canonical_form(R: FiniteHemiring) -> tuple[tuple[int, ...], tuple[int, ...],
     n = R.order
     if n > 8:
         raise SizeGuardExceeded(f"canonical form is factorial-cost; order {n} > 8")
-    rest = [x for x in range(n) if x != R.zero]
-    best = None
-    for perm in itertools.permutations(range(1, n)):
-        p = np.empty(n, dtype=np.int32)
-        p[R.zero] = 0
-        for src, dst in zip(rest, perm):
-            p[src] = dst
-        add2 = np.empty_like(R.add)
-        mul2 = np.empty_like(R.mul)
-        add2[np.ix_(p, p)] = p[R.add]
-        mul2[np.ix_(p, p)] = p[R.mul]
-        one2 = None if R.one is None else int(p[R.one])
-        cand = (tuple(int(v) for v in add2.ravel()),
-                tuple(int(v) for v in mul2.ravel()), one2)
-        if best is None or cand < best:
-            best = cand
-    return best
+    flat, p = _lex_least_relabeling((R.add, R.mul), R.zero)
+    return flat[:n * n], flat[n * n:], None if R.one is None else p[R.one]
 
 
 def fingerprint(R: FiniteHemiring) -> str:

@@ -16,6 +16,7 @@ from .core import (
     FiniteHemiring,
     PartialOrder,
     SizeGuardExceeded,
+    _map_search,
     as_op_table,
 )
 
@@ -95,7 +96,8 @@ class FiniteSemilattice:
     def top(self) -> int:
         """A finite total join always has a greatest element."""
         t = induced_order(self).top()
-        assert t is not None
+        if t is None:
+            raise ValueError("join table has no greatest element")
         return t
 
     def leq(self, a: int, b: int) -> bool:
@@ -203,63 +205,39 @@ def endo_enumerate_naive(M: FiniteSemilattice, max_order: int = 6) -> list[Endo]
 def endo_enumerate(M: FiniteSemilattice) -> list[Endo]:
     """All join- and zero-preserving self-maps, sorted.
 
-    Values are extended along a linear extension of the induced order;
-    an element that is the join of two earlier ones gets a forced value,
-    and monotonicity against earlier comparable elements prunes the rest.
+    Values are extended along a linear extension of the induced order, so
+    an element that is the join of two earlier ones gets a forced value and
+    monotonicity against earlier elements prunes the rest.
     """
     n = M.order
-    join = M.join
     po = induced_order(M)
     ext = sorted(range(n), key=lambda x: (int(po.leq[:, x].sum()), x))
-    pos = {x: k for k, x in enumerate(ext)}
+    domains = [range(n)] * n
+    domains[M.zero] = (M.zero,)
+    return sorted(_map_search(n, ext, domains, tables=((M.join, M.join),)))
 
-    # strict predecessors (in M-order) already placed, and forced join
-    # decompositions z = x v y with x, y placed strictly earlier
-    preds: list[list[int]] = []
-    decomps: list[list[tuple[int, int]]] = []
-    for k, z in enumerate(ext):
-        preds.append([x for x in ext[:k] if po.leq[x, z]])
-        pairs = []
-        for i, x in enumerate(ext[:k]):
-            for y in ext[i:k]:
-                if join[x, y] == z:
-                    pairs.append((x, y))
-        decomps.append(pairs)
 
-    f = [-1] * n
-    out: list[Endo] = []
+def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
+    """Sort and index self-maps of the monoid (``add``, ``zero``) that are
+    closed under pointwise sum and composition.
 
-    def ok(k: int, z: int) -> bool:
-        v = f[z]
-        for x in preds[k]:
-            if join[f[x], v] != v:
-                return False
-        for x, y in decomps[k]:
-            if join[f[x], f[y]] != v:
-                return False
-        return True
-
-    def extend(k: int):
-        if k == n:
-            out.append(tuple(f))
-            return
-        z = ext[k]
-        if z == M.zero:
-            candidates = (M.zero,)
-        elif decomps[k]:
-            x, y = decomps[k][0]
-            candidates = (int(join[f[x], f[y]]),)
-        else:
-            candidates = range(n)
-        for v in candidates:
-            f[z] = v
-            if ok(k, z):
-                extend(k + 1)
-            f[z] = -1
-
-    extend(0)
-    out.sort()
-    return out
+    Returns the sorted maps, their index, the pointwise-sum table, the
+    composition table [i, j] -> maps[i] o maps[j], and the indices of the
+    zero map and of the identity (None when it is absent).
+    """
+    maps = sorted(set(maps))
+    index = {f: i for i, f in enumerate(maps)}
+    k, n = len(maps), len(maps[0])
+    arr = np.array(maps, dtype=np.int32)
+    sums = np.empty((k, k), dtype=np.int32)
+    comp = np.empty((k, k), dtype=np.int32)
+    try:
+        for i, f in enumerate(arr):
+            sums[i] = [index[g] for g in map(tuple, add[f, arr].tolist())]  # f(x) + g(x)
+            comp[i] = [index[g] for g in map(tuple, f[arr].tolist())]       # f(g(x))
+    except KeyError:
+        raise ValueError("carrier is not closed under join/composition") from None
+    return maps, index, sums, comp, index[(zero,) * n], index.get(tuple(range(n)))
 
 
 class EndoSemiring:
@@ -274,26 +252,9 @@ class EndoSemiring:
 
     def __init__(self, M: FiniteSemilattice, maps: list[Endo], name: str = ""):
         self.lattice = M
-        self.maps = sorted(set(maps))
-        self.index = {m: i for i, m in enumerate(self.maps)}
-        k = len(self.maps)
-        arr = np.array(self.maps, dtype=np.int32)
-        add = np.empty((k, k), dtype=np.int32)
-        mul = np.empty((k, k), dtype=np.int32)
-        for i in range(k):
-            joined = M.join[arr[i], arr]          # [j, x] -> f_i(x) v f_j(x)
-            composed = arr[i][arr]                # [j, x] -> f_i(f_j(x))
-            for j in range(k):
-                try:
-                    add[i, j] = self.index[tuple(int(v) for v in joined[j])]
-                    mul[i, j] = self.index[tuple(int(v) for v in composed[j])]
-                except KeyError:
-                    raise ValueError("carrier is not closed under join/composition")
-        zero_map = tuple([M.zero] * M.order)
-        ident = tuple(range(M.order))
-        one = self.index.get(ident)
-        self.hemiring = FiniteHemiring(add, mul, zero=self.index[zero_map],
-                                       one=one, name=name or f"End({M.name or M.order})")
+        self.maps, self.index, add, mul, zero, one = _pack_maps(M.join, M.zero, maps)
+        self.hemiring = FiniteHemiring(add, mul, zero=zero, one=one,
+                                       name=name or f"End({M.name or M.order})")
 
     @property
     def order(self) -> int:

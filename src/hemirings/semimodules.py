@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteHemiring, SizeGuardExceeded, as_op_table
+from .core import HOM_SEARCH_BOUND, FiniteHemiring, _map_search, as_op_table
+from .lattices import _pack_maps
 from .simpleness import IdealSubset, all_ideals, ideal_violation
 
 __all__ = [
@@ -32,9 +33,6 @@ __all__ = [
     "regular_semimodule",
     "trace_ideal",
 ]
-
-HOM_SEARCH_BOUND = 2_000_000   # backtracking node budget for hom enumeration
-
 
 class FiniteLeftSemimodule:
     """A commutative monoid with an R-action table (|R| x order)."""
@@ -122,102 +120,39 @@ def left_ideal_semimodule(R: FiniteHemiring, I: IdealSubset) -> FiniteLeftSemimo
 
 def hom_semimodules(M: FiniteLeftSemimodule, N: FiniteLeftSemimodule,
                     node_budget: int = HOM_SEARCH_BOUND) -> list[tuple[int, ...]]:
-    """All additive, zero-preserving, R-equivariant maps M -> N.
+    """All additive, zero-preserving, R-equivariant maps M -> N, sorted.
 
-    Backtracking with per-step pruning; a node budget guards against
-    genuinely intractable |N|^|M| spaces.
+    A node budget guards against genuinely intractable |N|^|M| spaces.
     """
     if M.ring is not N.ring and M.ring != N.ring:
         raise ValueError("semimodules over different rings")
-    n, m = M.order, N.order
-    R = M.ring
-    nodes = [0]
+    return _additive_maps(M, N, ((M.action, N.action),), node_budget)
 
-    add_pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            add_pre[int(M.add[x, y])].append((x, y))
-    act_pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for r in range(R.order):
-        for x in range(n):
-            act_pre[int(M.action[r, x])].append((r, x))
 
-    f = [-1] * n
-    out: list[tuple[int, ...]] = []
-
-    def consistent(z: int) -> bool:
-        fz = f[z]
-        for x in range(n):
-            fx = f[x]
-            if fx < 0:
-                continue
-            s = M.add[x, z]
-            if f[s] >= 0 and N.add[fx, fz] != f[s]:
-                return False
-        for x, y in add_pre[z]:
-            if f[x] >= 0 and f[y] >= 0 and N.add[f[x], f[y]] != fz:
-                return False
-        for r in range(R.order):
-            t = M.action[r, z]
-            if f[t] >= 0 and N.action[r, fz] != f[t]:
-                return False
-        for r, x in act_pre[z]:
-            if f[x] >= 0 and N.action[r, f[x]] != fz:
-                return False
-        return True
-
-    order_elems = [M.zero] + [x for x in range(n) if x != M.zero]
-
-    def extend(k: int):
-        if k == n:
-            out.append(tuple(f))
-            return
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise SizeGuardExceeded("semimodule hom search exceeded its node budget")
-        z = order_elems[k]
-        candidates = (N.zero,) if z == M.zero else range(m)
-        for v in candidates:
-            f[z] = v
-            if consistent(z):
-                extend(k + 1)
-            f[z] = -1
-
-    extend(0)
-    out.sort()
-    return out
+def _additive_maps(M: FiniteLeftSemimodule, N: FiniteLeftSemimodule, actions,
+                   node_budget: int = HOM_SEARCH_BOUND) -> list[tuple[int, ...]]:
+    """Sorted additive, zero-preserving maps M -> N that preserve each
+    action pair (A, B) in ``actions``: f(A[r, x]) = B[r, f(x)]."""
+    domains = [range(N.order)] * M.order
+    domains[M.zero] = (N.zero,)
+    order = [M.zero] + [x for x in range(M.order) if x != M.zero]
+    return sorted(_map_search(M.order, order, domains, tables=((M.add, N.add),),
+                              actions=actions, node_budget=node_budget))
 
 
 class ModuleEndoSemiring:
-    """End(_R M) packaged as a FiniteHemiring.
+    """End(_R M) packaged as a FiniteHemiring of right operators: the
+    product d1 * d2 applies d1 first."""
 
-    With ``right_operators`` (the default), the product d1 * d2 applies d1
-    first; with it off, g1 * g2 applies g2 first.
-    """
-
-    __slots__ = ("module", "maps", "hemiring", "index", "right_operators")
+    __slots__ = ("module", "maps", "hemiring", "index")
 
     def __init__(self, module: FiniteLeftSemimodule, maps: list[tuple[int, ...]],
-                 right_operators: bool = True, name: str = ""):
+                 name: str = ""):
         self.module = module
-        self.maps = sorted(set(maps))
-        self.index = {m: i for i, m in enumerate(self.maps)}
-        self.right_operators = right_operators
-        k = len(self.maps)
-        arr = np.array(self.maps, dtype=np.int32)
-        add = np.empty((k, k), dtype=np.int32)
-        mul = np.empty((k, k), dtype=np.int32)
-        for i in range(k):
-            summed = module.add[arr[i], arr]
-            # right operators: (d_i d_j)(x) = d_j(d_i(x)); left: g_i(g_j(x))
-            comp = arr[:, arr[i]] if right_operators else arr[i][arr]
-            for j in range(k):
-                add[i, j] = self.index[tuple(int(v) for v in summed[j])]
-                mul[i, j] = self.index[tuple(int(v) for v in comp[j])]
-        zero_map = tuple([module.zero] * module.order)
-        ident = tuple(range(module.order))
-        self.hemiring = FiniteHemiring(add, mul, zero=self.index[zero_map],
-                                       one=self.index.get(ident),
+        self.maps, self.index, add, comp, zero, one = _pack_maps(
+            module.add, module.zero, maps)
+        # (d_i * d_j)(x) = d_j(d_i(x)): the transpose of the composition table
+        self.hemiring = FiniteHemiring(add, comp.T, zero=zero, one=one,
                                        name=name or f"End({module.name})")
 
     @property
@@ -227,7 +162,7 @@ class ModuleEndoSemiring:
 
 def end_semiring(M: FiniteLeftSemimodule) -> ModuleEndoSemiring:
     """End(_R M) as a semiring of right operators on M."""
-    return ModuleEndoSemiring(M, hom_semimodules(M, M), right_operators=True)
+    return ModuleEndoSemiring(M, hom_semimodules(M, M))
 
 
 @dataclass(frozen=True)
@@ -266,13 +201,8 @@ def double_centralizer_check(R: FiniteHemiring, I: IdealSubset,
     d_maps = hom_semimodules(module, module)
     # End(I_D): additive zero-preserving g with g(i * d) = g(i) * d, i.e.
     # g(d(i)) = d(g(i)) for every d in D
-    n = module.order
-    bicom: list[tuple[int, ...]] = []
-    add = module.add
-    for g in _additive_selfmaps(module):
-        if all(g[d[i]] == d[g[i]] for d in d_maps for i in range(n)):
-            bicom.append(g)
-    bicom.sort()
+    d_action = np.array(d_maps, dtype=np.int32)
+    bicom = _additive_maps(module, module, ((d_action, d_action),))
     index = {g: i for i, g in enumerate(bicom)}
 
     nat = []
@@ -288,52 +218,6 @@ def double_centralizer_check(R: FiniteHemiring, I: IdealSubset,
     surjective = len(set(nat)) == len(bicom)
     return DoubleCentralizerReport(R, members, len(d_maps), len(bicom),
                                    tuple(nat), injective, surjective, simple)
-
-
-def _additive_selfmaps(M: FiniteLeftSemimodule,
-                       node_budget: int = HOM_SEARCH_BOUND) -> list[tuple[int, ...]]:
-    """Additive zero-preserving self-maps of the underlying monoid."""
-    n = M.order
-    add = M.add
-    add_pre: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            add_pre[int(add[x, y])].append((x, y))
-    f = [-1] * n
-    out = []
-    nodes = [0]
-    order_elems = [M.zero] + [x for x in range(n) if x != M.zero]
-
-    def consistent(z):
-        fz = f[z]
-        for x in range(n):
-            if f[x] < 0:
-                continue
-            s = add[x, z]
-            if f[s] >= 0 and add[f[x], fz] != f[s]:
-                return False
-        for x, y in add_pre[z]:
-            if f[x] >= 0 and f[y] >= 0 and add[f[x], f[y]] != fz:
-                return False
-        return True
-
-    def extend(k):
-        if k == n:
-            out.append(tuple(f))
-            return
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise SizeGuardExceeded("additive self-map search exceeded its node budget")
-        z = order_elems[k]
-        candidates = (M.zero,) if z == M.zero else range(n)
-        for v in candidates:
-            f[z] = v
-            if consistent(z):
-                extend(k + 1)
-            f[z] = -1
-
-    extend(0)
-    return out
 
 
 def trace_ideal(R: FiniteHemiring, P: FiniteLeftSemimodule) -> IdealSubset:

@@ -19,6 +19,7 @@ from hemirings import (
     natural_order,
     strong_semiisomorphism_search,
 )
+from hemirings.core import as_op_table
 from hemirings.lattices import induced_order
 from hemirings.simpleness import is_ideal_simple, is_simple
 
@@ -52,6 +53,14 @@ def test_broken_commutativity_reports_witness():
 def test_dimension_mismatch_is_structural_error():
     with pytest.raises(ValueError):
         check_hemiring_axioms([[0, 1], [1, 1]], [[0]], 0)
+
+
+def test_non_integer_tables_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        as_op_table([[0, 1], [1, 1.7]])
+    with pytest.raises(ValueError, match="integers"):
+        FiniteHemiring(np.array([[0, 1], [1, 1]], dtype=float), [[0, 0], [0, 1]])
+    assert as_op_table(np.array([[0, 1], [1, 1]], dtype=np.uint8)).dtype == np.int32
 
 
 def test_constructor_validator_agreement(plain_hemirings_upto3, idem_hemirings_upto4):
@@ -186,7 +195,7 @@ def test_hom_composition_closure(B, plain_hemirings_upto3):
         rt = {h.map for h in hom_search(R, T)}
         for f in rs:
             for g in st:
-                assert g.compose(f).map in rt
+                assert tuple(g.map[v] for v in f.map) in rt
 
 
 def test_isomorphism_is_equivalence(plain_hemirings_upto3, B, z2):

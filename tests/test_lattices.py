@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from hemirings import (
     FiniteSemilattice,
@@ -21,6 +22,13 @@ from hemirings.core import check_hemiring_axioms
 from hemirings.lattices import endo_enumerate_naive, generator_maps
 
 from conftest import chain_semilattice, diamond_semilattice
+
+
+def test_top_of_malformed_join_table_is_an_error():
+    # unvalidated table whose induced order has no greatest element
+    M = FiniteSemilattice([[0, 1, 2], [1, 1, 0], [2, 0, 2]], validate=False)
+    with pytest.raises(ValueError, match="greatest"):
+        M.top
 
 
 def test_is_semilattice_examples(c3, m3):
@@ -124,6 +132,17 @@ def test_build_E_M_passes_axioms_with_identity(semilattices_upto5, endo_cache):
         H = E.hemiring
         assert H.one == E.endo_index(tuple(range(M.order)))
         assert check_hemiring_axioms(H.add, H.mul, H.zero, H.one).ok
+
+
+def test_endo_tables_are_pointwise_join_and_composition(semilattices_upto5, endo_cache):
+    for M in semilattices_upto5:
+        for E in (endo_cache(M), build_F_M(M)):
+            H, maps = E.hemiring, E.maps
+            for i, f in enumerate(maps):
+                for j, g in enumerate(maps):
+                    assert maps[H.add[i, j]] == tuple(int(M.join[a, b]) for a, b in zip(f, g))
+                    assert maps[H.mul[i, j]] == tuple(f[x] for x in g)   # f o g
+            assert H.zero == E.endo_index((M.zero,) * M.order)
 
 
 def test_e_c2_is_boolean(c2):

@@ -1,11 +1,24 @@
 """Cross-checks of the vectorized engines against naive reference code."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from hemirings import PartialOrder, check_hemiring_axioms, principal_congruence
+from hemirings import (
+    FiniteHemiring,
+    PartialOrder,
+    check_hemiring_axioms,
+    double_centralizer_check,
+    hom_search,
+    hom_semimodules,
+    left_ideal_semimodule,
+    minimal_left_ideals,
+    principal_congruence,
+    regular_semimodule,
+)
+from hemirings.core import _lex_least_relabeling, _map_search, canonical_form
 from hemirings.simpleness import Congruence
 
 
@@ -122,3 +135,142 @@ def test_partial_order_validation():
     bad[0, 1] = bad[1, 2] = True                               # not transitive
     with pytest.raises(ValueError):
         PartialOrder(bad)
+
+
+def test_map_search_against_brute_force(m3, n5, z4):
+    # random visit orders and candidate domains; the kernel must yield exactly
+    # the preserving maps within the domains, in visit-order lexicographic order
+    rng = random.Random(3)
+    for tables in ((m3.join,), (n5.join,), (z4.add, z4.mul)):
+        n = tables[0].shape[0]
+        for _ in range(40):
+            order = rng.sample(range(n), n)
+            domains = [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(n)]
+            injective = rng.random() < 0.5
+            want = [f for f in itertools.product(*domains)
+                    if (not injective or len(set(f)) == n)
+                    and all(f[T[x, y]] == T[f[x], f[y]]
+                            for T in tables for x in range(n) for y in range(n))]
+            got = list(_map_search(n, order, domains, tables=[(T, T) for T in tables],
+                                   injective=injective))
+            assert got == sorted(want, key=lambda f: [f[x] for x in order])
+
+
+def naive_lex_least(tables, zero):
+    """Relabel the tables under every permutation fixing zero at 0 and keep
+    the least concatenation."""
+    n = tables[0].shape[0]
+    rest = [x for x in range(n) if x != zero]
+    best = None
+    for perm in itertools.permutations(range(1, n)):
+        p = np.empty(n, dtype=np.int32)
+        p[zero] = 0
+        for src, dst in zip(rest, perm):
+            p[src] = dst
+        cand = []
+        for T in tables:
+            T2 = np.empty_like(T)
+            T2[np.ix_(p, p)] = p[T]
+            cand.extend(int(v) for v in T2.ravel())
+        cand = tuple(cand)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def relabeled(R, perm):
+    p = np.asarray(perm)
+    add = np.empty_like(R.add)
+    mul = np.empty_like(R.mul)
+    add[np.ix_(p, p)] = p[R.add]
+    mul[np.ix_(p, p)] = p[R.mul]
+    one = None if R.one is None else int(p[R.one])
+    return FiniteHemiring(add, mul, zero=int(p[R.zero]), one=one)
+
+
+def test_lex_least_relabeling_against_naive(plain_hemirings_upto3, idem_hemirings_upto4,
+                                            semilattices_upto5, e_c3):
+    rng = random.Random(7)
+    algebras = list(plain_hemirings_upto3) + list(idem_hemirings_upto4) + [e_c3.hemiring]
+    algebras += [relabeled(R, rng.sample(range(R.order), R.order)) for R in algebras[-40:]]
+    for R in algebras:
+        flat, p = _lex_least_relabeling((R.add, R.mul), R.zero)
+        assert flat == naive_lex_least((R.add, R.mul), R.zero)
+        # the returned relabeling attains the least form
+        assert p[R.zero] == 0
+        S = relabeled(R, p)
+        assert S.add.ravel().tolist() + S.mul.ravel().tolist() == list(flat)
+        add, mul, one = canonical_form(R)
+        assert add + mul == flat and one == (None if R.one is None else p[R.one])
+    for M in semilattices_upto5:
+        perm = rng.sample(range(M.order), M.order)
+        join = np.empty_like(M.join)
+        join[np.ix_(perm, perm)] = np.asarray(perm)[M.join]
+        zero = perm[M.zero]
+        assert _lex_least_relabeling((join,), zero)[0] == naive_lex_least((join,), zero)
+
+
+def brute_force_homs(R, S, unital=False):
+    """Every map R -> S preserving zero, add and mul (and one when asked)."""
+    n, m = R.order, S.order
+    out = []
+    for f in itertools.product(range(m), repeat=n):
+        if f[R.zero] != S.zero:
+            continue
+        if unital and (R.one is None or S.one is None or f[R.one] != S.one):
+            continue
+        if all(f[R.add[x, y]] == S.add[f[x], f[y]] and f[R.mul[x, y]] == S.mul[f[x], f[y]]
+               for x in range(n) for y in range(n)):
+            out.append(f)
+    return out
+
+
+def test_hom_search_against_brute_force(plain_hemirings_upto3, B):
+    algebras = list(plain_hemirings_upto3) + [B]
+    for R in algebras:
+        for S in algebras:
+            for unital in (False, True):
+                first = [R.zero] + ([R.one] if unital and R.one not in (None, R.zero) else [])
+                visit = first + [x for x in range(R.order) if x not in first]
+                homs = sorted(brute_force_homs(R, S, unital),
+                              key=lambda f: [f[x] for x in visit])
+                surj = [f for f in homs if len(set(f)) == S.order]
+                inj = [f for f in homs if len(set(f)) == R.order]
+                for kwargs, want in (({}, homs), ({"surjective": True}, surj),
+                                     ({"injective": True}, inj), ({"limit": 2}, homs[:2])):
+                    got = [h.map for h in hom_search(R, S, unital=unital, **kwargs)]
+                    assert got == want, (R.name, S.name, unital, kwargs)
+
+
+def brute_force_module_homs(M, N):
+    """Every additive, zero-preserving, R-equivariant map M -> N, in order."""
+    n = M.order
+    out = []
+    for f in itertools.product(range(N.order), repeat=n):
+        if f[M.zero] != N.zero:
+            continue
+        if all(f[M.add[x, y]] == N.add[f[x], f[y]] for x in range(n) for y in range(n)) \
+                and all(f[M.action[r, x]] == N.action[r, f[x]]
+                        for r in range(M.ring.order) for x in range(n)):
+            out.append(f)
+    return out
+
+
+def test_semimodule_searches_against_brute_force(B, m2b, e_c3):
+    for R in (m2b.hemiring, e_c3.hemiring, B):
+        ideals = minimal_left_ideals(R)
+        modules = [left_ideal_semimodule(R, I) for I in ideals]
+        for M in modules:
+            for N in modules + [regular_semimodule(R)]:
+                assert hom_semimodules(M, N) == brute_force_module_homs(M, N)
+        for I, M in zip(ideals, modules):
+            # End(I_D): additive zero-preserving maps commuting with every d in D
+            D = hom_semimodules(M, M)
+            n = M.order
+            bicom = [g for g in itertools.product(range(n), repeat=n)
+                     if g[M.zero] == M.zero
+                     and all(g[M.add[x, y]] == M.add[g[x], g[y]]
+                             for x in range(n) for y in range(n))
+                     and all(g[d[i]] == d[g[i]] for d in D for i in range(n))]
+            rep = double_centralizer_check(R, I)
+            assert (rep.endo_count, rep.bicommutant_count) == (len(D), len(bicom))

@@ -1,0 +1,64 @@
+"""Exact canonical forms, fingerprints and catalog names, recorded once.
+
+Every suite report prints fingerprints and catalog names, so a change in
+any of these values changes the reports.  Two silent ways to break them:
+numpy scalars leaking into ``canonical_form`` (under numpy 2 they print as
+``np.int32(0)``, which changes every fingerprint), and a change in the order
+in which the catalog discovers its classes (``hrN_XXX`` and ``aiN_XXX`` are
+numbered in discovery order).
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from hemirings import FiniteHemiring, FiniteSemilattice, boolean_B, build_E_M
+from hemirings.core import canonical_form, fingerprint
+
+PINNED = json.loads((Path(__file__).parent / "data" / "pinned_outputs.json").read_text())
+
+
+def direct_product(*factors):
+    """Componentwise product; element (a, b) has index a * |S| + b."""
+    R = factors[0]
+    for S in factors[1:]:
+        n, m = R.order, S.order
+        add = (R.add[:, None, :, None] * m + S.add[None, :, None, :]).reshape(n * m, n * m)
+        mul = (R.mul[:, None, :, None] * m + S.mul[None, :, None, :]).reshape(n * m, n * m)
+        one = None if R.one is None or S.one is None else R.one * m + S.one
+        R = FiniteHemiring(add, mul, zero=R.zero * m + S.zero, one=one)
+    return R
+
+
+@pytest.fixture(scope="module")
+def pinned_algebras(plain_hemirings_upto3, idem_hemirings_upto4):
+    cat = {R.name: R for R in plain_hemirings_upto3 + idem_hemirings_upto4}
+    B = boolean_B()
+    C3 = FiniteSemilattice([[0, 1, 2], [1, 1, 2], [2, 2, 2]], name="C3")
+    return {
+        "hr3_005": cat["hr3_005"], "hr3_021": cat["hr3_021"],
+        "ai4_048": cat["ai4_048"], "ai4_128": cat["ai4_128"],
+        "BxBxB": direct_product(B, B, B),
+        "hr2_003xai4_094": direct_product(cat["hr2_003"], cat["ai4_094"]),
+        "hr2_001xhr3_010": direct_product(cat["hr2_001"], cat["hr3_010"]),
+        "E_C3": build_E_M(C3).hemiring,
+    }
+
+
+def test_canonical_forms_and_fingerprints_pinned(pinned_algebras):
+    assert set(pinned_algebras) == set(PINNED["canonical_form"])
+    for name, R in pinned_algebras.items():
+        add, mul, one = canonical_form(R)
+        assert all(type(v) is int for v in add + mul), name
+        assert one is None or type(one) is int, name
+        assert repr((add, mul, one)) == PINNED["canonical_form"][name], name
+        assert fingerprint(R) == PINNED["fingerprint"][name], name
+
+
+def test_catalog_names_and_fingerprints_pinned(plain_hemirings_upto3,
+                                               idem_hemirings_upto4):
+    hr3 = [[R.name, fingerprint(R)] for R in plain_hemirings_upto3 if R.order == 3]
+    ai4 = [[R.name, fingerprint(R)] for R in idem_hemirings_upto4 if R.order == 4]
+    assert hr3 == PINNED["hr3"]
+    assert ai4 == PINNED["ai4"]

@@ -17,7 +17,7 @@ from hemirings import (
     regular_semimodule,
     trace_ideal,
 )
-from hemirings.core import check_hemiring_axioms
+from hemirings.core import SizeGuardExceeded, check_hemiring_axioms
 from hemirings.simpleness import ideal_violation
 from hemirings.semimodules import FiniteLeftSemimodule
 
@@ -65,6 +65,26 @@ def test_end_semiring_passes_axioms(B, e_c3):
             H = D.hemiring
             assert H.one is not None
             assert check_hemiring_axioms(H.add, H.mul, H.zero, H.one).ok
+
+
+def test_module_endo_product_applies_left_factor_first(m2b, e_c3):
+    for R in (m2b.hemiring, e_c3.hemiring):
+        modules = [left_ideal_semimodule(R, I) for I in minimal_left_ideals(R)]
+        for M in modules + [regular_semimodule(R)]:    # End(_R R) is not commutative
+            D = end_semiring(M)
+            H, maps = D.hemiring, D.maps
+            for i, d1 in enumerate(maps):
+                for j, d2 in enumerate(maps):
+                    assert maps[H.add[i, j]] == tuple(int(M.add[a, b]) for a, b in zip(d1, d2))
+                    assert maps[H.mul[i, j]] == tuple(d2[x] for x in d1)   # d1, then d2
+
+
+def test_hom_search_node_budget(m2b):
+    R = m2b.hemiring
+    M = left_ideal_semimodule(R, minimal_left_ideals(R)[0])
+    assert len(hom_semimodules(M, M)) == 2
+    with pytest.raises(SizeGuardExceeded, match="node budget of 2 nodes"):
+        hom_semimodules(M, M, node_budget=2)
 
 
 def test_hom_from_zero_module(B):
