@@ -8,6 +8,7 @@ from .core import (
     AxiomReport,
     FiniteHemiring,
     HomMap,
+    InvariantViolation,
     PartialOrder,
     SizeGuardExceeded,
     check_hemiring_axioms,

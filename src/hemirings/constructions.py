@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     FiniteHemiring,
+    InvariantViolation,
     SizeGuardExceeded,
     _lex_least_relabeling,
     canonical_form,
@@ -135,7 +136,7 @@ def finite_field(q: int) -> FiniteHemiring:
     R = FiniteHemiring(add, mul, zero=0, one=1, name=f"GF({q})")
     for x in range(1, q):
         if not (R.mul[x] == R.one).any():
-            raise AssertionError(f"GF({q}) element {x} not invertible")
+            raise InvariantViolation(f"GF({q}) element {x} not invertible")
     return R
 
 
@@ -286,7 +287,7 @@ def corner_ideal_to_ring(R: FiniteHemiring, c: CornerSemiring, I: IdealSubset) -
     J = generated_ideal(R, seed, "two-sided")
     back = {c.project(x) for x in J.members}
     if back != set(I.members):
-        raise AssertionError("corner ideal correspondence failed")
+        raise InvariantViolation("corner ideal correspondence failed")
     return J
 
 
@@ -313,10 +314,10 @@ def corner_congruence_to_ring(R: FiniteHemiring, c: CornerSemiring,
         labels[a] = sigs.setdefault(sig, a)
     theta = Congruence(labels)
     if not is_congruence(R, theta):
-        raise AssertionError("corner congruence lift is not a congruence")
+        raise InvariantViolation("corner congruence lift is not a congruence")
     restriction = Congruence([theta.labels[m] for m in c.members])
     if restriction != gamma:
-        raise AssertionError("corner congruence correspondence failed")
+        raise InvariantViolation("corner congruence correspondence failed")
     return theta
 
 

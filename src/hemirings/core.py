@@ -19,6 +19,7 @@ __all__ = [
     "AxiomReport",
     "FiniteHemiring",
     "HomMap",
+    "InvariantViolation",
     "PartialOrder",
     "SizeGuardExceeded",
     "as_op_table",
@@ -43,6 +44,14 @@ class SizeGuardExceeded(RuntimeError):
     """An operation was asked to run beyond its configured order bound."""
 
 
+class InvariantViolation(RuntimeError):
+    """A construction's result failed an identity the theory guarantees.
+
+    Raised by the re-checks that constructions run on their own output; a
+    suite reports it as a counterexample to the statement it checks.
+    """
+
+
 class AxiomError(ValueError):
     """Operation tables failed validation; carries the full report."""
 
@@ -63,12 +72,18 @@ def as_op_table(entries, order: int | None = None) -> np.ndarray:
     n = raw.shape[0]
     if n == 0:
         raise ValueError("empty carrier")
-    if raw.dtype.kind not in "iu":
-        raise ValueError(f"operation table entries must be integers, got dtype {raw.dtype}")
     if order is not None and n != order:
         raise ValueError(f"table order {n} does not match expected order {order}")
-    if raw.min() < 0 or raw.max() >= n:
-        raise ValueError("table entry out of range [0, order)")
+    return _index_array(raw, n, "operation table")
+
+
+def _index_array(raw: np.ndarray, bound: int, what: str) -> np.ndarray:
+    """Read-only int32 copy of a non-empty integer array with entries in
+    [0, bound); a float array is rejected rather than truncated."""
+    if raw.dtype.kind not in "iu":
+        raise ValueError(f"{what} entries must be integers, got dtype {raw.dtype}")
+    if raw.min() < 0 or raw.max() >= bound:
+        raise ValueError(f"{what} entry out of range [0, {bound})")
     table = np.ascontiguousarray(raw, dtype=np.int32)
     table.setflags(write=False)
     return table

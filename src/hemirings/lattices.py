@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (
     FiniteHemiring,
+    InvariantViolation,
     PartialOrder,
     SizeGuardExceeded,
     _map_search,
@@ -280,24 +281,21 @@ def generator_maps(M: FiniteSemilattice) -> list[Endo]:
 def build_F_M(M: FiniteSemilattice) -> EndoSemiring:
     """The additive submonoid of E_M generated by all e_{a,b}.
 
-    Computed as the closure of the generators under pointwise join; closure
-    under composition is not used for generation, but packaging the result
-    re-checks it (it holds because the result is an ideal of E_M).
+    Computed as the closure of the generators under pointwise join: each
+    round joins the maps new in the last round with all maps found, in one
+    numpy operation.  Closure under composition is not used for generation,
+    but packaging the result re-checks it (it holds because the result is
+    an ideal of E_M).
     """
-    join = M.join
-    gens = generator_maps(M)
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in seen.copy():
-                h = tuple(int(join[f[x], g[x]]) for x in range(M.order))
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return EndoSemiring(M, sorted(seen), name=f"F_{M.name or M.order}")
+    n = M.order
+    arr = new = np.array(generator_maps(M), dtype=np.int32)
+    row = np.dtype((np.void, arr.itemsize * n))   # one map as one comparable value
+    while len(new):
+        joined = np.concatenate([arr, M.join[new[:, None, :], arr[None, :, :]].reshape(-1, n)])
+        _, first = np.unique(joined.view(row).ravel(), return_index=True)
+        new = joined[first[first >= len(arr)]]
+        arr = joined[first]
+    return EndoSemiring(M, map(tuple, arr.tolist()), name=f"F_{M.name or M.order}")
 
 
 def e_ab_absorb(M: FiniteSemilattice, a: int, f: Endo) -> int:
@@ -310,7 +308,7 @@ def e_ab_absorb(M: FiniteSemilattice, a: int, f: Endo) -> int:
     for b in range(M.order):
         left = tuple(e_ab(M, a, b)[f[x]] for x in range(M.order))
         if left != e_ab(M, c, b):
-            raise AssertionError(f"absorption identity failed at a={a}, b={b}, f={f}")
+            raise InvariantViolation(f"absorption identity failed at a={a}, b={b}, f={f}")
     return c
 
 

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HOM_SEARCH_BOUND, FiniteHemiring, _map_search, as_op_table
+from .core import (
+    HOM_SEARCH_BOUND,
+    FiniteHemiring,
+    InvariantViolation,
+    _index_array,
+    _map_search,
+    as_op_table,
+)
 from .lattices import _pack_maps
 from .simpleness import IdealSubset, all_ideals, ideal_violation
 
@@ -45,12 +52,12 @@ class FiniteLeftSemimodule:
         self.ring = ring
         self.add = as_op_table(add)
         self.zero = int(zero)
-        self.action = np.ascontiguousarray(action, dtype=np.int32)
         self.name = name
         self.members = members   # carrier as ring elements, for ideal modules
-        if self.action.shape != (ring.order, self.order):
+        action = np.asarray(action)
+        if action.shape != (ring.order, self.order):
             raise ValueError("action table shape must be |R| x order")
-        self.action.setflags(write=False)
+        self.action = _index_array(action, self.order, "action table")
         if validate:
             self._validate()
 
@@ -211,7 +218,7 @@ def double_centralizer_check(R: FiniteHemiring, I: IdealSubset,
     for r in range(R.order):
         g = tuple(pos[int(R.mul[r, x])] for x in members)
         if g not in index:
-            raise AssertionError("natural image is not D-equivariant")
+            raise InvariantViolation("natural image is not D-equivariant")
         nat.append(index[g])
 
     injective = len(set(nat)) == R.order
@@ -238,7 +245,7 @@ def trace_ideal(R: FiniteHemiring, P: FiniteLeftSemimodule) -> IdealSubset:
         members = new
     bad = ideal_violation(R, members, "two-sided")
     if bad is not None:
-        raise AssertionError(f"trace is not a two-sided ideal: {bad}")
+        raise InvariantViolation(f"trace is not a two-sided ideal: {bad}")
     return IdealSubset(members, "two-sided", R.order)
 
 

@@ -1,11 +1,16 @@
 """Congruence and ideal machinery for finite hemirings.
 
 Congruences are partitions stored as canonical block labels.  The principal
-congruence closure is the dominant cost of the package, so it runs as a
-vectorized fixpoint: one pass substitutes block representatives through both
-operation tables and merges every mismatch at once; passes repeat until no
-merge fires.  Deciding congruence-simpleness needs only principal
-congruences: any congruence above the diagonal contains a principal one.
+congruence closure is the dominant cost of the package.  It works on
+least-element labels: the partition is generated by the pairs x ~ rep(x),
+so a pass compares the table rows of the non-representatives only with the
+rows of their representatives, through addition and both sides of
+multiplication, and merges every mismatch at once with one vectorized
+union-find; passes repeat until no merge fires.  Deciding
+congruence-simpleness needs only principal congruences, since any
+congruence above the diagonal contains a principal one; pairs are visited
+in lexicographic order, and a closure stops as soon as it identifies an
+earlier pair, which is already known to generate the universal congruence.
 """
 
 from __future__ import annotations
@@ -35,19 +40,14 @@ __all__ = [
 ]
 
 CONGRUENCE_LATTICE_BOUND = 40
+IDEAL_LATTICE_BOUND = 200000
 RADICAL_BOUND = 24
 
 
 def _canonical_labels(labels) -> tuple[int, ...]:
     """Renumber block ids by first appearance."""
     seen: dict[int, int] = {}
-    out = []
-    for v in labels:
-        v = int(v)
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return tuple(out)
+    return tuple(seen.setdefault(int(v), len(seen)) for v in labels)
 
 
 class Congruence:
@@ -137,79 +137,61 @@ def _tables(R: FiniteHemiring) -> tuple[np.ndarray, ...]:
     return (R.add, R.mul, np.ascontiguousarray(R.mul.T))
 
 
-def _compat_closure(R: FiniteHemiring, labels: np.ndarray,
-                    stop_at_universal: bool = False,
-                    universal_pairs: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> np.ndarray:
-    """Smallest compatible partition above ``labels``.
+def _merge(labels: np.ndarray, xs, ys) -> np.ndarray:
+    """Least-element labels of the finest partition above ``labels`` that
+    also identifies ``xs[i]`` with ``ys[i]`` for every i.
 
-    ``labels[i]`` must hold the least element of i's block and is updated in
-    place to the closure's representatives.  ``universal_pairs`` are pairs
-    already known to generate the universal congruence: the moment the
-    partition identifies one such pair the closure is universal, so the
-    full fixpoint can be skipped.
+    A vectorized union-find: every root hooks onto the least root it must
+    join, then parents are pointer-jumped to roots; repeated until every
+    pair shares a root.  Roots only ever hook onto smaller roots, so each
+    root is the least element of its block.
     """
+    parent = labels.copy()
+    while True:
+        rx, ry = parent[xs], parent[ys]
+        live = rx != ry
+        if not live.any():
+            return parent
+        np.minimum.at(parent, np.maximum(rx, ry)[live], np.minimum(rx, ry)[live])
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
+
+
+def _compat_closure(R: FiniteHemiring, labels: np.ndarray):
+    """Climb from the least-element ``labels`` to the smallest compatible
+    partition above it, yielding the labels after every merge.
+
+    The partition is generated by the pairs x ~ rep(x), so compatibility
+    needs only the rows of non-representatives: T[x, c] ~ T[rep(x), c].
+    The last labels yielded are the closure; a caller that can decide
+    early stops iterating.
+    """
+    ids = np.arange(labels.size)
     tables = _tables(R)
-    n = labels.size
-
-    def hint_hit() -> bool:
-        if universal_pairs is None:
-            return False
-        us, vs = universal_pairs
-        return us.size > 0 and bool((labels[us] == labels[vs]).any())
-
-    if hint_hit():
-        return np.zeros(n, dtype=labels.dtype)
     while True:
         changed = False
         for T in tables:
-            a = labels[T]            # block of x o c
-            b = labels[T[labels]]    # block of rep(x) o c
+            rows = np.flatnonzero(labels != ids)
+            a = labels[T[rows]]
+            b = labels[T[labels[rows]]]
             bad = a != b
-            if not bad.any():
-                continue
-            changed = True
-            lo = np.minimum(a[bad], b[bad]).astype(np.int64)
-            hi = np.maximum(a[bad], b[bad]).astype(np.int64)
-            flags = np.zeros(n * n, dtype=bool)
-            flags[lo * n + hi] = True
-            parent = np.arange(n, dtype=labels.dtype)
-            for code in np.flatnonzero(flags):
-                x, y = divmod(int(code), n)
-                # union by least representative
-                while parent[x] != x:
-                    x = parent[x]
-                while parent[y] != y:
-                    y = parent[y]
-                if x != y:
-                    parent[max(x, y)] = min(x, y)
-            while True:
-                pp = parent[parent]
-                if (pp == parent).all():
-                    break
-                parent = pp
-            labels = parent[labels]
-            if stop_at_universal and (labels == labels[0]).all():
-                return labels
-            if hint_hit():
-                return np.zeros(n, dtype=labels.dtype)
+            if bad.any():
+                labels = _merge(labels, a[bad], b[bad])
+                changed = True
+                yield labels
         if not changed:
-            return labels
-
-
-def _initial_labels(n: int, pairs) -> np.ndarray:
-    labels = np.arange(n, dtype=np.int32)
-    for a, b in pairs:
-        ra, rb = int(labels[a]), int(labels[b])
-        if ra != rb:
-            lo, hi = min(ra, rb), max(ra, rb)
-            labels[labels == hi] = lo
-    return labels
+            return
 
 
 def congruence_closure(R: FiniteHemiring, pairs) -> Congruence:
     """Smallest congruence containing the given element pairs."""
-    labels = _compat_closure(R, _initial_labels(R.order, pairs))
+    xs, ys = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    labels = _merge(np.arange(R.order), xs, ys)
+    for labels in _compat_closure(R, labels):
+        pass
     return Congruence(labels)
 
 
@@ -220,11 +202,8 @@ def principal_congruence(R: FiniteHemiring, a: int, b: int) -> Congruence:
 
 def is_congruence(R: FiniteHemiring, part: Congruence) -> bool:
     """Check compatibility of a partition with both operations."""
-    labels = np.asarray(part.labels, dtype=np.int32)
-    rep: dict[int, int] = {}
-    reps = np.empty(R.order, dtype=np.int32)
-    for x, l in enumerate(part.labels):
-        reps[x] = rep.setdefault(l, x)
+    labels = np.asarray(part.labels)
+    reps = np.unique(labels, return_index=True)[1][labels]   # first member of x's block
     for T in _tables(R):
         if (labels[T] != labels[T[reps]]).any():
             return False
@@ -237,21 +216,24 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
     Sound and complete via principal congruences only: a congruence above
     the diagonal contains (a, b) for some a != b, hence the principal
     congruence of that pair.
+
+    Pairs are visited in lexicographic order, so every earlier pair is
+    known to generate the universal congruence: a closure stops as soon as
+    it identifies one, that is, as soon as a non-representative x has
+    (rep(x), x) before (a, b).
     """
     n = R.order
-    known_u: list[int] = []
-    known_v: list[int] = []
+    ids = np.arange(n)
     for a in range(n):
         for b in range(a + 1, n):
-            hint = (np.asarray(known_u, dtype=np.int32),
-                    np.asarray(known_v, dtype=np.int32))
-            labels = _compat_closure(R, _initial_labels(n, [(a, b)]),
-                                     stop_at_universal=True,
-                                     universal_pairs=hint)
-            if (labels != labels[0]).any():
-                return False
-            known_u.append(a)
-            known_v.append(b)
+            labels = ids.copy()
+            labels[b] = a
+            for labels in _compat_closure(R, labels):
+                if ((labels * n + ids < a * n + b) & (labels != ids)).any():
+                    break
+            else:
+                if labels.any():
+                    return False
     return True
 
 
@@ -362,22 +344,30 @@ def generated_ideal(R: FiniteHemiring, seed, sidedness: str = "two-sided") -> Id
 
 def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided",
                max_order: int = CONGRUENCE_LATTICE_BOUND) -> list[IdealSubset]:
-    """Every ideal, as sums of principal ideals closed to a fixpoint."""
+    """Every ideal, by extending each ideal found with one element not in it.
+
+    Every ideal is reached: it is the last of a chain of ideals generated by
+    growing subsets of its members.
+    """
     n = R.order
     if n > max_order:
         raise SizeGuardExceeded(f"ideal enumeration bounded at order {max_order}")
-    principals = {generated_ideal(R, [x], sidedness) for x in range(n)}
-    found = set(principals)
-    found.add(IdealSubset([R.zero], sidedness, n))
-    frontier = list(principals)
+    start = generated_ideal(R, [], sidedness)
+    found = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for I in frontier:
-            for P in principals:
-                s = generated_ideal(R, I.members | P.members, sidedness)
-                if s not in found:
-                    found.add(s)
-                    nxt.append(s)
+            for x in range(n):
+                if x in I.members:
+                    continue
+                J = generated_ideal(R, I.members | {x}, sidedness)
+                if J not in found:
+                    found.add(J)
+                    nxt.append(J)
+                    if len(found) > IDEAL_LATTICE_BOUND:
+                        raise SizeGuardExceeded(
+                            f"ideal lattice enumeration bounded at {IDEAL_LATTICE_BOUND} ideals")
         frontier = nxt
     return sorted(found, key=lambda I: (len(I.members), sorted(I.members)))
 
@@ -405,25 +395,17 @@ def is_simple(R: FiniteHemiring) -> bool:
 def bourne_congruence(R: FiniteHemiring, I: IdealSubset) -> Congruence:
     """x = y iff x + a = y + b for some a, b in I, transitively closed.
 
-    The raw relation is reflexive and symmetric; its transitive closure is
-    computed by merging connected components, then validated as a
-    congruence (always succeeds for a two-sided ideal).
+    The closure is the equivalence generated by the pairs x ~ x + a for a in
+    I (x + a = y + b links x to y through that sum), computed as one merge
+    and validated as a congruence (always succeeds for a two-sided ideal).
     """
     bad = ideal_violation(R, I.members, I.sidedness)
     if bad is not None:
         raise ValueError(f"not a validated ideal: {bad}")
     n = R.order
     idx = sorted(I.members)
-    reach = np.zeros((n, n), dtype=bool)      # reach[x, v]: v = x + a for a in I
-    for x in range(n):
-        reach[x, R.add[x, idx]] = True
-    related = (reach.astype(np.int16) @ reach.astype(np.int16).T) > 0
-    labels = np.arange(n, dtype=np.int32)
-    for x in range(n):
-        partners = np.flatnonzero(related[x])
-        lo = labels[partners].min()
-        labels[np.isin(labels, labels[partners])] = lo
-    cong = Congruence(labels)
+    ids = np.arange(n)
+    cong = Congruence(_merge(ids, np.repeat(ids, len(idx)), R.add[:, idx].ravel()))
     if not is_congruence(R, cong):
         raise ValueError("Bourne relation did not close to a congruence")
     return cong
@@ -446,53 +428,27 @@ def tau_congruence(E: EndoSemiring) -> Congruence:
     M = E.lattice
     arr = np.array(E.maps, dtype=np.int32)
     k = arr.shape[0]
-    labels = np.arange(k, dtype=np.int32)
+    firsts = []
     for a in range(M.order):
         shifted = M.join[arr, a]             # [i, x] -> f_i(x) v a
-        groups: dict[bytes, int] = {}
-        for i in range(k):
-            key = shifted[i].tobytes()
-            j = groups.setdefault(key, i)
-            if j != i:
-                lo, hi = sorted((int(labels[i]), int(labels[j])))
-                labels[labels == hi] = lo
-    cong = Congruence(labels)
+        _, first, group = np.unique(shifted, axis=0, return_index=True,
+                                    return_inverse=True)
+        firsts.append(first[group.ravel()])
+    ids = np.arange(k)
+    cong = Congruence(_merge(ids, np.tile(ids, M.order), np.concatenate(firsts)))
     if not is_congruence(E.hemiring, cong):
         raise ValueError("tau relation is not a congruence")
     return cong
 
 
-def _left_subsemimodules(R: FiniteHemiring, cap: int = 200000) -> list[frozenset[int]]:
-    """All left ideals of the regular left semimodule, by closure extension."""
-    start = generated_ideal(R, [], "left").members
-    found = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for S in frontier:
-            for x in range(R.order):
-                if x in S:
-                    continue
-                T = generated_ideal(R, S | {x}, "left").members
-                if T not in found:
-                    found.add(T)
-                    nxt.append(T)
-                    if len(found) > cap:
-                        raise SizeGuardExceeded("left subsemimodule lattice too large")
-        frontier = nxt
-    return sorted(found, key=lambda S: (len(S), sorted(S)))
-
-
 def radical_left(R: FiniteHemiring, max_order: int = RADICAL_BOUND) -> IdealSubset:
     """Intersection of the maximal proper left subsemimodules of _R R.
 
-    Brute-force over the subsemimodule lattice; if no proper subsemimodule
-    exists the radical is all of R.
+    Brute-force over the left ideals; if no proper one exists the radical
+    is all of R.
     """
     n = R.order
-    if n > max_order:
-        raise SizeGuardExceeded(f"radical computation bounded at order {max_order}")
-    subs = [S for S in _left_subsemimodules(R) if len(S) < n]
+    subs = [I.members for I in all_ideals(R, "left", max_order) if not I.is_full]
     maximal = [S for S in subs
                if not any(S < T for T in subs)]
     if not maximal:

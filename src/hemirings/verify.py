@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .core import (
     FiniteHemiring,
+    InvariantViolation,
     fingerprint,
     infinite_element,
     is_additively_idempotent,
@@ -392,7 +393,7 @@ def suite_prop5_3(max_order: int = 3) -> VerificationReport:
         for e in R.idempotents():
             try:
                 ok, fields = _corner_correspondence(R, e)
-            except AssertionError as exc:
+            except InvariantViolation as exc:
                 ok, fields = False, [("error", str(exc))]
             if not ok:
                 fields.append(("witness", _tables_inline(R)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hemirings import (
+    FiniteHemiring,
     FiniteSemilattice,
     boolean_B,
     build_E_M,
@@ -44,6 +45,29 @@ def chain3_min_semiring():
         [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
         [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
         zero=0, one=2, name="chain3-min")
+
+
+def direct_product(*factors):
+    """Componentwise product; element (a, b) has index a * |S| + b."""
+    R = factors[0]
+    for S in factors[1:]:
+        n, m = R.order, S.order
+        add = (R.add[:, None, :, None] * m + S.add[None, :, None, :]).reshape(n * m, n * m)
+        mul = (R.mul[:, None, :, None] * m + S.mul[None, :, None, :]).reshape(n * m, n * m)
+        one = None if R.one is None or S.one is None else R.one * m + S.one
+        R = FiniteHemiring(add, mul, zero=R.zero * m + S.zero, one=one)
+    return R
+
+
+def relabeled(R, perm):
+    """The copy of R in which element x is renamed perm[x]."""
+    p = np.asarray(perm)
+    add = np.empty_like(R.add)
+    mul = np.empty_like(R.mul)
+    add[np.ix_(p, p)] = p[R.add]
+    mul[np.ix_(p, p)] = p[R.mul]
+    one = None if R.one is None else int(p[R.one])
+    return FiniteHemiring(add, mul, zero=int(p[R.zero]), one=one)
 
 
 @pytest.fixture(scope="session")

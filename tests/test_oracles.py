@@ -7,19 +7,26 @@ import numpy as np
 import pytest
 
 from hemirings import (
-    FiniteHemiring,
     PartialOrder,
+    all_ideals,
+    bourne_congruence,
+    build_F_M,
     check_hemiring_axioms,
     double_centralizer_check,
     hom_search,
     hom_semimodules,
+    integers_mod,
+    is_congruence_simple,
     left_ideal_semimodule,
     minimal_left_ideals,
     principal_congruence,
     regular_semimodule,
+    tau_congruence,
 )
 from hemirings.core import _lex_least_relabeling, _map_search, canonical_form
-from hemirings.simpleness import Congruence
+from hemirings.simpleness import Congruence, _merge
+
+from conftest import direct_product, relabeled
 
 
 def naive_axiom_check(add, mul, zero, one=None):
@@ -112,6 +119,95 @@ def test_principal_congruence_against_naive_on_endos(e_c3):
                 naive_principal_congruence(H, a, b)
 
 
+def naive_is_congruence_simple(R):
+    """Every pair generates the universal congruence (no early exit)."""
+    return all(naive_principal_congruence(R, a, b).is_universal
+               for a in range(R.order) for b in range(a + 1, R.order))
+
+
+def test_congruence_simple_against_naive(B, m2b, e_c3, z4, semilattices_upto5, endo_cache):
+    base = [z4, integers_mod(6), m2b.hemiring, direct_product(e_c3.hemiring, B)]
+    for M in semilattices_upto5:
+        if M.order <= 4:
+            base += [endo_cache(M).hemiring, build_F_M(M).hemiring]
+    # the early exit depends on pair order, and relabelling moves the first
+    # pair that does not generate the universal congruence
+    rng = random.Random(11)
+    algebras = list(base)
+    for R in base:
+        algebras += [relabeled(R, rng.sample(range(R.order), R.order)) for _ in range(2)]
+    verdicts = [is_congruence_simple(R) for R in algebras]
+    assert verdicts == [naive_is_congruence_simple(R) for R in algebras]
+    assert True in verdicts and False in verdicts
+
+
+def naive_merge(labels, xs, ys):
+    """Python union-find from ``labels``; returns least-element labels."""
+    parent = list(range(len(labels)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in list(enumerate(labels)) + list(zip(xs, ys)):
+        rx, ry = find(int(x)), find(int(y))
+        parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(len(labels))]
+
+
+def test_merge_against_naive_union_find():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        blocks = [rng.randrange(n) for _ in range(n)]
+        labels = np.array([blocks.index(v) for v in blocks])   # least element of each block
+        before = labels.copy()
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        xs = np.array([p[0] for p in pairs], dtype=np.intp)
+        ys = np.array([p[1] for p in pairs], dtype=np.intp)
+        assert _merge(labels, xs, ys).tolist() == naive_merge(labels, xs, ys)
+        assert (labels == before).all()
+
+
+def transitive_partition(related):
+    """The partition given by the transitive closure of a reflexive,
+    symmetric boolean relation, by Warshall's algorithm."""
+    reach = [list(map(bool, row)) for row in related]
+    n = len(reach)
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return Congruence([row.index(True) for row in reach])
+
+
+def test_bourne_congruence_against_definition(plain_hemirings_upto3, semilattices_upto5,
+                                             endo_cache):
+    algebras = list(plain_hemirings_upto3)
+    algebras += [endo_cache(M).hemiring for M in semilattices_upto5 if M.order <= 4]
+    for R in algebras:
+        n = R.order
+        for I in all_ideals(R, "two-sided"):
+            # x ~ y iff x + a = y + b for some a, b in I
+            related = [[any(R.add[x, a] == R.add[y, b] for a in I.members for b in I.members)
+                        for y in range(n)] for x in range(n)]
+            assert bourne_congruence(R, I) == transitive_partition(related), R.name
+
+
+def test_tau_congruence_against_definition(semilattices_upto5, endo_cache):
+    for M in semilattices_upto5:
+        if M.order > 4:
+            continue
+        for E in (endo_cache(M), build_F_M(M)):
+            # f ~ g iff f(x) v a = g(x) v a for every x, for some a
+            related = [[any(all(M.join[f[x], a] == M.join[g[x], a] for x in range(M.order))
+                            for a in range(M.order))
+                        for g in E.maps] for f in E.maps]
+            assert tau_congruence(E) == transitive_partition(related), M.name
+
+
 def test_partial_order_meet_absent():
     # N-shaped poset: 0 < a, b < c, d with c, d incomparable: c ^ d fails
     leq = np.zeros((5, 5), dtype=bool)
@@ -176,16 +272,6 @@ def naive_lex_least(tables, zero):
         if best is None or cand < best:
             best = cand
     return best
-
-
-def relabeled(R, perm):
-    p = np.asarray(perm)
-    add = np.empty_like(R.add)
-    mul = np.empty_like(R.mul)
-    add[np.ix_(p, p)] = p[R.add]
-    mul[np.ix_(p, p)] = p[R.mul]
-    one = None if R.one is None else int(p[R.one])
-    return FiniteHemiring(add, mul, zero=int(p[R.zero]), one=one)
 
 
 def test_lex_least_relabeling_against_naive(plain_hemirings_upto3, idem_hemirings_upto4,

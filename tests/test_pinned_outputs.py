@@ -13,22 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from hemirings import FiniteHemiring, FiniteSemilattice, boolean_B, build_E_M
+from hemirings import FiniteSemilattice, boolean_B, build_E_M
 from hemirings.core import canonical_form, fingerprint
 
+from conftest import direct_product
+
 PINNED = json.loads((Path(__file__).parent / "data" / "pinned_outputs.json").read_text())
-
-
-def direct_product(*factors):
-    """Componentwise product; element (a, b) has index a * |S| + b."""
-    R = factors[0]
-    for S in factors[1:]:
-        n, m = R.order, S.order
-        add = (R.add[:, None, :, None] * m + S.add[None, :, None, :]).reshape(n * m, n * m)
-        mul = (R.mul[:, None, :, None] * m + S.mul[None, :, None, :]).reshape(n * m, n * m)
-        one = None if R.one is None or S.one is None else R.one * m + S.one
-        R = FiniteHemiring(add, mul, zero=R.zero * m + S.zero, one=one)
-    return R
 
 
 @pytest.fixture(scope="module")

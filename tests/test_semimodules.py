@@ -52,6 +52,18 @@ def test_invalid_action_rejected(B):
         FiniteLeftSemimodule(B, B.add, 0, [[0, 0], [1, 0]])
 
 
+@pytest.mark.parametrize("action, message", [
+    ([[0, 0], [0, 1.7]], "must be integers"),     # was truncated to [[0, 0], [0, 1]]
+    ([[0, 0], [0, 2]], "out of range"),
+    ([[0, 0], [0, -1]], "out of range"),
+    ([[0, 0, 0], [0, 1, 0]], "shape"),
+])
+def test_malformed_action_rejected(B, action, message):
+    for validate in (True, False):
+        with pytest.raises(ValueError, match=message):
+            FiniteLeftSemimodule(B, B.add, 0, action, validate=validate)
+
+
 def test_end_of_regular_boolean_module(B):
     D = end_semiring(regular_semimodule(B))
     assert D.order == 2

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from hemirings import build_E_M, two_zero_mult
+from hemirings import InvariantViolation, build_E_M, integers_mod, two_zero_mult
 from hemirings.verify import (
     classify,
     dense_embedding_search,
@@ -8,7 +10,7 @@ from hemirings.verify import (
     suite_names,
 )
 
-from conftest import chain_semilattice, chain3_min_semiring
+from conftest import chain_semilattice, chain3_min_semiring, direct_product, relabeled
 
 
 def test_all_suites_confirm_at_default_bounds():
@@ -87,6 +89,26 @@ def test_inline_witness_round_trips_to_the_deciders(B):
         assert is_simple(back)
 
 
+def _raising(exc):
+    def corner_ideal_to_ring(*args):
+        raise exc
+    return corner_ideal_to_ring
+
+
+def test_prop5_3_reports_only_invariant_violations(monkeypatch):
+    import hemirings.verify as verify
+    monkeypatch.setattr(verify, "corner_ideal_to_ring",
+                        _raising(InvariantViolation("corner ideal correspondence failed")))
+    rep = run_suite("prop5_3", 2)
+    assert rep.records and not any(r.ok for r in rep.records)
+    assert ("error", "corner ideal correspondence failed") in rep.records[0].fields
+    # anything else is a bug in the program, never a counterexample
+    for exc in (AssertionError("bug"), KeyError(3)):
+        monkeypatch.setattr(verify, "corner_ideal_to_ring", _raising(exc))
+        with pytest.raises(type(exc)):
+            run_suite("prop5_3", 2)
+
+
 def test_classify_boolean(B):
     got = dict(classify(B))
     assert got["simple"] == "true"
@@ -116,6 +138,20 @@ def test_classify_flags_zero_multiplication(two):
     assert got["semiring"] == "false"
     assert got["simple"] == "true"          # literal definition
     assert got["division"] == "n/a"
+
+
+def test_classify_is_invariant_under_relabelling(B, e_c3, m2b):
+    rng = random.Random(19)
+    for R in (e_c3.hemiring, m2b.hemiring, direct_product(e_c3.hemiring, B),
+              integers_mod(6)):
+        want = classify(R)
+        inf = dict(want)["infinite-element"]
+        for _ in range(2):
+            perm = rng.sample(range(R.order), R.order)
+            got = dict(classify(relabeled(R, perm)))
+            if inf != "none":
+                got["infinite-element"] = str(perm.index(int(got["infinite-element"])))
+            assert list(got.items()) == want
 
 
 def test_classify_lattice_ordered_non_simple():
