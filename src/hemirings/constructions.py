@@ -2,14 +2,20 @@
 
 Matrix semirings pack n x n matrices over a base algebra into mixed-radix
 integers (cell (i, j) is the digit of weight |R|^(i*n+j), row-major), so
-every decider in the package runs on them unchanged.  Catalog enumeration
-fixes the additive monoid first and backtracks over multiplication tables,
-deduplicating by canonical form under carrier permutations that fix zero.
+every decider in the package runs on them unchanged.
+
+Catalog tables come from one search, ``_table_search``: it fills table
+cells in a fixed order with values in ascending order and drops a partial
+table as soon as some associativity (or, over a given addition,
+distributivity) instance whose lookups are all assigned fails.  Additive
+monoids are its symmetric completions of the neutral row and column (the
+idempotent ones are the semilattice join tables), multiplications its
+completions of the zero row and column; results are deduplicated by
+canonical form under carrier permutations that fix zero.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -18,10 +24,10 @@ import numpy as np
 from .core import (
     FiniteHemiring,
     InvariantViolation,
+    PartialOrder,
     SizeGuardExceeded,
     _lex_least_relabeling,
     canonical_form,
-    check_hemiring_axioms,
 )
 from .lattices import FiniteSemilattice
 from .simpleness import (
@@ -42,11 +48,9 @@ __all__ = [
     "enumerate_hemirings",
     "enumerate_semilattices",
     "finite_field",
-    "hemiring_catalog",
     "integers_mod",
     "is_full_idempotent",
     "matrix_semiring",
-    "semilattice_catalog",
     "two_zero_mult",
 ]
 
@@ -77,6 +81,8 @@ def integers_mod(m: int) -> FiniteHemiring:
     return FiniteHemiring(add, mul, zero=0, one=1 % m if m > 1 else 0, name=f"Z/{m}")
 
 
+FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+
 _GF_IRREDUCIBLE = {
     4: (2, (1, 1)),    # x^2 + x + 1 over GF(2)
     8: (2, (1, 1, 0)),  # x^3 + x + 1 over GF(2)
@@ -85,7 +91,7 @@ _GF_IRREDUCIBLE = {
 
 
 def finite_field(q: int) -> FiniteHemiring:
-    """GF(q) for q in {2, 3, 4, 5, 7, 8, 9}.
+    """GF(q) for q in ``FIELD_ORDERS``.
 
     Prime powers use fixed irreducible polynomials so the tables are
     bit-exact across runs; elements are little-endian base-p digit strings.
@@ -344,7 +350,8 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
 
     Enumerates naturally-labeled posets on the nonzero elements (strict
     order compatible with indices covers every class), keeps those where
-    all joins exist, and dedupes by canonical join table.
+    all joins (the meets of the reversed order) exist, and dedupes by
+    canonical join table.
     """
     if order > SEMILATTICE_ORDER_BOUND:
         raise SizeGuardExceeded(f"semilattice enumeration bounded at order {SEMILATTICE_ORDER_BOUND}")
@@ -368,23 +375,8 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
         leq[0, :] = True
         leq[np.diag_indices(n)] = True
         leq[1:, 1:] |= lt
-        join = np.zeros((n, n), dtype=np.int32)
-        ok = True
-        for a in range(n):
-            if not ok:
-                break
-            for b in range(a, n):
-                ub = np.flatnonzero(leq[a] & leq[b])
-                lub = None
-                for z in ub:
-                    if leq[z, ub].all():
-                        lub = int(z)
-                        break
-                if lub is None:
-                    ok = False
-                    break
-                join[a, b] = join[b, a] = lub
-        if not ok:
+        join = PartialOrder(leq.T, validate=False).meet_table()
+        if join is None:
             continue
         key = _lex_least_relabeling((join,), 0)[0]
         if key not in seen:
@@ -394,37 +386,71 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     return [seen[key] for key in sorted(seen)]
 
 
-def semilattice_catalog(max_order: int) -> Catalog:
-    entries = []
-    for n in range(1, max_order + 1):
-        for M in enumerate_semilattices(n):
-            h = hashlib.sha256(
-                f"sl|{n}|{tuple(int(v) for v in M.join.ravel())}".encode()).hexdigest()[:12]
-            entries.append(CatalogEntry(M.name, M, h))
-    return Catalog("semilattice", max_order, tuple(entries))
+def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
+                  symmetric: bool = False) -> list[np.ndarray]:
+    """Every completion of ``table`` over ``cells`` that is associative and,
+    given ``add``, distributive over it on both sides.
+
+    Cells are filled in the given order with values 0..n-1 in ascending
+    order, each mirrored to (j, i) when ``symmetric``, so completions come
+    out in lexicographic order of their cell values.  After each assignment
+    the partial table is dropped if some law instance whose lookups are all
+    assigned fails: one numpy pass over all triples with a mask of assigned
+    cells.  Cells outside ``cells`` count as assigned.
+    """
+    n = table.shape[0]
+    t = table.astype(np.intp).ravel()
+    known = np.ones(n * n, dtype=bool)
+    flat = [i * n + j for i, j in cells]
+    mirror = [j * n + i for i, j in cells] if symmetric else flat
+    known[flat] = known[mirror] = False
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    ab, bc = a * n + b, b * n + c
+    if add is not None:
+        plus = add.astype(np.intp).ravel()
+        ac, cb = a * n + c, c * n + b
+        left = a * n + plus[bc]          # a(b + c) = ab + ac
+        right = plus[ac] * n + b         # (a + c)b = ab + cb
+    out = []
+
+    def consistent() -> bool:
+        x, y = t[ab], t[bc]
+        lhs, rhs = x * n + c, a * n + y   # (ab)c = a(bc)
+        kab = known[ab]
+        bad = kab & known[bc] & known[lhs] & known[rhs] & (t[lhs] != t[rhs])
+        if add is not None:
+            bad |= kab & known[ac] & known[left] & (t[left] != plus[x * n + t[ac]])
+            bad |= kab & known[cb] & known[right] & (t[right] != plus[x * n + t[cb]])
+        return not bad.any()
+
+    def extend(k: int):
+        if k == len(flat):
+            out.append(t.reshape(n, n).astype(np.int32))
+            return
+        p, q = flat[k], mirror[k]
+        known[p] = known[q] = True
+        for v in range(n):
+            t[p] = t[q] = v
+            if consistent():
+                extend(k + 1)
+        known[p] = known[q] = False
+        t[p] = t[q] = 0
+
+    extend(0)
+    return out
 
 
-def _commutative_monoids(order: int, idempotent: bool) -> list[np.ndarray]:
+def _commutative_monoids(order: int, idempotent: bool = False) -> list[np.ndarray]:
     """Commutative monoid tables with neutral 0, up to iso (canonical reps)."""
     if idempotent:
         return [M.join.copy() for M in enumerate_semilattices(order)]
     n = order
+    neutral = np.zeros((n, n), dtype=np.int32)
+    neutral[0, :] = neutral[:, 0] = np.arange(n)
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     seen = set()
     out = []
-    for values in itertools.product(range(n), repeat=len(cells)):
-        t = np.zeros((n, n), dtype=np.int32)
-        t[0, :] = np.arange(n)
-        t[:, 0] = np.arange(n)
-        for (i, j), v in zip(cells, values):
-            t[i, j] = t[j, i] = v
-        ok = True
-        for a in range(n):
-            if not (t[t[a], :] == t[a][t]).all():
-                ok = False
-                break
-        if not ok:
-            continue
+    for t in _table_search(neutral, cells, symmetric=True):
         key = _lex_least_relabeling((t,), 0)[0]
         if key not in seen:
             seen.add(key)
@@ -433,51 +459,11 @@ def _commutative_monoids(order: int, idempotent: bool) -> list[np.ndarray]:
 
 
 def _multiplications(add: np.ndarray) -> list[np.ndarray]:
-    """All associative, bidistributive multiplications over a fixed addition."""
+    """All associative, bidistributive multiplications over a fixed addition,
+    with 0 absorbing."""
     n = add.shape[0]
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    cell_rank = {c: k for k, c in enumerate(cells)}
-    mul = np.zeros((n, n), dtype=np.int32)
-    out = []
-
-    def check_after(upto: int) -> bool:
-        # scan only constraints whose lookups are all assigned
-        def have(i, j):
-            return i == 0 or j == 0 or cell_rank[(i, j)] <= upto
-
-        for a in range(n):
-            for b in range(n):
-                if not have(a, b):
-                    continue
-                ab = mul[a, b]
-                for c in range(n):
-                    if have(b, c):
-                        bc = mul[b, c]
-                        if have(ab, c) and have(a, bc) and mul[ab, c] != mul[a, bc]:
-                            return False
-                    s = add[b, c]
-                    if have(a, c) and have(a, s):
-                        if mul[a, s] != add[ab, mul[a, c]]:
-                            return False
-                    s = add[a, c]
-                    if have(c, b) and have(s, b):
-                        if mul[s, b] != add[ab, mul[c, b]]:
-                            return False
-        return True
-
-    def extend(k: int):
-        if k == len(cells):
-            out.append(mul.copy())
-            return
-        i, j = cells[k]
-        for v in range(n):
-            mul[i, j] = v
-            if check_after(k):
-                extend(k + 1)
-        mul[i, j] = 0
-
-    extend(0)
-    return out
+    return _table_search(np.zeros((n, n), dtype=np.int32), cells, add=add)
 
 
 def _find_one(add: np.ndarray, mul: np.ndarray) -> int | None:
@@ -492,9 +478,12 @@ def _find_one(add: np.ndarray, mul: np.ndarray) -> int | None:
 def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list[FiniteHemiring]:
     """All isomorphism classes of hemirings of the given order.
 
-    The additive monoid is fixed first (few classes), then multiplication
-    rows are backtracked with incremental associativity/distributivity
-    pruning; global canonical forms dedupe the results.
+    The additive monoid is fixed first (few classes), then the table search
+    fills the multiplication cells (1..n-1)^2 one at a time, pruning on
+    associativity and both distributive laws; global canonical forms dedupe
+    the results.  Names are numbered in discovery order, which the cell and
+    value orders of the search fix.  Every completed table satisfies the
+    laws, and ``FiniteHemiring`` re-validates it.
     """
     bound = HEMIRING_IDEMPOTENT_BOUND if additively_idempotent else HEMIRING_ORDER_BOUND
     if order > bound:
@@ -505,9 +494,6 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
     seen: dict[tuple, FiniteHemiring] = {}
     for add in _commutative_monoids(order, additively_idempotent):
         for mul in _multiplications(add):
-            report = check_hemiring_axioms(add, mul, 0, None)
-            if not report.ok:
-                continue
             R = FiniteHemiring(add, mul, zero=0, one=_find_one(add, mul))
             key = canonical_form(R)
             if key not in seen:
@@ -518,15 +504,3 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
                     zero=0, one=key[2], name=f"{tag}{order}_{len(seen):03d}")
     return [seen[key] for key in sorted(seen)]
 
-
-def hemiring_catalog(max_order: int, additively_idempotent: bool = False) -> Catalog:
-    entries = []
-    for n in range(1, max_order + 1):
-        for R in enumerate_hemirings(n, additively_idempotent):
-            a, m, one = canonical_form(R)
-            h = hashlib.sha256(f"hr|{n}|{one}|{a}|{m}".encode()).hexdigest()[:12]
-            props = (("semiring", str(R.is_semiring).lower()),
-                     ("ring", str(R.is_ring).lower()))
-            entries.append(CatalogEntry(R.name, R, h, props))
-    kind = "hemiring"
-    return Catalog(kind, max_order, tuple(entries))

@@ -326,15 +326,22 @@ class PartialOrder:
         return None
 
     def meet_table(self) -> np.ndarray | None:
-        """All binary meets, or None if some pair has no glb."""
+        """All binary meets, or None if some pair has no glb.
+
+        One pass per row a: the candidate for a ^ b is the common lower
+        bound with the largest down-set, and it is the meet iff the common
+        lower bounds are exactly its down-set.
+        """
+        leq = self.leq
         n = self.order
+        down = leq.sum(axis=0)[:, None]
         out = np.empty((n, n), dtype=np.int32)
         for a in range(n):
-            for b in range(a, n):
-                m = self.meet(a, b)
-                if m is None:
-                    return None
-                out[a, b] = out[b, a] = m
+            lower = leq[:, a, None] & leq           # [x, b]: x <= a and x <= b
+            cand = (lower * down).argmax(axis=0)
+            if not (lower == leq[:, cand]).all():
+                return None
+            out[a] = cand
         return out
 
     def comparable(self, a: int, b: int) -> bool:

@@ -16,7 +16,6 @@ from .core import (
     FiniteHemiring,
     InvariantViolation,
     PartialOrder,
-    SizeGuardExceeded,
     _map_search,
     as_op_table,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "build_F_M",
     "e_ab",
     "endo_enumerate",
-    "endo_enumerate_naive",
     "induced_order",
     "is_dense",
     "is_distributive",
@@ -184,23 +182,6 @@ def e_ab(M: FiniteSemilattice, a: int, b: int) -> Endo:
     """The endomorphism sending x to 0 when x v a = a and to b otherwise."""
     below = M.join[:, a] == a
     return tuple(M.zero if below[x] else b for x in range(M.order))
-
-
-def endo_enumerate_naive(M: FiniteSemilattice, max_order: int = 6) -> list[Endo]:
-    """Filter all |M|^|M| self-maps; the oracle for the pruned enumeration."""
-    if M.order > max_order:
-        raise SizeGuardExceeded(f"naive endomorphism filter bounded at order {max_order}")
-    import itertools
-    n = M.order
-    join = M.join
-    out = []
-    for f in itertools.product(range(n), repeat=n):
-        if f[M.zero] != M.zero:
-            continue
-        if all(f[join[x, y]] == join[f[x], f[y]] for x in range(n) for y in range(n)):
-            out.append(tuple(f))
-    out.sort()
-    return out
 
 
 def endo_enumerate(M: FiniteSemilattice) -> list[Endo]:

@@ -54,6 +54,7 @@ from .constructions import (
     enumerate_semilattices,
     finite_field,
     is_full_idempotent,
+    FIELD_ORDERS,
     matrix_semiring,
     HEMIRING_IDEMPOTENT_BOUND,
     HEMIRING_ORDER_BOUND,
@@ -152,16 +153,20 @@ def _endo(M: FiniteSemilattice):
     return build_E_M(M)
 
 
+@lru_cache(maxsize=None)
+def _catalog(max_plain: int, max_idem: int) -> tuple[FiniteHemiring, ...]:
+    """Entries of both enumerations, deduplicated by fingerprint (exact at
+    catalog orders) and sorted by it."""
+    seen = {}
+    for R in (_hemirings(min(max_plain, HEMIRING_ORDER_BOUND), False)
+              + _hemirings(min(max_idem, HEMIRING_IDEMPOTENT_BOUND), True)):
+        seen.setdefault(fingerprint(R), R)
+    return tuple(seen[k] for k in sorted(seen))
+
+
 def _catalog_semirings(max_plain: int, max_idem: int) -> list[FiniteHemiring]:
     """Unital catalog entries from both enumerations, deduplicated."""
-    seen = {}
-    for R in _hemirings(min(max_plain, HEMIRING_ORDER_BOUND), False):
-        if R.is_semiring:
-            seen.setdefault(fingerprint(R), R)
-    for R in _hemirings(min(max_idem, HEMIRING_IDEMPOTENT_BOUND), True):
-        if R.is_semiring:
-            seen.setdefault(fingerprint(R), R)
-    return [seen[k] for k in sorted(seen)]
+    return [R for R in _catalog(max_plain, max_idem) if R.is_semiring]
 
 
 def _record(name: str, ok: bool, *fields, algebra: FiniteHemiring | None = None) -> InstanceRecord:
@@ -263,14 +268,8 @@ def suite_thm2_2(max_order: int = 4) -> VerificationReport:
     params = [("max-order", str(max_order))]
     if max_order > HEMIRING_IDEMPOTENT_BOUND:
         return VerificationReport("thm2_2", tuple(params), (), "skipped(size)")
-    seen = {}
-    for R in _hemirings(min(max_order, HEMIRING_ORDER_BOUND), False):
-        seen.setdefault(fingerprint(R), R)
-    for R in _hemirings(max_order, True):
-        seen.setdefault(fingerprint(R), R)
     records = []
-    for key in sorted(seen):
-        R = seen[key]
+    for R in _catalog(max_order, max_order):
         if not (R.is_proper and is_congruence_simple(R)):
             continue
         if R.order <= 2:
@@ -294,14 +293,13 @@ def suite_cor5_8(max_order: int = 4) -> VerificationReport:
     params = [("max-order", str(max_order))]
     if max_order > HEMIRING_IDEMPOTENT_BOUND:
         return VerificationReport("cor5_8", tuple(params), (), "skipped(size)")
-    fields_by_order = {2: finite_field(2), 3: finite_field(3)}
     records = []
     for R in _catalog_semirings(max_order, max_order):
         if not is_simple(R):
             continue
         witness = None
         if R.is_ring:
-            F = fields_by_order.get(R.order)
+            F = finite_field(R.order) if R.order in FIELD_ORDERS else None
             if F is not None and is_isomorphic(R, F) is not None:
                 witness = f"matrix:n=1,{F.name}"
         else:

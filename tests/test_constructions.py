@@ -246,12 +246,3 @@ def test_hemiring_enumeration_guard():
     with pytest.raises(SizeGuardExceeded):
         enumerate_hemirings(5, additively_idempotent=True)
 
-
-def test_catalog_wrappers():
-    from hemirings.constructions import hemiring_catalog, semilattice_catalog
-    cat = semilattice_catalog(4)
-    assert cat.kind == "semilattice" and len(cat.entries) == 5
-    assert all(len(e.canonical_hash) == 12 for e in cat.entries)
-    hcat = hemiring_catalog(2)
-    assert len(hcat.entries) == 5          # order 1 plus the four order-2 classes
-    assert {dict(e.properties)["semiring"] for e in hcat.entries} == {"true", "false"}

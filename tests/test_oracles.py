@@ -19,6 +19,7 @@ from hemirings import (
     is_congruence_simple,
     left_ideal_semimodule,
     minimal_left_ideals,
+    natural_order,
     principal_congruence,
     regular_semimodule,
     tau_congruence,
@@ -220,6 +221,49 @@ def test_partial_order_meet_absent():
     po = PartialOrder(leq)
     assert po.meet(3, 4) is None
     assert po.meet_table() is None
+
+
+def pairwise_meet_table(po):
+    """The meet table from the literal definition, one pair at a time."""
+    n = po.order
+    out = np.empty((n, n), dtype=np.int32)
+    for a in range(n):
+        for b in range(n):
+            m = po.meet(a, b)
+            if m is None:
+                return None
+            out[a, b] = m
+    return out
+
+
+def random_poset(rng, n, density):
+    """A seeded random partial order on a shuffled carrier."""
+    perm = rng.sample(range(n), n)
+    leq = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                leq[perm[i], perm[j]] = True
+    for m in range(n):
+        leq |= leq[:, m, None] & leq[None, m, :]
+    return PartialOrder(leq)
+
+
+def test_meet_table_against_pairwise_meet(semilattices_upto5, endo_cache):
+    rng = random.Random(5)
+    lattices = [natural_order(endo_cache(M).hemiring) for M in semilattices_upto5]
+    posets = [random_poset(rng, rng.randint(1, 9), rng.random()) for _ in range(200)]
+    without_meets = 0
+    for po in lattices + posets:
+        want = pairwise_meet_table(po)
+        got = po.meet_table()
+        if want is None:
+            without_meets += 1
+            assert got is None
+        else:
+            assert got is not None and (got == want).all()
+    assert all(po.meet_table() is not None for po in lattices)
+    assert without_meets >= 50
 
 
 def test_partial_order_validation():

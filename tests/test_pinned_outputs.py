@@ -5,7 +5,8 @@ any of these values changes the reports.  Two silent ways to break them:
 numpy scalars leaking into ``canonical_form`` (under numpy 2 they print as
 ``np.int32(0)``, which changes every fingerprint), and a change in the order
 in which the catalog discovers its classes (``hrN_XXX`` and ``aiN_XXX`` are
-numbered in discovery order).
+numbered in discovery order).  The catalogs one order past the shipped
+enumeration bounds are pinned too, with the bounds raised for the test.
 """
 
 import json
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from hemirings import FiniteSemilattice, boolean_B, build_E_M
+from hemirings import FiniteSemilattice, boolean_B, build_E_M, enumerate_hemirings
+from hemirings import constructions
 from hemirings.core import canonical_form, fingerprint
 
 from conftest import direct_product
@@ -52,3 +54,16 @@ def test_catalog_names_and_fingerprints_pinned(plain_hemirings_upto3,
     ai4 = [[R.name, fingerprint(R)] for R in idem_hemirings_upto4 if R.order == 4]
     assert hr3 == PINNED["hr3"]
     assert ai4 == PINNED["ai4"]
+
+
+def test_plain_catalog_past_the_shipped_bound(monkeypatch):
+    monkeypatch.setattr(constructions, "HEMIRING_ORDER_BOUND", 4)
+    catalogs = [enumerate_hemirings(n) for n in range(1, 5)]
+    assert [len(c) for c in catalogs] == PINNED["class_counts"]["plain"]
+    assert [[R.name, fingerprint(R)] for R in catalogs[3]] == PINNED["hr4"]
+
+
+def test_idempotent_catalog_past_the_shipped_bound(monkeypatch):
+    monkeypatch.setattr(constructions, "HEMIRING_IDEMPOTENT_BOUND", 5)
+    counts = [len(enumerate_hemirings(n, additively_idempotent=True)) for n in range(1, 6)]
+    assert counts == PINNED["class_counts"]["idempotent"]

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from hemirings import InvariantViolation, build_E_M, integers_mod, two_zero_mult
+from hemirings import (
+    InvariantViolation,
+    build_E_M,
+    finite_field,
+    integers_mod,
+    two_zero_mult,
+)
 from hemirings.verify import (
     classify,
     dense_embedding_search,
@@ -107,6 +113,17 @@ def test_prop5_3_reports_only_invariant_violations(monkeypatch):
         monkeypatch.setattr(verify, "corner_ideal_to_ring", _raising(exc))
         with pytest.raises(type(exc)):
             run_suite("prop5_3", 2)
+
+
+def test_cor5_8_finds_every_supported_field(monkeypatch):
+    # a simple ring of order 4 is GF(4); the suite must name it, not report
+    # a counterexample
+    import hemirings.verify as verify
+    R = relabeled(finite_field(4), [0, 3, 1, 2])
+    monkeypatch.setattr(verify, "_catalog_semirings", lambda max_plain, max_idem: [R])
+    rep = run_suite("cor5_8", 4)
+    assert rep.verdict == "confirmed"
+    assert [dict(r.fields)["witness"] for r in rep.records] == ["matrix:n=1,GF(4)"]
 
 
 def test_classify_boolean(B):
