@@ -9,8 +9,14 @@ multiplication, and merges every mismatch at once with one vectorized
 union-find; passes repeat until no merge fires.  Deciding
 congruence-simpleness needs only principal congruences, since any
 congruence above the diagonal contains a principal one; pairs are visited
-in lexicographic order, and a closure stops as soon as it identifies an
-earlier pair, which is already known to generate the universal congruence.
+in lexicographic order, so every earlier pair is already known to generate
+the universal congruence.  Cg(a, b) contains Cg(p, q) for every image
+{p, q} of {a, b} under a translation x -> x + c, x * c or c * x, so an
+earlier-witness pre-pass settles in one numpy pass per row every pair with
+a non-diagonal earlier image; only the remaining pairs run a closure, and
+it stops as soon as it identifies an earlier pair.  The ideal-simpleness
+decider does the same over elements: x is settled when some r * x or
+x * r is a nonzero element before x.
 """
 
 from __future__ import annotations
@@ -218,14 +224,24 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
     congruence of that pair.
 
     Pairs are visited in lexicographic order, so every earlier pair is
-    known to generate the universal congruence: a closure stops as soon as
-    it identifies one, that is, as soon as a non-representative x has
-    (rep(x), x) before (a, b).
+    known to generate the universal congruence (else the decider would
+    have returned False).  Cg(a, b) contains Cg(p, q) for every image
+    {p, q} of {a, b} under x -> x + c, x * c and c * x, so before any
+    closure runs, one numpy pass per row a settles every pair (a, b) with
+    a non-diagonal image that comes earlier.  Only the unsettled pairs run
+    a closure, and it stops as soon as it identifies an earlier pair, that
+    is, as soon as a non-representative x has (rep(x), x) before (a, b).
     """
     n = R.order
     ids = np.arange(n)
-    for a in range(n):
-        for b in range(a + 1, n):
+    rows = np.concatenate(_tables(R), axis=1)   # row x: x + c, x * c, c * x
+    for a in range(n - 1):
+        bs = ids[a + 1:]
+        lo = np.minimum(rows[a], rows[a + 1:])
+        hi = np.maximum(rows[a], rows[a + 1:])
+        earlier = (lo < a) | ((lo == a) & (hi < bs[:, None]))
+        settled = ((lo != hi) & earlier).any(axis=1)
+        for b in bs[~settled]:
             labels = ids.copy()
             labels[b] = a
             for labels in _compat_closure(R, labels):
@@ -378,11 +394,17 @@ def is_ideal_simple(R: FiniteHemiring) -> bool:
     This is the literal definition: the trivial and zero-multiplication
     algebras pass it; callers that need a stronger reading check
     ``has_zero_multiplication`` separately.
+
+    Nonzero x are visited in index order, so every earlier nonzero y is
+    known to generate R.  <x> contains r * x and x * r, so one numpy pass
+    settles every x with such a product nonzero and before x; only the
+    other x build their generated ideal.
     """
-    for x in R.elements():
-        if x == R.zero:
-            continue
-        if not generated_ideal(R, [x], "two-sided").is_full:
+    ids = np.arange(R.order)
+    rows = np.concatenate([R.mul.T, R.mul], axis=1)   # row x: r * x, x * r
+    settled = ((rows != R.zero) & (rows < ids[:, None])).any(axis=1)
+    for x in ids[~settled]:
+        if x != R.zero and not generated_ideal(R, [x], "two-sided").is_full:
             return False
     return True
 

@@ -13,10 +13,14 @@ from hemirings import (
     build_F_M,
     check_hemiring_axioms,
     double_centralizer_check,
+    enumerate_hemirings,
     hom_search,
     hom_semimodules,
     integers_mod,
+    is_additively_idempotent,
     is_congruence_simple,
+    is_ideal_simple,
+    is_lattice_ordered,
     left_ideal_semimodule,
     minimal_left_ideals,
     natural_order,
@@ -24,6 +28,7 @@ from hemirings import (
     regular_semimodule,
     tau_congruence,
 )
+from hemirings import constructions
 from hemirings.core import _lex_least_relabeling, _map_search, canonical_form
 from hemirings.simpleness import Congruence, _merge
 
@@ -126,7 +131,21 @@ def naive_is_congruence_simple(R):
                for a in range(R.order) for b in range(a + 1, R.order))
 
 
-def test_congruence_simple_against_naive(B, m2b, e_c3, z4, semilattices_upto5, endo_cache):
+@pytest.fixture(scope="module")
+def order4_catalogs(idem_hemirings_upto4):
+    """The plain order-4 catalog (one past the shipped bound) and the
+    additively idempotent one, each with one seeded relabelling: the
+    deciders' earlier-witness pre-passes depend on the element order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "HEMIRING_ORDER_BOUND", 4)
+        base = enumerate_hemirings(4)
+    base += [R for R in idem_hemirings_upto4 if R.order == 4]
+    rng = random.Random(13)
+    return base + [relabeled(R, rng.sample(range(R.order), R.order)) for R in base]
+
+
+def test_congruence_simple_against_naive(B, m2b, e_c3, z4, semilattices_upto5, endo_cache,
+                                         order4_catalogs):
     base = [z4, integers_mod(6), m2b.hemiring, direct_product(e_c3.hemiring, B)]
     for M in semilattices_upto5:
         if M.order <= 4:
@@ -137,8 +156,19 @@ def test_congruence_simple_against_naive(B, m2b, e_c3, z4, semilattices_upto5, e
     algebras = list(base)
     for R in base:
         algebras += [relabeled(R, rng.sample(range(R.order), R.order)) for _ in range(2)]
+    algebras += order4_catalogs
     verdicts = [is_congruence_simple(R) for R in algebras]
     assert verdicts == [naive_is_congruence_simple(R) for R in algebras]
+    assert True in verdicts and False in verdicts
+
+
+def test_ideal_simple_against_definition(semilattices_upto5, endo_cache, order4_catalogs):
+    algebras = list(order4_catalogs)
+    for M in semilattices_upto5:
+        if M.order <= 4:
+            algebras += [endo_cache(M).hemiring, build_F_M(M).hemiring]
+    verdicts = [is_ideal_simple(R) for R in algebras]
+    assert verdicts == [len(all_ideals(R)) <= 2 for R in algebras]
     assert True in verdicts and False in verdicts
 
 
@@ -264,6 +294,25 @@ def test_meet_table_against_pairwise_meet(semilattices_upto5, endo_cache):
             assert got is not None and (got == want).all()
     assert all(po.meet_table() is not None for po in lattices)
     assert without_meets >= 50
+
+
+def test_lattice_ordered_against_meet_table(plain_hemirings_upto3, idem_hemirings_upto4,
+                                            semilattices_upto5, endo_cache):
+    base = list(plain_hemirings_upto3) + list(idem_hemirings_upto4)
+    base += [E for M in semilattices_upto5
+             for E in (endo_cache(M).hemiring, build_F_M(M).hemiring)]
+    rng = random.Random(17)
+    algebras = base + [relabeled(R, rng.sample(range(R.order), R.order)) for R in base]
+    verdicts = []
+    for R in algebras:
+        want = False
+        if is_additively_idempotent(R):
+            po = natural_order(R)
+            meets = po.meet_table()
+            want = meets is not None and bool(po.leq[R.mul, meets].all())
+        verdicts.append(is_lattice_ordered(R))
+        assert verdicts[-1] == want, R.name
+    assert True in verdicts and False in verdicts
 
 
 def test_partial_order_validation():

@@ -6,9 +6,11 @@ numpy scalars leaking into ``canonical_form`` (under numpy 2 they print as
 ``np.int32(0)``, which changes every fingerprint), and a change in the order
 in which the catalog discovers its classes (``hrN_XXX`` and ``aiN_XXX`` are
 numbered in discovery order).  The catalogs one order past the shipped
-enumeration bounds are pinned too, with the bounds raised for the test.
+enumeration bounds are pinned too, with the bounds raised for the test, and
+so is the largest opt-in suite report, ``thm3_3 --max-order 6``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from hemirings import FiniteSemilattice, boolean_B, build_E_M, enumerate_hemirings
 from hemirings import constructions
 from hemirings.core import canonical_form, fingerprint
+from hemirings.verify import run_suite
 
 from conftest import direct_product
 
@@ -67,3 +70,10 @@ def test_idempotent_catalog_past_the_shipped_bound(monkeypatch):
     monkeypatch.setattr(constructions, "HEMIRING_IDEMPOTENT_BOUND", 5)
     counts = [len(enumerate_hemirings(n, additively_idempotent=True)) for n in range(1, 6)]
     assert counts == PINNED["class_counts"]["idempotent"]
+
+
+def test_thm3_3_at_order_6_pinned():
+    # E_M up to order 120: the widest simpleness sweep any suite runs
+    report = run_suite("thm3_3", 6).render("structured")
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == PINNED["opt_in_suite_sha256"]["thm3_3 --max-order 6"]
