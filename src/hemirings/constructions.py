@@ -27,7 +27,6 @@ from .core import (
     PartialOrder,
     SizeGuardExceeded,
     _lex_least_relabeling,
-    canonical_form,
 )
 from .lattices import FiniteSemilattice
 from .simpleness import (
@@ -483,7 +482,8 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
     associativity and both distributive laws; global canonical forms dedupe
     the results.  Names are numbered in discovery order, which the cell and
     value orders of the search fix.  Every completed table satisfies the
-    laws, and ``FiniteHemiring`` re-validates it.
+    laws; ``FiniteHemiring`` validates the canonical table of each new
+    class, and every other table is a relabelling of one of those.
     """
     bound = HEMIRING_IDEMPOTENT_BOUND if additively_idempotent else HEMIRING_ORDER_BOUND
     if order > bound:
@@ -491,11 +491,13 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
         raise SizeGuardExceeded(f"{kind}hemiring enumeration bounded at order {bound}")
     if order < 1:
         raise ValueError("order must be positive")
+    cells = order * order
     seen: dict[tuple, FiniteHemiring] = {}
     for add in _commutative_monoids(order, additively_idempotent):
         for mul in _multiplications(add):
-            R = FiniteHemiring(add, mul, zero=0, one=_find_one(add, mul))
-            key = canonical_form(R)
+            flat, p = _lex_least_relabeling((add, mul), 0)
+            one = _find_one(add, mul)
+            key = (flat[:cells], flat[cells:], None if one is None else p[one])
             if key not in seen:
                 tag = "ai" if additively_idempotent else "hr"
                 seen[key] = FiniteHemiring(

@@ -16,6 +16,10 @@ from .core import (
     FiniteHemiring,
     InvariantViolation,
     PartialOrder,
+    _associative,
+    _distributive,
+    _first,
+    _law_witness,
     _map_search,
     as_op_table,
 )
@@ -48,24 +52,11 @@ def semilattice_violation(join, zero: int):
     if not 0 <= zero < n:
         raise ValueError("zero index out of range")
     idx = np.arange(n)
-    bad = np.flatnonzero(join[idx, idx] != idx)
-    if bad.size:
-        return ("idempotent", (int(bad[0]),))
-    comm = join != join.T
-    if comm.any():
-        a, b = np.argwhere(comm)[0]
-        return ("commutative", (int(a), int(b)))
-    for a in range(n):
-        left = join[join[a], :]
-        right = join[a][join]
-        diff = left != right
-        if diff.any():
-            b, c = np.argwhere(diff)[0]
-            return ("associative", (a, int(b), int(c)))
-    neut = np.flatnonzero(join[zero] != idx)
-    if neut.size:
-        return ("zero-neutral", (int(neut[0]),))
-    return None
+    laws = (("idempotent", _first(join[idx, idx] != idx)),
+            ("commutative", _first(join != join.T)),
+            ("associative", _law_witness(_associative(join), (n, n, n))),
+            ("zero-neutral", _first(join[zero] != idx)))
+    return next(((law, w) for law, w in laws if w is not None), None)
 
 
 def is_semilattice(join, zero: int = 0) -> bool:
@@ -169,13 +160,8 @@ def try_lattice(M: FiniteSemilattice) -> FiniteLattice | None:
 
 def is_distributive(L: FiniteLattice) -> bool:
     """x ^ (y v z) = (x ^ y) v (x ^ z), exhaustively."""
-    join, meet = L.base.join, L.meet
-    for x in range(L.order):
-        lhs = meet[x][join]
-        rhs = join[np.ix_(meet[x], meet[x])]
-        if not (lhs == rhs).all():
-            return False
-    return True
+    join, n = L.base.join, L.order
+    return _law_witness(_distributive(L.meet, join, join), (n, n, n)) is None
 
 
 def e_ab(M: FiniteSemilattice, a: int, b: int) -> Endo:

@@ -19,7 +19,11 @@ from .core import (
     HOM_SEARCH_BOUND,
     FiniteHemiring,
     InvariantViolation,
+    _associative,
+    _distributive,
+    _first,
     _index_array,
+    _law_witness,
     _map_search,
     as_op_table,
 )
@@ -66,32 +70,30 @@ class FiniteLeftSemimodule:
         return self.add.shape[0]
 
     def _validate(self):
-        R, n = self.ring, self.order
-        add, act = self.add, self.action
+        R, n, r = self.ring, self.order, self.ring.order
+        add, act, zero = self.add, self.action, self.zero
         idx = np.arange(n)
-        if (add != add.T).any():
-            raise ValueError("addition not commutative")
-        if (add[self.zero] != idx).any():
-            raise ValueError("zero not neutral")
-        for a in range(n):
-            if not (add[add[a], :] == add[a][add]).all():
-                raise ValueError("addition not associative")
-        # (r r') m = r (r' m)
-        for r in range(R.order):
-            if not (act[R.mul[r], :] == act[r][act]).all():
-                raise ValueError("action not multiplicative")
-        # r (m + m') = r m + r m'
-        for r in range(R.order):
-            if not (act[r][add] == add[np.ix_(act[r], act[r])]).all():
-                raise ValueError("action not additive in the module argument")
-        # (r + r') m = r m + r' m
-        for m in range(n):
-            if not (act[R.add, m] == add[np.ix_(act[:, m], act[:, m])]).all():
-                raise ValueError("action not additive in the ring argument")
-        if (act[R.zero] != self.zero).any() or (act[:, self.zero] != self.zero).any():
-            raise ValueError("zero absorption fails")
-        if R.one is not None and (act[R.one] != idx).any():
-            raise ValueError("module not unital over a unital ring")
+        laws = (
+            ("addition not commutative", _first(add != add.T)),
+            ("zero not neutral", _first(add[zero] != idx)),
+            ("addition not associative", _law_witness(_associative(add), (n, n, n))),
+            # (r r') m = r (r' m)
+            ("action not multiplicative", _law_witness(
+                lambda s: (act[R.mul[s]], np.take(act[s], act, axis=1)), (r, r, n))),
+            # r (m + m') = r m + r m'
+            ("action not additive in the module argument",
+             _law_witness(_distributive(act, add, add), (r, n, n))),
+            # (r + r') m = r m + r' m
+            ("action not additive in the ring argument",
+             _law_witness(_distributive(act.T, R.add, add), (n, r, r))),
+            ("zero absorption fails",
+             _first(np.concatenate([act[R.zero], act[:, zero]]) != zero)),
+            ("module not unital over a unital ring",
+             None if R.one is None else _first(act[R.one] != idx)),
+        )
+        for message, witness in laws:
+            if witness is not None:
+                raise ValueError(message)
 
     def __repr__(self):
         return f"FiniteLeftSemimodule({self.name or self.order}, over {self.ring.name or self.ring.order})"

@@ -108,25 +108,8 @@ class Congruence:
 
     def join(self, other: "Congruence") -> "Congruence":
         """Smallest partition containing both (transitive closure of union)."""
-        n = self.order
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for labs in (self.labels, other.labels):
-            first: dict[int, int] = {}
-            for x, l in enumerate(labs):
-                if l in first:
-                    ra, rb = find(first[l]), find(x)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-                else:
-                    first[l] = x
-        return Congruence([find(x) for x in range(n)])
+        return Congruence(_merge(_least_labels(self), np.arange(self.order),
+                                 _least_labels(other)))
 
     def __eq__(self, other):
         return isinstance(other, Congruence) and self.labels == other.labels
@@ -136,6 +119,12 @@ class Congruence:
 
     def __repr__(self):
         return f"Congruence(blocks={self.num_blocks}/{self.order})"
+
+
+def _least_labels(part: Congruence) -> np.ndarray:
+    """The least element of each element's block."""
+    labels = np.asarray(part.labels)
+    return np.unique(labels, return_index=True)[1][labels]
 
 
 def _tables(R: FiniteHemiring) -> tuple[np.ndarray, ...]:
@@ -209,7 +198,7 @@ def principal_congruence(R: FiniteHemiring, a: int, b: int) -> Congruence:
 def is_congruence(R: FiniteHemiring, part: Congruence) -> bool:
     """Check compatibility of a partition with both operations."""
     labels = np.asarray(part.labels)
-    reps = np.unique(labels, return_index=True)[1][labels]   # first member of x's block
+    reps = _least_labels(part)
     for T in _tables(R):
         if (labels[T] != labels[T[reps]]).any():
             return False

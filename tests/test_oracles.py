@@ -8,17 +8,20 @@ import pytest
 
 from hemirings import (
     PartialOrder,
+    all_congruences,
     all_ideals,
     bourne_congruence,
     build_F_M,
     check_hemiring_axioms,
     double_centralizer_check,
     enumerate_hemirings,
+    enumerate_semilattices,
     hom_search,
     hom_semimodules,
     integers_mod,
     is_additively_idempotent,
     is_congruence_simple,
+    is_distributive,
     is_ideal_simple,
     is_lattice_ordered,
     left_ideal_semimodule,
@@ -27,37 +30,46 @@ from hemirings import (
     principal_congruence,
     regular_semimodule,
     tau_congruence,
+    try_lattice,
 )
-from hemirings import constructions
+from hemirings import constructions, core
 from hemirings.core import _lex_least_relabeling, _map_search, canonical_form
+from hemirings.lattices import semilattice_violation
 from hemirings.simpleness import Congruence, _merge
 
 from conftest import direct_product, relabeled
 
 
-def naive_axiom_check(add, mul, zero, one=None):
-    """Triple-loop reference for the hemiring axioms."""
-    n = len(add)
-    rng = range(n)
-    if any(add[a][b] != add[b][a] for a in rng for b in rng):
-        return False
-    if any(add[add[a][b]][c] != add[a][add[b][c]] for a in rng for b in rng for c in rng):
-        return False
-    if any(add[zero][a] != a for a in rng):
-        return False
-    if any(mul[mul[a][b]][c] != mul[a][mul[b][c]] for a in rng for b in rng for c in rng):
-        return False
-    if any(mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]
-           for a in rng for b in rng for c in rng):
-        return False
-    if any(mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]
-           for a in rng for b in rng for c in rng):
-        return False
-    if any(mul[zero][a] != zero or mul[a][zero] != zero for a in rng):
-        return False
-    if one is not None and any(mul[one][a] != a or mul[a][one] != a for a in rng):
-        return False
-    return True
+def first_failure(law, *ranges):
+    """The lexicographically first argument tuple at which ``law`` is false."""
+    return next((args for args in itertools.product(*ranges) if not law(*args)), None)
+
+
+def naive_axiom_witnesses(add, mul, zero, one=None):
+    """Per-axiom loop reference for the hemiring axioms: (axiom, first
+    violation) in the checker's order."""
+    r = range(len(add))
+
+    def at(e, law):    # an element check reports (zero or one, x)
+        w = first_failure(law, r)
+        return None if w is None else (e, *w)
+
+    out = [
+        ("add-commutative", first_failure(lambda a, b: add[a][b] == add[b][a], r, r)),
+        ("add-associative", first_failure(
+            lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]], r, r, r)),
+        ("zero-neutral", at(zero, lambda x: add[zero][x] == x)),
+        ("mul-associative", first_failure(
+            lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]], r, r, r)),
+        ("left-distributive", first_failure(
+            lambda a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], r, r, r)),
+        ("right-distributive", first_failure(
+            lambda a, b, c: mul[add[b][c]][a] == add[mul[b][a]][mul[c][a]], r, r, r)),
+        ("zero-absorbing", at(zero, lambda x: mul[zero][x] == zero and mul[x][zero] == zero)),
+    ]
+    if one is not None:
+        out.append(("one-identity", at(one, lambda x: mul[one][x] == x and mul[x][one] == x)))
+    return out
 
 
 def naive_principal_congruence(R, a, b):
@@ -85,26 +97,89 @@ def naive_principal_congruence(R, a, b):
     return Congruence([find(x) for x in range(n)])
 
 
-def test_axiom_checker_against_naive_on_random_tables():
+def perturbed(table, rng, symmetric=False):
+    """A copy of ``table`` with one random cell (and its mirror, when
+    ``symmetric``) set to a random value."""
+    out = [list(row) for row in table]
+    n = len(out)
+    i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    out[i][j] = v
+    if symmetric:
+        out[j][i] = v
+    return out
+
+
+def test_axiom_checker_against_naive_on_random_tables(plain_hemirings_upto3,
+                                                      idem_hemirings_upto4, monkeypatch):
+    # random tables fail early; catalog tables with one cell changed fail
+    # (if at all) anywhere.  Small slab sizes split these tables into
+    # several slabs, as the default size does from order 26 on.
     rng = random.Random(2024)
-    agreements = 0
+    cases = []
     for _ in range(300):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 6)
         add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
         mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-        zero = rng.randrange(n)
-        report = check_hemiring_axioms(add, mul, zero)
-        assert report.ok == naive_axiom_check(add, mul, zero)
-        agreements += 1
-        # every reported witness is a genuine violation of its axiom
-        for c in report.failures():
-            assert c.witness is not None
-    assert agreements == 300
+        cases.append((add, mul, rng.randrange(n), rng.choice([None, rng.randrange(n)])))
+    for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4):
+        add, mul = R.add.tolist(), R.mul.tolist()
+        cases += [(perturbed(add, rng), mul, R.zero, R.one),
+                  (add, perturbed(mul, rng), R.zero, R.one)]
+    wants = [naive_axiom_witnesses(*case) for case in cases]
+    for slab in (core._LAW_SLAB_CELLS, 1, 20):
+        monkeypatch.setattr(core, "_LAW_SLAB_CELLS", slab)
+        for case, want in zip(cases, wants):
+            report = check_hemiring_axioms(*case)
+            assert [(c.axiom, c.witness) for c in report.checks] == want
+            assert [c.ok for c in report.checks] == [w is None for _, w in want]
+    failing = sum(any(w is not None for _, w in want) for want in wants)
+    assert 300 < failing < len(cases)
 
 
 def test_axiom_checker_accepts_catalog(plain_hemirings_upto3):
     for R in plain_hemirings_upto3:
-        assert naive_axiom_check(R.add.tolist(), R.mul.tolist(), R.zero, R.one)
+        naive = naive_axiom_witnesses(R.add.tolist(), R.mul.tolist(), R.zero, R.one)
+        assert all(w is None for _, w in naive)
+
+
+def naive_semilattice_violation(join, zero):
+    r = range(len(join))
+    laws = [
+        ("idempotent", first_failure(lambda x: join[x][x] == x, r)),
+        ("commutative", first_failure(lambda a, b: join[a][b] == join[b][a], r, r)),
+        ("associative", first_failure(
+            lambda a, b, c: join[join[a][b]][c] == join[a][join[b][c]], r, r, r)),
+        ("zero-neutral", first_failure(lambda x: join[zero][x] == x, r)),
+    ]
+    return next(((law, w) for law, w in laws if w is not None), None)
+
+
+def test_semilattice_laws_against_naive(monkeypatch):
+    """semilattice_violation on every semilattice of order <= 6 and on
+    seeded perturbations of each; is_distributive on the lattice of each
+    semilattice, against the literal triple loop; under several slab
+    sizes."""
+    rng = random.Random(31)
+    tables, lattices = [], []
+    for n in range(1, 7):
+        for M in enumerate_semilattices(n):
+            join = M.join.tolist()
+            tables.append((join, M.zero))
+            tables += [(perturbed(join, rng, symmetric), M.zero)
+                       for symmetric in (False, True, True)]
+            L = try_lattice(M)
+            meet, r = L.meet.tolist(), range(n)
+            lattices.append((L, first_failure(
+                lambda a, b, c: meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]],
+                r, r, r) is None))
+    wants = [naive_semilattice_violation(*t) for t in tables]
+    for slab in (core._LAW_SLAB_CELLS, 1, 20):
+        monkeypatch.setattr(core, "_LAW_SLAB_CELLS", slab)
+        assert [semilattice_violation(*t) for t in tables] == wants
+        assert [is_distributive(L) for L, _ in lattices] == [d for _, d in lattices]
+    assert {w and w[0] for w in wants} == {
+        None, "idempotent", "commutative", "associative", "zero-neutral"}
+    assert 0 < sum(d for _, d in lattices) < len(lattices)
 
 
 def test_principal_congruence_against_naive(plain_hemirings_upto3,
@@ -212,6 +287,21 @@ def transitive_partition(related):
                 for j in range(n):
                     reach[i][j] = reach[i][j] or reach[k][j]
     return Congruence([row.index(True) for row in reach])
+
+
+def test_congruence_join_against_equivalence_join(plain_hemirings_upto3,
+                                                  idem_hemirings_upto4, B, z4):
+    """join is the equivalence generated by the union, on every pair of
+    congruences of the small catalogs and of Z/4 x B."""
+    pairs = 0
+    for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4) + [direct_product(z4, B)]:
+        congruences = all_congruences(R)
+        r = range(R.order)
+        for c, d in itertools.product(congruences, repeat=2):
+            related = [[c.same(x, y) or d.same(x, y) for y in r] for x in r]
+            assert c.join(d) == transitive_partition(related), R.name
+            pairs += 1
+    assert pairs > 1000
 
 
 def test_bourne_congruence_against_definition(plain_hemirings_upto3, semilattices_upto5,

@@ -46,10 +46,28 @@ def test_left_ideal_module_rejects_non_ideal(B):
         left_ideal_semimodule(B, bogus)
 
 
-def test_invalid_action_rejected(B):
-    # action that is not multiplicative: 1*(1*x) != (1*1)*x
-    with pytest.raises(ValueError):
-        FiniteLeftSemimodule(B, B.add, 0, [[0, 0], [1, 0]])
+JOIN2 = [[0, 1], [1, 1]]
+CHAIN3 = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]     # max on 0 < 1 < 2
+
+
+@pytest.mark.parametrize("add, action, message", [
+    ([[0, 1], [0, 1]], [[0, 0], [0, 1]], "addition not commutative"),
+    ([[1, 1], [1, 1]], [[0, 0], [0, 1]], "zero not neutral"),
+    # 1 + 1 = 1 + 2 = 2 + 2 = 0: (1 + 1) + 2 = 2 but 1 + (1 + 2) = 1
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], [[0, 0, 0], [0, 1, 2]], "addition not associative"),
+    # (1 * 1) * 0 = 1 but 1 * (1 * 0) = 0
+    (JOIN2, [[0, 0], [1, 0]], "action not multiplicative"),
+    # 1 * (1 v 2) = 0 but 1 * 1 v 1 * 2 = 1
+    (CHAIN3, [[0, 0, 0], [0, 1, 0]], "action not additive in the module argument"),
+    # B on Z/2: (1 + 1) * 1 = 1 but 1 * 1 + 1 * 1 = 0
+    ([[0, 1], [1, 0]], [[0, 0], [0, 1]], "action not additive in the ring argument"),
+    (JOIN2, [[1, 1], [1, 1]], "zero absorption fails"),
+    (JOIN2, [[0, 0], [0, 0]], "module not unital over a unital ring"),
+])
+def test_each_module_law_rejected(B, add, action, message):
+    """Each law fails alone (every earlier law holds), with its message."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteLeftSemimodule(B, add, 0, action)
 
 
 @pytest.mark.parametrize("action, message", [
