@@ -11,7 +11,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from .core import SizeGuardExceeded, check_hemiring_axioms, fingerprint
+from .core import AxiomError, SizeGuardExceeded, check_hemiring_axioms, fingerprint
 from .lattices import FiniteSemilattice, build_E_M, build_F_M, is_distributive, \
     semilattice_violation, try_lattice
 from .simpleness import all_congruences, all_ideals
@@ -33,24 +33,29 @@ def _emit_fields(fields, fmt: str) -> str:
 
 
 def cmd_check(args) -> int:
-    alg = parse_algebra_file(args.file)
-    if isinstance(alg, FiniteSemilattice):
-        # parses only if valid; report the laws explicitly anyway
-        bad = semilattice_violation(alg.join, alg.zero)
-        fields = [("kind", "semilattice"), ("order", str(alg.order)),
-                  ("valid", str(bad is None).lower())]
-        sys.stdout.write(_emit_fields(fields, args.format))
-        return EXIT_OK
-    report = check_hemiring_axioms(alg.add, alg.mul, alg.zero, alg.one)
+    """Print the axiom report; a hemiring that fails an axiom exits 1."""
+    try:
+        alg = parse_algebra_file(args.file)
+    except AxiomError as exc:
+        report = exc.report
+    else:
+        if isinstance(alg, FiniteSemilattice):
+            # parses only if valid; report the laws explicitly anyway
+            bad = semilattice_violation(alg.join, alg.zero)
+            fields = [("kind", "semilattice"), ("order", str(alg.order)),
+                      ("valid", str(bad is None).lower())]
+            sys.stdout.write(_emit_fields(fields, args.format))
+            return EXIT_OK
+        report = check_hemiring_axioms(alg.add, alg.mul, alg.zero, alg.one)
     if args.format == "structured":
-        sys.stdout.write(f"order: {alg.order}\n")
+        sys.stdout.write(f"order: {report.order}\n")
         for c in report.checks:
             w = "pass" if c.ok else f"fail {c.witness}"
             sys.stdout.write(f"{c.axiom}: {w}\n")
         sys.stdout.write(f"valid: {str(report.ok).lower()}\n")
     else:
         sys.stdout.write(report.summary() + "\n")
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
 def cmd_classify(args) -> int:

@@ -7,16 +7,20 @@ every decider in the package runs on them unchanged.
 Catalog tables come from one search, ``_table_search``: it fills table
 cells in a fixed order with values in ascending order and drops a partial
 table as soon as some associativity (or, over a given addition,
-distributivity) instance whose lookups are all assigned fails.  Additive
-monoids are its symmetric completions of the neutral row and column (the
-idempotent ones are the semilattice join tables), multiplications its
-completions of the zero row and column; results are deduplicated by
-canonical form under carrier permutations that fix zero.
+distributivity) instance whose lookups are all assigned fails.  It runs
+level by level, one cell per level, over a frontier array of all partial
+tables that survive, checked slab by slab in one numpy pass each, so the
+completions come out in lexicographic order.  Additive monoids are its
+symmetric completions of the neutral row and column (the idempotent ones
+are the semilattice join tables), multiplications its completions of the
+zero row and column.  Results are deduplicated by canonical form under
+carrier permutations that fix zero, one batched relabeling
+(``core._lex_least_relabeling``) per batch: all monoids of an order, all
+multiplications over one additive monoid, all join tables of an order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,9 +352,11 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     """All isomorphism classes of semilattices with zero of the given order.
 
     Enumerates naturally-labeled posets on the nonzero elements (strict
-    order compatible with indices covers every class), keeps those where
-    all joins (the meets of the reversed order) exist, and dedupes by
-    canonical join table.
+    order compatible with indices covers every class): every strict
+    relation on the pairs i < j at once, filtered for transitivity in one
+    numpy pass.  It keeps those where all joins (the meets of the reversed
+    order) exist, and dedupes by canonical join table, all tables in one
+    batched relabeling.
     """
     if order > SEMILATTICE_ORDER_BOUND:
         raise SizeGuardExceeded(f"semilattice enumeration bounded at order {SEMILATTICE_ORDER_BOUND}")
@@ -358,85 +364,108 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
         raise ValueError("order must be positive")
     n = order
     k = n - 1
+    i, j = np.triu_indices(k, 1)
+    # relation r holds pair u iff bit u of r, the first pair most
+    # significant: the order of itertools.product, which numbers the names
+    bits = np.arange(1 << len(i))[:, None] >> np.arange(len(i))[::-1] & 1
+    lt = np.zeros((len(bits), k, k), dtype=bool)
+    lt[:, i, j] = bits
+    closure = lt.copy()
+    for m in range(k):
+        closure |= closure[:, :, m, None] & closure[:, None, m, :]
+    lt = lt[(closure == lt).all(axis=(1, 2))]
+    leq = np.zeros((len(lt), n, n), dtype=bool)
+    leq[:, 0, :] = True
+    leq[:, np.arange(n), np.arange(n)] = True
+    leq[:, 1:, 1:] |= lt
+    joins = [PartialOrder(rel.T, validate=False).meet_table() for rel in leq]
+    joins = np.array([join for join in joins if join is not None])
     seen: dict[tuple, FiniteSemilattice] = {}
-    uppers = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    for bits in itertools.product((False, True), repeat=len(uppers)):
-        lt = np.zeros((k, k), dtype=bool)
-        for (i, j), b in zip(uppers, bits):
-            lt[i, j] = b
-        # transitivity of the strict relation
-        closure = lt.copy()
-        for m in range(k):
-            closure |= closure[:, m][:, None] & closure[m, :][None, :]
-        if (closure != lt).any():
-            continue
-        leq = np.zeros((n, n), dtype=bool)
-        leq[0, :] = True
-        leq[np.diag_indices(n)] = True
-        leq[1:, 1:] |= lt
-        join = PartialOrder(leq.T, validate=False).meet_table()
-        if join is None:
-            continue
-        key = _lex_least_relabeling((join,), 0)[0]
+    for key, _ in _lex_least_relabeling(joins[:, None], 0):
         if key not in seen:
-            M = FiniteSemilattice(np.array(key, dtype=np.int32).reshape(n, n),
-                                  zero=0, name=f"sl{n}_{len(seen):03d}")
-            seen[key] = M
+            seen[key] = FiniteSemilattice(np.array(key, dtype=np.int32).reshape(n, n),
+                                          zero=0, name=f"sl{n}_{len(seen):03d}")
     return [seen[key] for key in sorted(seen)]
 
 
-def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
-                  symmetric: bool = False) -> list[np.ndarray]:
-    """Every completion of ``table`` over ``cells`` that is associative and,
-    given ``add``, distributive over it on both sides.
+# Cells of the law instances one slab of ``_table_search`` checks: a slab
+# expands as many partial tables as keep its arrays within this bound, and
+# at least one.
+_SEARCH_SLAB_CELLS = 1 << 13
 
-    Cells are filled in the given order with values 0..n-1 in ascending
-    order, each mirrored to (j, i) when ``symmetric``, so completions come
-    out in lexicographic order of their cell values.  After each assignment
-    the partial table is dropped if some law instance whose lookups are all
-    assigned fails: one numpy pass over all triples with a mask of assigned
-    cells.  Cells outside ``cells`` count as assigned.
+
+def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
+                  symmetric: bool = False) -> np.ndarray:
+    """Every completion of ``table`` over ``cells`` that is associative and,
+    given ``add``, distributive over it on both sides, as an (m, n, n)
+    stack.
+
+    A level-by-level search over a frontier of partial tables, one row per
+    table, kept in lexicographic order of their assigned cell values.  At
+    each cell, every row is expanded by the values 0..n-1 (parent-major,
+    value-minor; mirrored to (j, i) when ``symmetric``) and the children in
+    which some law instance with all lookups assigned fails are dropped,
+    all in one numpy pass per slab of rows.  Completions therefore come out
+    in lexicographic order of their cell values.  Cells outside ``cells``
+    count as assigned.
+
+    Tables are padded to (n + 1) x (n + 1) and an unassigned cell holds n,
+    as do the padding row and column, so a lookup through an unassigned
+    cell reads n: an instance is fully assigned iff both its sides are
+    below n.
     """
     n = table.shape[0]
-    t = table.astype(np.intp).ravel()
-    known = np.ones(n * n, dtype=bool)
-    flat = [i * n + j for i, j in cells]
-    mirror = [j * n + i for i, j in cells] if symmetric else flat
-    known[flat] = known[mirror] = False
+    m = n + 1
+    pad = np.full((m, m), n, dtype=np.int8)
+    pad[:n, :n] = table
+    flat = [i * m + j for i, j in cells]
+    mirror = [j * m + i for i, j in cells] if symmetric else flat
+    pad.flat[flat] = pad.flat[mirror] = n
     a, b, c = np.indices((n, n, n)).reshape(3, -1)
-    ab, bc = a * n + b, b * n + c
+    am = a * m
+    ab, bc = am + b, b * m + c
     if add is not None:
-        plus = add.astype(np.intp).ravel()
-        ac, cb = a * n + c, c * n + b
-        left = a * n + plus[bc]          # a(b + c) = ab + ac
-        right = plus[ac] * n + b         # (a + c)b = ab + cb
-    out = []
+        plus = np.full((m, m), n, dtype=np.int8)
+        plus[:n, :n] = add
+        plus = plus.ravel()
+        ac, cb = am + c, c * m + b
+        left = am + plus[bc]                  # a(b + c) = ab + ac
+        right = plus[ac] * m + b              # (a + c)b = ab + cb
 
-    def consistent() -> bool:
-        x, y = t[ab], t[bc]
-        lhs, rhs = x * n + c, a * n + y   # (ab)c = a(bc)
-        kab = known[ab]
-        bad = kab & known[bc] & known[lhs] & known[rhs] & (t[lhs] != t[rhs])
+    def consistent(kids: np.ndarray) -> np.ndarray:
+        # a lookup kids[r, cell] reads values[r * m^2 + cell]; the indices
+        # are built in place in one buffer
+        values = kids.ravel()
+        base = np.arange(0, kids.size, m * m)[:, None]
+        x = kids[:, ab].astype(np.intp)
+        x *= m                                # the row of ab, as a cell offset
+        idx = base + c
+        idx += x
+        lhs = values[idx]                     # (ab)c = a(bc)
+        np.add(base, am, out=idx)
+        idx += kids[:, bc]
+        rhs = values[idx]
+        bad = (lhs != rhs) & (lhs < n) & (rhs < n)
         if add is not None:
-            bad |= kab & known[ac] & known[left] & (t[left] != plus[x * n + t[ac]])
-            bad |= kab & known[cb] & known[right] & (t[right] != plus[x * n + t[cb]])
-        return not bad.any()
+            for cell, other in ((left, ac), (right, cb)):
+                np.add(x, kids[:, other], out=idx)
+                lhs, rhs = kids[:, cell], plus[idx]
+                bad |= (lhs != rhs) & (lhs < n) & (rhs < n)
+        return ~bad.any(axis=1)
 
-    def extend(k: int):
-        if k == len(flat):
-            out.append(t.reshape(n, n).astype(np.int32))
-            return
-        p, q = flat[k], mirror[k]
-        known[p] = known[q] = True
-        for v in range(n):
-            t[p] = t[q] = v
-            if consistent():
-                extend(k + 1)
-        known[p] = known[q] = False
-        t[p] = t[q] = 0
-
-    extend(0)
-    return out
+    front = pad.reshape(1, m * m)
+    vals = np.arange(n, dtype=np.int8)
+    step = max(1, _SEARCH_SLAB_CELLS // (n ** 4))
+    for p, q in zip(flat, mirror):
+        if not len(front):
+            break
+        slabs = []
+        for s in range(0, len(front), step):
+            kids = np.repeat(front[s:s + step], n, axis=0)
+            kids[:, p] = kids[:, q] = np.tile(vals, len(kids) // n)
+            slabs.append(kids[consistent(kids)])
+        front = np.concatenate(slabs)
+    return front.reshape(-1, m, m)[:, :n, :n].astype(np.int32)
 
 
 def _commutative_monoids(order: int, idempotent: bool = False) -> list[np.ndarray]:
@@ -447,43 +476,40 @@ def _commutative_monoids(order: int, idempotent: bool = False) -> list[np.ndarra
     neutral = np.zeros((n, n), dtype=np.int32)
     neutral[0, :] = neutral[:, 0] = np.arange(n)
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    seen = set()
-    out = []
-    for t in _table_search(neutral, cells, symmetric=True):
-        key = _lex_least_relabeling((t,), 0)[0]
-        if key not in seen:
-            seen.add(key)
-            out.append(np.array(key, dtype=np.int32).reshape(n, n))
-    return out
+    found = _table_search(neutral, cells, symmetric=True)
+    keys = dict.fromkeys(key for key, _ in _lex_least_relabeling(found[:, None], 0))
+    return [np.array(key, dtype=np.int32).reshape(n, n) for key in keys]
 
 
-def _multiplications(add: np.ndarray) -> list[np.ndarray]:
+def _multiplications(add: np.ndarray) -> np.ndarray:
     """All associative, bidistributive multiplications over a fixed addition,
-    with 0 absorbing."""
+    with 0 absorbing, as an (m, n, n) stack."""
     n = add.shape[0]
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
     return _table_search(np.zeros((n, n), dtype=np.int32), cells, add=add)
 
 
-def _find_one(add: np.ndarray, mul: np.ndarray) -> int | None:
-    n = add.shape[0]
-    idx = np.arange(n)
-    for e in range(n):
-        if (mul[e] == idx).all() and (mul[:, e] == idx).all():
-            return e
-    return None
+def _identities(muls: np.ndarray) -> list[int | None]:
+    """The two-sided identity of each multiplication table of the stack, or
+    None."""
+    idx = np.arange(muls.shape[-1])
+    is_one = (muls == idx).all(axis=2) & (muls.transpose(0, 2, 1) == idx).all(axis=2)
+    return [int(e.argmax()) if e.any() else None for e in is_one]
 
 
 def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list[FiniteHemiring]:
     """All isomorphism classes of hemirings of the given order.
 
     The additive monoid is fixed first (few classes), then the table search
-    fills the multiplication cells (1..n-1)^2 one at a time, pruning on
-    associativity and both distributive laws; global canonical forms dedupe
-    the results.  Names are numbered in discovery order, which the cell and
-    value orders of the search fix.  Every completed table satisfies the
-    laws; ``FiniteHemiring`` validates the canonical table of each new
-    class, and every other table is a relabelling of one of those.
+    fills the multiplication cells (1..n-1)^2 level by level over a batch of
+    partial tables, pruning on associativity and both distributive laws;
+    one batched relabeling per additive monoid gives the global canonical
+    forms of all its multiplications, which dedupe the results.  Names are
+    numbered in discovery order, which the cell and value orders of the
+    search fix.  Every completed table satisfies the laws;
+    ``FiniteHemiring`` validates the canonical table of each new class,
+    and every other table is a relabelling of one of those.  Each entry
+    carries its canonical form, which it is itself, for ``canonical_form``.
     """
     bound = HEMIRING_IDEMPOTENT_BOUND if additively_idempotent else HEMIRING_ORDER_BOUND
     if order > bound:
@@ -492,17 +518,20 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
     if order < 1:
         raise ValueError("order must be positive")
     cells = order * order
+    tag = "ai" if additively_idempotent else "hr"
     seen: dict[tuple, FiniteHemiring] = {}
     for add in _commutative_monoids(order, additively_idempotent):
-        for mul in _multiplications(add):
-            flat, p = _lex_least_relabeling((add, mul), 0)
-            one = _find_one(add, mul)
+        muls = _multiplications(add)
+        pairs = np.empty((len(muls), 2, order, order), dtype=np.int8)
+        pairs[:, 0], pairs[:, 1] = add, muls
+        forms = _lex_least_relabeling(pairs, 0)
+        for (flat, p), one in zip(forms, _identities(muls)):
             key = (flat[:cells], flat[cells:], None if one is None else p[one])
             if key not in seen:
-                tag = "ai" if additively_idempotent else "hr"
-                seen[key] = FiniteHemiring(
+                R = FiniteHemiring(
                     np.array(key[0], dtype=np.int32).reshape(order, order),
                     np.array(key[1], dtype=np.int32).reshape(order, order),
                     zero=0, one=key[2], name=f"{tag}{order}_{len(seen):03d}")
+                R._memo["canonical_form"] = key
+                seen[key] = R
     return [seen[key] for key in sorted(seen)]
-

@@ -17,6 +17,7 @@ laws next to one-line table masks.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -643,47 +644,109 @@ def is_isomorphic(R: FiniteHemiring, S: FiniteHemiring) -> HomMap | None:
     return HomMap(R, S, f)
 
 
-def _lex_least_relabeling(tables, zero: int) -> tuple[tuple[int, ...], list[int]]:
-    """The lexicographically least concatenation of the relabelled ``tables``
-    over all relabelings that send ``zero`` to 0, and a relabeling (new label
-    of each element) that attains it.
+# Cells one numpy step of _lex_least_relabeling gathers: a slab of tied
+# (tuple, relabeling) pairs holds as many pairs as fit, and at least one.
+_RELABEL_SLAB_CELLS = 1 << 13
 
-    Positions of the concatenation are decided one at a time over the
-    relabelings still tied on every earlier position, so no relabelled table
-    is built except the winner's.
+
+def _permutations(m: int) -> np.ndarray:
+    """All permutations of 0..m-1 as an (m!, m) int8 array, in the
+    lexicographic order of ``itertools.permutations``.
+
+    The permutations of size s are those of size s - 1 with a first value
+    v prepended and the values >= v shifted up, v ascending.
     """
-    n = tables[0].shape[0]
-    rest = [x for x in range(n) if x != zero]
+    P = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, m + 1):
+        first = np.arange(size, dtype=np.int8)[:, None, None]
+        P = np.concatenate((first.repeat(len(P), axis=1), P + (P >= first)),
+                           axis=2).reshape(-1, size)
+    return P
+
+
+def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """For each tuple of same-order tables in ``stack``, in order, the
+    lexicographically least concatenation of the relabelled tables over all
+    relabelings that send ``zero`` to 0, and a relabeling (new label of each
+    element) that attains it.
+
+    The concatenation is decided one table row at a time over the
+    (tuple, relabeling) pairs still tied on every earlier row, a row read
+    as one base-n number, so no relabelled table is built except the
+    winners'.  The permutations are built once per call, for the whole
+    stack, and the tied pairs are scanned in slabs of bounded size.
+    """
+    S = np.asarray(stack, dtype=np.int8)          # [tuple, table, x, y]
+    nb, nt, n = S.shape[:3]
     # q[k, i]: the element relabeling k puts at i; p[k, x]: the label it gives
     # x.  int8 keeps these (n-1)! x n arrays small; the factorial cost keeps n
     # far below 128.
-    perms = itertools.permutations(rest)
-    q = np.fromiter(itertools.chain.from_iterable((zero, *x) for x in perms),
-                    dtype=np.int8).reshape(-1, n)
+    # zero first, then the permutations of 0..n-2 with the values >= zero
+    # shifted up: those of the other elements, in the same order
+    rest = _permutations(n - 1)
+    q = np.concatenate((np.full((len(rest), 1), zero, dtype=np.int8), rest + (rest >= zero)),
+                       axis=1)
     p = np.empty_like(q)
-    np.put_along_axis(p, q, np.arange(n), axis=1)
-    for T, i, j in itertools.product(tables, range(n), range(n)):
-        if len(q) == 1:
+    perm_ids = np.arange(len(q))
+    for i in range(n):
+        p[perm_ids, q[:, i]] = i
+
+    # the tied pairs (b[t], k[t]), tuple-major; starts[g]: the first of tuple g
+    tuples = np.arange(nb)
+    b = np.repeat(tuples, len(q))
+    k = np.tile(perm_ids, nb)
+    starts = np.arange(0, len(b), len(q))
+    weights = n ** np.arange(n - 1, -1, -1)
+    step = max(1, _RELABEL_SLAB_CELLS // n)
+
+    def row_keys(T: int, i: int) -> np.ndarray:
+        """Row i of table T under each tied pair's relabeling, read as one
+        base-n number per pair, slab by slab of pairs."""
+        keys = []
+        for s in range(0, len(b), step):
+            ks = k[s:s + step]
+            qs = q[ks]
+            rows = S[b[s:s + step, None], T, qs[:, i, None], qs]
+            keys.append(p[ks[:, None], rows] @ weights)
+        return np.concatenate(keys)
+
+    for T, i in itertools.product(range(nt), range(n)):
+        if len(b) == nb:
             break
-        col = p[np.arange(len(q)), T[q[:, i], q[:, j]]]
-        keep = col == col.min()
+        row = row_keys(T, i)
+        keep = row == np.minimum.reduceat(row, starts)[b]
         if not keep.all():
-            q, p = q[keep], p[keep]
-    best = itertools.chain.from_iterable(
-        p[0][T[np.ix_(q[0], q[0])]].ravel().tolist() for T in tables)
-    return tuple(best), p[0].tolist()
+            b, k = b[keep], k[keep]
+            starts = np.searchsorted(b, tuples)
+    # the winners' relabelled tables, slab by slab of tuples
+    qw, pw = q[k[starts]], p[k[starts]]
+    per_slab = max(1, _RELABEL_SLAB_CELLS // (nt * n * n))
+    forms = []
+    for s in range(0, nb, per_slab):
+        qs = qw[s:s + per_slab]
+        cells = S[tuples[s:s + per_slab, None, None, None], np.arange(nt)[:, None, None],
+                  qs[:, None, :, None], qs[:, None, None, :]]
+        forms.append(pw[s:s + per_slab][tuples[:len(qs), None], cells.reshape(len(qs), -1)])
+    return ((tuple(f.tolist()), labels.tolist())
+            for f, labels in zip(np.concatenate(forms), pw))
 
 
 def canonical_form(R: FiniteHemiring) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
     """Lexicographically least (add, mul) relabeling fixing zero at index 0.
 
     Only meant for catalog-scale algebras; the cost is (n-1)! permutations.
+    The form is memoised on R; catalog entries come with theirs.
     """
+    memo = R._memo.get("canonical_form")
+    if memo is not None:
+        return memo
     n = R.order
     if n > 8:
         raise SizeGuardExceeded(f"canonical form is factorial-cost; order {n} > 8")
-    flat, p = _lex_least_relabeling((R.add, R.mul), R.zero)
-    return flat[:n * n], flat[n * n:], None if R.one is None else p[R.one]
+    [(flat, p)] = _lex_least_relabeling([(R.add, R.mul)], R.zero)
+    form = flat[:n * n], flat[n * n:], None if R.one is None else p[R.one]
+    R._memo["canonical_form"] = form
+    return form
 
 
 def fingerprint(R: FiniteHemiring) -> str:

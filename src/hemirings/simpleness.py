@@ -122,9 +122,16 @@ class Congruence:
 
 
 def _least_labels(part: Congruence) -> np.ndarray:
-    """The least element of each element's block."""
-    labels = np.asarray(part.labels)
-    return np.unique(labels, return_index=True)[1][labels]
+    """The least element of each element's block.
+
+    Labels are numbered by first appearance, so block k's least element is
+    where label k first appears: one pass over the labels, no sort.
+    """
+    first: list[int] = []
+    for x, label in enumerate(part.labels):
+        if label == len(first):
+            first.append(x)
+    return np.array(first)[np.asarray(part.labels)]
 
 
 def _tables(R: FiniteHemiring) -> tuple[np.ndarray, ...]:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,28 @@ def relabeled(R, perm):
     mul[np.ix_(p, p)] = p[R.mul]
     one = None if R.one is None else int(p[R.one])
     return FiniteHemiring(add, mul, zero=int(p[R.zero]), one=one)
+
+
+def naive_lex_least(tables, zero):
+    """Relabel the tables under every permutation fixing zero at 0 and keep
+    the least concatenation."""
+    n = tables[0].shape[0]
+    rest = [x for x in range(n) if x != zero]
+    best = None
+    for perm in itertools.permutations(range(1, n)):
+        p = np.empty(n, dtype=np.int32)
+        p[zero] = 0
+        for src, dst in zip(rest, perm):
+            p[src] = dst
+        cand = []
+        for T in tables:
+            T2 = np.empty_like(T)
+            T2[np.ix_(p, p)] = p[T]
+            cand.extend(int(v) for v in T2.ravel())
+        cand = tuple(cand)
+        if best is None or cand < best:
+            best = cand
+    return best
 
 
 @pytest.fixture(scope="session")

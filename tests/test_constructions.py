@@ -20,7 +20,12 @@ from hemirings import (
     is_simple,
     matrix_semiring,
 )
-from hemirings.core import SizeGuardExceeded, check_hemiring_axioms
+from hemirings.core import (
+    FiniteHemiring,
+    SizeGuardExceeded,
+    canonical_form,
+    check_hemiring_axioms,
+)
 from hemirings.constructions import (
     corner_congruence_to_ring,
     corner_ideal_to_ring,
@@ -238,6 +243,19 @@ def test_catalog_determinism():
     sb = enumerate_semilattices(5)
     assert [(M.name, M.join.tobytes()) for M in sa] == \
            [(M.name, M.join.tobytes()) for M in sb]
+
+
+def test_catalog_entries_carry_their_canonical_form(plain_hemirings_upto3,
+                                                   idem_hemirings_upto4):
+    """The form each entry is seeded with equals the form of a fresh,
+    unseeded copy; every entry is its own canonical form."""
+    for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4):
+        seeded = R._memo["canonical_form"]
+        fresh = FiniteHemiring(R.add, R.mul, zero=R.zero, one=R.one)
+        assert "canonical_form" not in fresh._memo
+        assert canonical_form(fresh) == seeded, R.name
+        assert seeded == (tuple(R.add.ravel().tolist()), tuple(R.mul.ravel().tolist()), R.one)
+        assert canonical_form(R) is seeded
 
 
 def test_hemiring_enumeration_guard():

@@ -6,6 +6,7 @@ import pytest
 from hemirings import (
     FiniteSemilattice,
     boolean_B,
+    check_hemiring_axioms,
     format_algebra,
     matrix_semiring,
     parse_algebra,
@@ -70,6 +71,39 @@ def test_cli_check_and_classify(tmp_path, B):
     assert got["division"] == "true"
     assert got["infinite-element"] == "1"
     assert got["iso-to-B"] == "true"
+
+
+def perturbed_text(R, x, y):
+    """R's file text with mul[x][y] moved to the next element."""
+    mul = R.mul.copy()
+    mul[x, y] = (mul[x, y] + 1) % R.order
+    lines = [f"order {R.order}", f"zero {R.zero}"]
+    if R.one is not None:
+        lines.append(f"one {R.one}")
+    lines.append("add")
+    lines += [" ".join(map(str, row)) for row in R.add.tolist()]
+    lines.append("mul")
+    lines += [" ".join(map(str, row)) for row in mul.tolist()]
+    return "\n".join(lines) + "\n", mul
+
+
+def test_cli_check_reports_failing_axioms(tmp_path, plain_hemirings_upto3):
+    unital = next(R for R in plain_hemirings_upto3 if R.order == 3 and R.one is not None)
+    plain = next(R for R in plain_hemirings_upto3 if R.order == 3 and R.one is None)
+    for R in (unital, plain):
+        text, mul = perturbed_text(R, 1, 2)
+        report = check_hemiring_axioms(R.add, mul, R.zero, R.one)
+        assert not report.ok
+        f = tmp_path / f"{R.name}.alg"
+        f.write_text(text)
+        r = run_cli("check", str(f))
+        assert (r.returncode, r.stdout) == (1, report.summary() + "\n")
+        r = run_cli("check", str(f), "--format", "structured")
+        want = [f"order: {R.order}"]
+        want += [f"{c.axiom}: " + ("pass" if c.ok else f"fail {c.witness}")
+                 for c in report.checks]
+        want.append("valid: false")
+        assert (r.returncode, r.stdout.splitlines()) == (1, want)
 
 
 def test_cli_classify_z2(tmp_path, z2):

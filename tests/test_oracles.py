@@ -37,7 +37,7 @@ from hemirings.core import _lex_least_relabeling, _map_search, canonical_form
 from hemirings.lattices import semilattice_violation
 from hemirings.simpleness import Congruence, _merge
 
-from conftest import direct_product, relabeled
+from conftest import direct_product, naive_lex_least, relabeled
 
 
 def first_failure(law, *ranges):
@@ -435,48 +435,141 @@ def test_map_search_against_brute_force(m3, n5, z4):
             assert got == sorted(want, key=lambda f: [f[x] for x in order])
 
 
-def naive_lex_least(tables, zero):
-    """Relabel the tables under every permutation fixing zero at 0 and keep
-    the least concatenation."""
+def automorphism_count(tables, zero):
+    """Relabelings fixing zero that leave the tables unchanged."""
     n = tables[0].shape[0]
-    rest = [x for x in range(n) if x != zero]
-    best = None
-    for perm in itertools.permutations(range(1, n)):
-        p = np.empty(n, dtype=np.int32)
-        p[zero] = 0
-        for src, dst in zip(rest, perm):
-            p[src] = dst
-        cand = []
-        for T in tables:
-            T2 = np.empty_like(T)
-            T2[np.ix_(p, p)] = p[T]
-            cand.extend(int(v) for v in T2.ravel())
-        cand = tuple(cand)
-        if best is None or cand < best:
-            best = cand
-    return best
+    count = 0
+    for perm in itertools.permutations(range(n)):
+        p = np.asarray(perm)
+        if p[zero] == zero and all((p[T] == T[np.ix_(p, p)]).all() for T in tables):
+            count += 1
+    return count
+
+
+def relabelled_concatenation(tables, p):
+    """The tables with element x renamed p[x], concatenated row-major."""
+    pa = np.asarray(p)
+    out = []
+    for T in tables:
+        T2 = np.empty_like(T)
+        T2[np.ix_(pa, pa)] = pa[T]
+        out += T2.ravel().tolist()
+    return out
 
 
 def test_lex_least_relabeling_against_naive(plain_hemirings_upto3, idem_hemirings_upto4,
-                                            semilattices_upto5, e_c3):
+                                            semilattices_upto5, e_c3, monkeypatch):
+    """Batches of one and mixed batches of (add, mul) pairs and of join
+    tables, under several slab sizes."""
     rng = random.Random(7)
     algebras = list(plain_hemirings_upto3) + list(idem_hemirings_upto4) + [e_c3.hemiring]
     algebras += [relabeled(R, rng.sample(range(R.order), R.order)) for R in algebras[-40:]]
+    cases = [([(R.add, R.mul)], R.zero) for R in algebras]
+    # mixed batches: same order and zero, in a seeded order
+    groups = {}
     for R in algebras:
-        flat, p = _lex_least_relabeling((R.add, R.mul), R.zero)
-        assert flat == naive_lex_least((R.add, R.mul), R.zero)
-        # the returned relabeling attains the least form
-        assert p[R.zero] == 0
-        S = relabeled(R, p)
-        assert S.add.ravel().tolist() + S.mul.ravel().tolist() == list(flat)
-        add, mul, one = canonical_form(R)
-        assert add + mul == flat and one == (None if R.one is None else p[R.one])
+        groups.setdefault((R.order, R.zero), []).append((R.add, R.mul))
+    for (n, zero), batch in groups.items():
+        rng.shuffle(batch)
+        cases.append((batch, zero))
+    joins = {}
     for M in semilattices_upto5:
         perm = rng.sample(range(M.order), M.order)
         join = np.empty_like(M.join)
         join[np.ix_(perm, perm)] = np.asarray(perm)[M.join]
-        zero = perm[M.zero]
-        assert _lex_least_relabeling((join,), zero)[0] == naive_lex_least((join,), zero)
+        joins.setdefault((M.order, perm[M.zero]), []).append((join,))
+        cases.append(([(join,)], perm[M.zero]))
+    cases += [(batch, zero) for (n, zero), batch in joins.items()]
+    # the order-4 idempotent batch holds tables with trivial and with
+    # non-trivial automorphism groups
+    counts = {automorphism_count(tables, 0) for tables in groups[(4, 0)]}
+    assert 1 in counts and max(counts) > 1
+
+    want = [[naive_lex_least(tables, zero) for tables in batch] for batch, zero in cases]
+    for slab in (core._RELABEL_SLAB_CELLS, 1, 20):
+        monkeypatch.setattr(core, "_RELABEL_SLAB_CELLS", slab)
+        for (batch, zero), forms in zip(cases, want):
+            got = list(_lex_least_relabeling(batch, zero))
+            assert [flat for flat, _ in got] == forms
+            for tables, (flat, p) in zip(batch, got):
+                # the returned relabeling attains the least form
+                assert p[zero] == 0 and relabelled_concatenation(tables, p) == list(flat)
+    for R in algebras:
+        [(flat, p)] = _lex_least_relabeling([(R.add, R.mul)], R.zero)
+        add, mul, one = canonical_form(R)
+        assert add + mul == flat and one == (None if R.one is None else p[R.one])
+
+
+def recursive_table_search(table, cells, add=None, symmetric=False):
+    """Depth-first reference for ``_table_search``, one partial table at a
+    time: fill ``cells`` in order with values 0..n-1 ascending and drop a
+    partial table as soon as a fully assigned associativity (or, given
+    ``add``, distributivity) instance fails."""
+    n = table.shape[0]
+    t = table.astype(np.intp).ravel()
+    known = np.ones(n * n, dtype=bool)
+    flat = [i * n + j for i, j in cells]
+    mirror = [j * n + i for i, j in cells] if symmetric else flat
+    known[flat] = known[mirror] = False
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    ab, bc = a * n + b, b * n + c
+    if add is not None:
+        plus = add.astype(np.intp).ravel()
+        ac, cb = a * n + c, c * n + b
+        left = a * n + plus[bc]          # a(b + c) = ab + ac
+        right = plus[ac] * n + b         # (a + c)b = ab + cb
+    out = []
+
+    def consistent() -> bool:
+        x, y = t[ab], t[bc]
+        lhs, rhs = x * n + c, a * n + y   # (ab)c = a(bc)
+        kab = known[ab]
+        bad = kab & known[bc] & known[lhs] & known[rhs] & (t[lhs] != t[rhs])
+        if add is not None:
+            bad |= kab & known[ac] & known[left] & (t[left] != plus[x * n + t[ac]])
+            bad |= kab & known[cb] & known[right] & (t[right] != plus[x * n + t[cb]])
+        return not bad.any()
+
+    def extend(k: int):
+        if k == len(flat):
+            out.append(t.reshape(n, n).tolist())
+            return
+        p, q = flat[k], mirror[k]
+        known[p] = known[q] = True
+        for v in range(n):
+            t[p] = t[q] = v
+            if consistent():
+                extend(k + 1)
+        known[p] = known[q] = False
+        t[p] = t[q] = 0
+
+    extend(0)
+    return out
+
+
+def test_table_search_against_recursive_oracle(monkeypatch):
+    """Ordered lists of completions, under several slab sizes."""
+    monoid_searches = []
+    for n in range(1, 5):
+        neutral = np.zeros((n, n), dtype=np.int32)
+        neutral[0, :] = neutral[:, 0] = np.arange(n)
+        cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+        monoid_searches.append((neutral, cells,
+                                recursive_table_search(neutral, cells, symmetric=True)))
+    mul_searches = []
+    for add in (add for n in range(1, 5) for idem in (False, True)
+                for add in constructions._commutative_monoids(n, idem)):
+        n = add.shape[0]
+        cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+        mul_searches.append(
+            (add, recursive_table_search(np.zeros((n, n), dtype=np.int32), cells, add=add)))
+    for slab in (constructions._SEARCH_SLAB_CELLS, 1, 300):
+        monkeypatch.setattr(constructions, "_SEARCH_SLAB_CELLS", slab)
+        for neutral, cells, want in monoid_searches:
+            got = constructions._table_search(neutral, cells, symmetric=True)
+            assert got.tolist() == want
+        for add, want in mul_searches:
+            assert constructions._multiplications(add).tolist() == want
 
 
 def brute_force_homs(R, S, unital=False):
