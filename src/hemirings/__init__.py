@@ -56,7 +56,6 @@ from .simpleness import (
     tau_congruence,
 )
 from .constructions import (
-    Catalog,
     CornerSemiring,
     MatrixSemiring,
     boolean_B,

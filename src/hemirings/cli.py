@@ -14,11 +14,11 @@ from pathlib import Path
 from .core import AxiomError, SizeGuardExceeded, check_hemiring_axioms, fingerprint
 from .lattices import FiniteSemilattice, build_E_M, build_F_M, is_distributive, \
     semilattice_violation, try_lattice
-from .simpleness import all_congruences, all_ideals
+from .simpleness import CONGRUENCE_LATTICE_BOUND, all_congruences, all_ideals
 from .constructions import corner, enumerate_hemirings, enumerate_semilattices, \
     is_full_idempotent, matrix_semiring
 from .io import ParseError, format_algebra, parse_algebra_file, write_algebra
-from .verify import classify, run_suite, suite_names
+from .verify import DECIDER_ORDER_CAP, SUITES, classify, run_suite, suite_names
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -158,6 +158,8 @@ def cmd_verify(args) -> int:
     if report.verdict == "confirmed":
         return EXIT_OK
     if report.verdict.startswith("skipped"):
+        sys.stderr.write(f"size guard: suite {args.suite} is bounded at max-order "
+                         f"{SUITES[args.suite].bound}; asked for {args.max_order}\n")
         return EXIT_SIZE
     return EXIT_COUNTEREXAMPLE
 
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="structural summary of an algebra")
     sp.add_argument("file")
-    sp.add_argument("--max-order", type=int, default=128)
+    sp.add_argument("--max-order", type=int, default=DECIDER_ORDER_CAP)
     add_format(sp)
     sp.set_defaults(fn=cmd_classify)
 
@@ -228,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("congruences", help="dump the congruence lattice")
     sp.add_argument("file")
-    sp.add_argument("--max-order", type=int, default=40)
+    sp.add_argument("--max-order", type=int, default=CONGRUENCE_LATTICE_BOUND)
     sp.set_defaults(fn=cmd_congruences)
 
     sp = sub.add_parser("ideals", help="dump all ideals")
     sp.add_argument("file")
     sp.add_argument("--sidedness", choices=("left", "right", "two-sided"),
                     default="two-sided")
-    sp.add_argument("--max-order", type=int, default=40)
+    sp.add_argument("--max-order", type=int, default=CONGRUENCE_LATTICE_BOUND)
     sp.set_defaults(fn=cmd_ideals)
 
     sp = sub.add_parser("enumerate", help="write a catalog to disk")

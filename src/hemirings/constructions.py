@@ -4,7 +4,7 @@ Matrix semirings pack n x n matrices over a base algebra into mixed-radix
 integers (cell (i, j) is the digit of weight |R|^(i*n+j), row-major), so
 every decider in the package runs on them unchanged.
 
-Catalog tables come from one search, ``_table_search``: it fills table
+The catalog tables come from one search, ``_table_search``: it fills table
 cells in a fixed order with values in ascending order and drops a partial
 table as soon as some associativity (or, over a given addition,
 distributivity) instance whose lookups are all assigned fails.  It runs
@@ -20,8 +20,6 @@ multiplications over one additive monoid, all join tables of an order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +39,6 @@ from .simpleness import (
 )
 
 __all__ = [
-    "Catalog",
     "CornerSemiring",
     "MatrixSemiring",
     "boolean_B",
@@ -328,24 +325,6 @@ def corner_congruence_to_ring(R: FiniteHemiring, c: CornerSemiring,
     if restriction != gamma:
         raise InvariantViolation("corner congruence correspondence failed")
     return theta
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    algebra: object            # FiniteHemiring or FiniteSemilattice
-    canonical_hash: str
-    properties: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class Catalog:
-    kind: str                  # "semilattice" | "hemiring" | "semiring"
-    max_order: int
-    entries: tuple[CatalogEntry, ...]
-
-    def algebras(self) -> list:
-        return [e.algebra for e in self.entries]
 
 
 def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:

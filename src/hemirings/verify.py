@@ -5,10 +5,19 @@ Every suite walks a deterministic catalog, evaluates the two sides of an
 equivalence with independent deciders, and emits a line-oriented report.
 A counterexample record carries the algebra tables inline so the claim can
 be re-checked directly by the deciders.
+
+A suite is a function from max-order to instance records.  It declares its
+default max-order, its size bound and any fixed report parameter in
+``SUITES``; ``run_suite`` rejects a max-order below 1, returns an empty
+``skipped(size)`` report past the bound, and sorts the records by name.
+Instances come from one cached source: ``_semilattices`` and ``_hemirings``
+(each order enumerated once), ``_catalog`` (both hemiring catalogs,
+deduplicated), ``_endo`` (E_M per semilattice) and ``_boolean_matrices``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -134,18 +143,19 @@ def parse_tables_inline(text: str) -> FiniteHemiring:
 
 @lru_cache(maxsize=None)
 def _semilattices(max_order: int) -> tuple[FiniteSemilattice, ...]:
-    out = []
-    for n in range(1, max_order + 1):
-        out.extend(enumerate_semilattices(n))
-    return tuple(out)
+    """The catalog semilattices up to max_order, each order enumerated once."""
+    if max_order < 1:
+        return ()
+    return _semilattices(max_order - 1) + tuple(enumerate_semilattices(max_order))
 
 
 @lru_cache(maxsize=None)
 def _hemirings(max_order: int, idempotent: bool) -> tuple[FiniteHemiring, ...]:
-    out = []
-    for n in range(1, max_order + 1):
-        out.extend(enumerate_hemirings(n, additively_idempotent=idempotent))
-    return tuple(out)
+    """The catalog hemirings up to max_order, each order enumerated once."""
+    if max_order < 1:
+        return ()
+    return _hemirings(max_order - 1, idempotent) + tuple(
+        enumerate_hemirings(max_order, additively_idempotent=idempotent))
 
 
 @lru_cache(maxsize=None)
@@ -154,19 +164,19 @@ def _endo(M: FiniteSemilattice):
 
 
 @lru_cache(maxsize=None)
-def _catalog(max_plain: int, max_idem: int) -> tuple[FiniteHemiring, ...]:
+def _catalog(max_order: int) -> tuple[FiniteHemiring, ...]:
     """Entries of both enumerations, deduplicated by fingerprint (exact at
     catalog orders) and sorted by it."""
     seen = {}
-    for R in (_hemirings(min(max_plain, HEMIRING_ORDER_BOUND), False)
-              + _hemirings(min(max_idem, HEMIRING_IDEMPOTENT_BOUND), True)):
+    for R in (_hemirings(min(max_order, HEMIRING_ORDER_BOUND), False)
+              + _hemirings(min(max_order, HEMIRING_IDEMPOTENT_BOUND), True)):
         seen.setdefault(fingerprint(R), R)
     return tuple(seen[k] for k in sorted(seen))
 
 
-def _catalog_semirings(max_plain: int, max_idem: int) -> list[FiniteHemiring]:
+def _catalog_semirings(max_order: int) -> list[FiniteHemiring]:
     """Unital catalog entries from both enumerations, deduplicated."""
-    return [R for R in _catalog(max_plain, max_idem) if R.is_semiring]
+    return [R for R in _catalog(max_order) if R.is_semiring]
 
 
 def _record(name: str, ok: bool, *fields, algebra: FiniteHemiring | None = None) -> InstanceRecord:
@@ -175,22 +185,31 @@ def _record(name: str, ok: bool, *fields, algebra: FiniteHemiring | None = None)
     return InstanceRecord(name, tuple(fields), ok)
 
 
-def _verdict(records) -> str:
-    return "confirmed" if all(r.ok for r in records) else "counterexample"
+@lru_cache(maxsize=None)
+def _boolean_matrices(n: int) -> FiniteHemiring:
+    """M_n(B), built once per process."""
+    return matrix_semiring(boolean_B(), n).hemiring
 
 
-def _finish(suite: str, params, records) -> VerificationReport:
-    records = tuple(sorted(records, key=lambda r: r.name))
-    return VerificationReport(suite, tuple(params), records, _verdict(records))
+def _endo_witness(R: FiniteHemiring) -> FiniteSemilattice | None:
+    """The first catalog distributive lattice M with E_M isomorphic to R.
+    E_M has at least |M| elements, so M.order <= R.order."""
+    for M in _semilattices(min(R.order, SEMILATTICE_ORDER_BOUND)):
+        E = _endo(M)
+        if E.order != R.order:
+            continue
+        lat = try_lattice(M)
+        if lat is None or not is_distributive(lat):
+            continue
+        if is_isomorphic(R, E.hemiring) is not None:
+            return M
+    return None
 
 
 # ---------------------------------------------------------------- suites
 
-def suite_thm3_3(max_order: int = 5) -> VerificationReport:
+def suite_thm3_3(max_order: int) -> list[InstanceRecord]:
     """E_M simple <=> E_M ideal-simple <=> M a distributive lattice."""
-    params = [("max-order", str(max_order))]
-    if max_order > SEMILATTICE_ORDER_BOUND:
-        return VerificationReport("thm3_3", tuple(params), (), "skipped(size)")
     records = []
     for M in _semilattices(max_order):
         E = _endo(M)
@@ -205,17 +224,14 @@ def suite_thm3_3(max_order: int = 5) -> VerificationReport:
         if not ok:
             fields.append(("witness", _tables_inline(E.hemiring)))
         records.append(_record(M.name, ok, *fields, algebra=E.hemiring))
-    return _finish("thm3_3", params, records)
+    return records
 
 
-def suite_cor3_8(max_order: int = 5) -> VerificationReport:
+def suite_cor3_8(max_order: int) -> list[InstanceRecord]:
     """On distributive M all simpleness notions agree (and hold); on
     non-distributive M congruence-simpleness holds while ideal-simpleness
     fails.  The collapsing congruence f ~ g iff f+a = g+a pointwise is
     universal on every finite instance."""
-    params = [("max-order", str(max_order))]
-    if max_order > SEMILATTICE_ORDER_BOUND:
-        return VerificationReport("cor3_8", tuple(params), (), "skipped(size)")
     records = []
     for M in _semilattices(max_order):
         E = _endo(M)
@@ -235,7 +251,7 @@ def suite_cor3_8(max_order: int = 5) -> VerificationReport:
         if not ok:
             fields.append(("witness", _tables_inline(E.hemiring)))
         records.append(_record(M.name, ok, *fields, algebra=E.hemiring))
-    return _finish("cor3_8", params, records)
+    return records
 
 
 def dense_embedding_search(R: FiniteHemiring, max_lattice_order: int
@@ -262,14 +278,11 @@ def dense_embedding_search(R: FiniteHemiring, max_lattice_order: int
     return None
 
 
-def suite_thm2_2(max_order: int = 4) -> VerificationReport:
+def suite_thm2_2(max_order: int) -> list[InstanceRecord]:
     """Every congruence-simple proper hemiring has order <= 2 or embeds as
     a dense subhemiring of the endomorphism semiring of a semilattice."""
-    params = [("max-order", str(max_order))]
-    if max_order > HEMIRING_IDEMPOTENT_BOUND:
-        return VerificationReport("thm2_2", tuple(params), (), "skipped(size)")
     records = []
-    for R in _catalog(max_order, max_order):
+    for R in _catalog(max_order):
         if not (R.is_proper and is_congruence_simple(R)):
             continue
         if R.order <= 2:
@@ -284,17 +297,14 @@ def suite_thm2_2(max_order: int = 4) -> VerificationReport:
         if found is None:
             fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, found is not None, *fields, algebra=R))
-    return _finish("thm2_2", params, records)
+    return records
 
 
-def suite_cor5_8(max_order: int = 4) -> VerificationReport:
+def suite_cor5_8(max_order: int) -> list[InstanceRecord]:
     """Every simple catalog semiring is a matrix semiring over a finite
     field or the endomorphism semiring of a distributive lattice."""
-    params = [("max-order", str(max_order))]
-    if max_order > HEMIRING_IDEMPOTENT_BOUND:
-        return VerificationReport("cor5_8", tuple(params), (), "skipped(size)")
     records = []
-    for R in _catalog_semirings(max_order, max_order):
+    for R in _catalog_semirings(max_order):
         if not is_simple(R):
             continue
         witness = None
@@ -303,34 +313,22 @@ def suite_cor5_8(max_order: int = 4) -> VerificationReport:
             if F is not None and is_isomorphic(R, F) is not None:
                 witness = f"matrix:n=1,{F.name}"
         else:
-            for M in _semilattices(min(max_order + 1, SEMILATTICE_ORDER_BOUND)):
-                E = _endo(M)
-                if E.order != R.order:
-                    continue
-                lat = try_lattice(M)
-                if lat is None or not is_distributive(lat):
-                    continue
-                if is_isomorphic(R, E.hemiring) is not None:
-                    witness = f"endo:{M.name}"
-                    break
+            M = _endo_witness(R)
+            if M is not None:
+                witness = f"endo:{M.name}"
         fields = [("order", str(R.order)), ("ring", _b(R.is_ring)),
                   ("witness", witness or "none")]
         if witness is None:
             fields.append(("tables", _tables_inline(R)))
         records.append(_record(R.name, witness is not None, *fields, algebra=R))
-    return _finish("cor5_8", params, records)
+    return records
 
 
-def suite_prop5_5(max_order: int = 3) -> VerificationReport:
+def suite_prop5_5(max_order: int) -> list[InstanceRecord]:
     """Congruence-simpleness, ideal-simpleness and simpleness transfer
     between R and M_2(R)."""
-    params = [("max-order", str(max_order)), ("n", "2")]
-    if max_order > HEMIRING_ORDER_BOUND:
-        return VerificationReport("prop5_5", tuple(params), (), "skipped(size)")
     records = []
-    for R in _catalog_semirings(max_order, max_order):
-        if R.order > max_order:
-            continue
+    for R in _catalog_semirings(max_order):
         M2 = matrix_semiring(R, 2)
         cs_r, cs_m = is_congruence_simple(R), is_congruence_simple(M2.hemiring)
         is_r, is_m = is_ideal_simple(R), is_ideal_simple(M2.hemiring)
@@ -342,7 +340,7 @@ def suite_prop5_5(max_order: int = 3) -> VerificationReport:
         if not ok:
             fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, ok, *fields, algebra=R))
-    return _finish("prop5_5", params, records)
+    return records
 
 
 def _corner_correspondence(R: FiniteHemiring, e: int) -> tuple[bool, list[tuple[str, str]]]:
@@ -376,18 +374,11 @@ def _corner_correspondence(R: FiniteHemiring, e: int) -> tuple[bool, list[tuple[
     return ok, fields
 
 
-def suite_prop5_3(max_order: int = 3) -> VerificationReport:
+def suite_prop5_3(max_order: int) -> list[InstanceRecord]:
     """Corner correspondences for every idempotent of the catalog semirings
     and of M_2(B); bijective (and simpleness-preserving) for full ones."""
-    params = [("max-order", str(max_order))]
-    if max_order > HEMIRING_ORDER_BOUND:
-        return VerificationReport("prop5_3", tuple(params), (), "skipped(size)")
-    instances = list(_catalog_semirings(max_order, max_order))
-    M2B = matrix_semiring(boolean_B(), 2)
-    M2B.hemiring.name = "M_2(B)"
-    instances.append(M2B.hemiring)
     records = []
-    for R in instances:
+    for R in _catalog_semirings(max_order) + [_boolean_matrices(2)]:
         for e in R.idempotents():
             try:
                 ok, fields = _corner_correspondence(R, e)
@@ -397,25 +388,18 @@ def suite_prop5_3(max_order: int = 3) -> VerificationReport:
                 fields.append(("witness", _tables_inline(R)))
             records.append(_record(f"{R.name}/e={e}", ok,
                                    ("order", str(R.order)), *fields, algebra=R))
-    return _finish("prop5_3", params, records)
+    return records
 
 
-def suite_thm5_10(max_order: int = 4) -> VerificationReport:
+def suite_thm5_10(max_order: int) -> list[InstanceRecord]:
     """Double centralizer: for a simple semiring and a minimal left ideal
     generated by an idempotent, R -> End(I_D) is an isomorphism."""
-    params = [("max-order", str(max_order))]
-    if max_order > HEMIRING_IDEMPOTENT_BOUND:
-        return VerificationReport("thm5_10", tuple(params), (), "skipped(size)")
-    instances = [R for R in _catalog_semirings(max_order, max_order) if is_simple(R)]
-    M2B = matrix_semiring(boolean_B(), 2)
-    M2B.hemiring.name = "M_2(B)"
-    instances.append(M2B.hemiring)
     C3 = FiniteSemilattice([[0, 1, 2], [1, 1, 2], [2, 2, 2]], name="C3")
     EC3 = build_E_M(C3).hemiring
     EC3.name = "E_C3"
-    instances.append(EC3)
+    instances = [R for R in _catalog_semirings(max_order) if is_simple(R)]
     records = []
-    for R in instances:
+    for R in instances + [_boolean_matrices(2), EC3]:
         for I in minimal_left_ideals(R):
             e = idempotent_generated(R, I)
             if e is None:
@@ -433,36 +417,22 @@ def suite_thm5_10(max_order: int = 4) -> VerificationReport:
             records.append(_record(
                 f"{R.name}/I={min(x for x in I.members if x != R.zero)}",
                 rep.isomorphism, *fields, algebra=R))
-    return _finish("thm5_10", params, records)
+    return records
 
 
-def suite_thm5_7(max_order: int = 4) -> VerificationReport:
+def suite_thm5_7(max_order: int) -> list[InstanceRecord]:
     """A catalog semiring is simple with an infinite element iff it is the
     endomorphism semiring of a distributive lattice; simple proper
     hemirings with nonzero multiplication match some F_M."""
-    params = [("max-order", str(max_order))]
-    if max_order > HEMIRING_IDEMPOTENT_BOUND:
-        return VerificationReport("thm5_7", tuple(params), (), "skipped(size)")
     records = []
-    lattices = _semilattices(SEMILATTICE_ORDER_BOUND - 1)
-    for R in _catalog_semirings(max_order, max_order):
+    for R in _catalog_semirings(max_order):
         simple = is_simple(R)
         inf = infinite_element(R) is not None
-        em_match = None
-        for M in lattices:
-            E = _endo(M)
-            if E.order != R.order:
-                continue
-            lat = try_lattice(M)
-            if lat is None or not is_distributive(lat) or M.order < 2:
-                continue
-            if is_isomorphic(R, E.hemiring) is not None:
-                em_match = M.name
-                break
-        ok = (simple and inf) == (em_match is not None)
+        M = _endo_witness(R)
+        ok = (simple and inf) == (M is not None)
         fields = [("order", str(R.order)), ("simple", _b(simple)),
                   ("infinite-element", _b(inf)),
-                  ("endo-witness", em_match or "none")]
+                  ("endo-witness", "none" if M is None else M.name)]
         if simple and inf:
             morita = _morita_witness(R)
             fields.append(("corner-witness", morita or "none"))
@@ -471,6 +441,7 @@ def suite_thm5_7(max_order: int = 4) -> VerificationReport:
             fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, ok, *fields, algebra=R))
     # F_M reporting for proper simple hemirings (nonzero multiplication)
+    lattices = _semilattices(SEMILATTICE_ORDER_BOUND - 1)
     for R in _hemirings(max_order, True):
         if not (R.is_proper and is_simple(R)):
             continue
@@ -490,30 +461,26 @@ def suite_thm5_7(max_order: int = 4) -> VerificationReport:
             R.name + "/fm", fm is not None,
             ("order", str(R.order)), ("zero-multiplication", "false"),
             ("fm-witness", fm or "none"), algebra=R))
-    return _finish("thm5_7", params, records)
+    return records
 
 
 def _morita_witness(R: FiniteHemiring) -> str | None:
     """A full idempotent e of some M_n(B) with corner iso to R."""
-    B = boolean_B()
     for n in (1, 2):
-        Mn = matrix_semiring(B, n)
-        for e in Mn.hemiring.idempotents():
-            if not is_full_idempotent(Mn.hemiring, e):
+        Mn = _boolean_matrices(n)
+        for e in Mn.idempotents():
+            if not is_full_idempotent(Mn, e):
                 continue
-            c = corner(Mn.hemiring, e)
+            c = corner(Mn, e)
             if c.order == R.order and is_isomorphic(c.hemiring, R) is not None:
                 return f"M_{n}(B):e={e}"
     return None
 
 
-def suite_thm6_4_6_5(max_order: int = 4) -> VerificationReport:
+def suite_thm6_4_6_5(max_order: int) -> list[InstanceRecord]:
     """Finite chain semirings: ideal-simple iff division; simple iff
     isomorphic to the Boolean semifield; the maximal left ideal formula
     agrees with the radical."""
-    params = [("max-order", str(max_order))]
-    if max_order > HEMIRING_IDEMPOTENT_BOUND:
-        return VerificationReport("thm6_4_6_5", tuple(params), (), "skipped(size)")
     B = boolean_B()
     records = []
     for R in _hemirings(max_order, True):
@@ -534,15 +501,12 @@ def suite_thm6_4_6_5(max_order: int = 4) -> VerificationReport:
         if not ok:
             fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, ok, *fields, algebra=R))
-    return _finish("thm6_4_6_5", params, records)
+    return records
 
 
-def suite_thm6_7(max_order: int = 4) -> VerificationReport:
+def suite_thm6_7(max_order: int) -> list[InstanceRecord]:
     """Lattice-ordered semirings: congruence-simple iff simple iff
     isomorphic to the Boolean semifield."""
-    params = [("max-order", str(max_order))]
-    if max_order > HEMIRING_IDEMPOTENT_BOUND:
-        return VerificationReport("thm6_7", tuple(params), (), "skipped(size)")
     B = boolean_B()
     records = []
     for R in _hemirings(max_order, True):
@@ -557,20 +521,28 @@ def suite_thm6_7(max_order: int = 4) -> VerificationReport:
         if not ok:
             fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, ok, *fields, algebra=R))
-    return _finish("thm6_7", params, records)
+    return records
+
+
+@dataclass(frozen=True)
+class Suite:
+    run: Callable[[int], list[InstanceRecord]]
+    default: int                              # max-order when none is given
+    bound: int                                # larger max-orders are skipped
+    extra: tuple[tuple[str, str], ...] = ()   # fixed report parameters
 
 
 SUITES = {
-    "thm3_3": (suite_thm3_3, 5),
-    "cor3_8": (suite_cor3_8, 5),
-    "thm2_2": (suite_thm2_2, 4),
-    "cor5_8": (suite_cor5_8, 4),
-    "prop5_5": (suite_prop5_5, 3),
-    "prop5_3": (suite_prop5_3, 3),
-    "thm5_10": (suite_thm5_10, 4),
-    "thm5_7": (suite_thm5_7, 4),
-    "thm6_4_6_5": (suite_thm6_4_6_5, 4),
-    "thm6_7": (suite_thm6_7, 4),
+    "thm3_3": Suite(suite_thm3_3, 5, SEMILATTICE_ORDER_BOUND),
+    "cor3_8": Suite(suite_cor3_8, 5, SEMILATTICE_ORDER_BOUND),
+    "thm2_2": Suite(suite_thm2_2, 4, HEMIRING_IDEMPOTENT_BOUND),
+    "cor5_8": Suite(suite_cor5_8, 4, HEMIRING_IDEMPOTENT_BOUND),
+    "prop5_5": Suite(suite_prop5_5, 3, HEMIRING_ORDER_BOUND, (("n", "2"),)),
+    "prop5_3": Suite(suite_prop5_3, 3, HEMIRING_ORDER_BOUND),
+    "thm5_10": Suite(suite_thm5_10, 4, HEMIRING_IDEMPOTENT_BOUND),
+    "thm5_7": Suite(suite_thm5_7, 4, HEMIRING_IDEMPOTENT_BOUND),
+    "thm6_4_6_5": Suite(suite_thm6_4_6_5, 4, HEMIRING_IDEMPOTENT_BOUND),
+    "thm6_7": Suite(suite_thm6_7, 4, HEMIRING_IDEMPOTENT_BOUND),
 }
 
 
@@ -579,10 +551,21 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, max_order: int | None = None) -> VerificationReport:
+    """Run one suite: a max-order past the suite's bound gives an empty
+    ``skipped(size)`` report; records are sorted by name."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    fn, default = SUITES[name]
-    return fn(default if max_order is None else max_order)
+    suite = SUITES[name]
+    if max_order is None:
+        max_order = suite.default
+    if max_order < 1:
+        raise ValueError(f"suite {name}: max-order must be at least 1; got {max_order}")
+    params = (("max-order", str(max_order)),) + suite.extra
+    if max_order > suite.bound:
+        return VerificationReport(name, params, (), "skipped(size)")
+    records = tuple(sorted(suite.run(max_order), key=lambda r: r.name))
+    verdict = "confirmed" if all(r.ok for r in records) else "counterexample"
+    return VerificationReport(name, params, records, verdict)
 
 
 # ---------------------------------------------------------- classification

@@ -242,6 +242,32 @@ def test_cli_verify_exit_codes():
     assert r.returncode == 2
 
 
+def test_cli_verify_names_the_bound_it_skips():
+    r = run_cli("verify", "thm2_2", "--max-order", "5")
+    assert r.returncode == 3
+    assert r.stdout == "suite thm2_2: skipped(size) (0 instances)\n"
+    assert r.stderr == ("size guard: suite thm2_2 is bounded at max-order 4; "
+                        "asked for 5\n")
+
+
+@pytest.mark.parametrize("max_order", ["0", "-3"])
+def test_cli_verify_rejects_non_positive_max_order(max_order):
+    r = run_cli("verify", "thm3_3", "--max-order", max_order)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "max-order must be at least 1" in r.stderr
+
+
+def test_cli_max_order_defaults_are_the_library_bounds():
+    from hemirings.cli import build_parser
+    from hemirings.simpleness import CONGRUENCE_LATTICE_BOUND
+    from hemirings.verify import DECIDER_ORDER_CAP
+    parser = build_parser()
+    assert parser.parse_args(["classify", "f"]).max_order == DECIDER_ORDER_CAP
+    for cmd in ("congruences", "ideals"):
+        assert parser.parse_args([cmd, "f"]).max_order == CONGRUENCE_LATTICE_BOUND
+
+
 def test_cli_verify_report_file(tmp_path):
     out = tmp_path / "report.txt"
     r = run_cli("verify", "cor5_8", "--format", "structured", "--out", str(out))

@@ -7,7 +7,9 @@ numpy scalars leaking into ``canonical_form`` (under numpy 2 they print as
 in which the catalog discovers its classes (``hrN_XXX`` and ``aiN_XXX`` are
 numbered in discovery order).  The catalogs one order past the shipped
 enumeration bounds are pinned too, with the bounds raised for the test, and
-so is the largest opt-in suite report, ``thm3_3 --max-order 6``.
+so is the largest opt-in suite report, ``thm3_3 --max-order 6``.  Every
+default suite report is pinned in its text render (the CLI's default
+format), and every suite's report one order past its bound in both renders.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ import pytest
 from hemirings import FiniteSemilattice, boolean_B, build_E_M, enumerate_hemirings
 from hemirings import constructions
 from hemirings.core import canonical_form, fingerprint
-from hemirings.verify import run_suite
+from hemirings.verify import SUITES, run_suite, suite_names
 
 from conftest import direct_product
 
@@ -77,3 +79,19 @@ def test_thm3_3_at_order_6_pinned():
     report = run_suite("thm3_3", 6).render("structured")
     digest = hashlib.sha256(report.encode()).hexdigest()
     assert digest == PINNED["opt_in_suite_sha256"]["thm3_3 --max-order 6"]
+
+
+def test_text_renders_and_skipped_reports_pinned():
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    for name in suite_names():
+        got = digest(run_suite(name).render("text"))
+        assert got == PINNED["suite_text_sha256"][name], name
+    skipped = PINNED["skipped_suite_sha256"]
+    assert set(skipped) == {f"{name} --max-order {suite.bound + 1}"
+                            for name, suite in SUITES.items()}
+    for key, want in skipped.items():
+        name, _, order = key.split()
+        report = run_suite(name, int(order))
+        assert report.verdict == "skipped(size)", key
+        for fmt in ("structured", "text"):
+            assert digest(report.render(fmt)) == want[fmt], (key, fmt)

@@ -30,6 +30,14 @@ def test_unknown_suite():
         run_suite("thm9_9")
 
 
+@pytest.mark.parametrize("max_order", [0, -3])
+def test_non_positive_max_order_rejected(max_order):
+    # an empty sweep must not read as a confirmation
+    for name in suite_names():
+        with pytest.raises(ValueError, match="max-order"):
+            run_suite(name, max_order)
+
+
 def test_oversized_bound_reports_skipped():
     rep = run_suite("thm3_3", 9)
     assert rep.verdict == "skipped(size)"
@@ -120,7 +128,7 @@ def test_cor5_8_finds_every_supported_field(monkeypatch):
     # a counterexample
     import hemirings.verify as verify
     R = relabeled(finite_field(4), [0, 3, 1, 2])
-    monkeypatch.setattr(verify, "_catalog_semirings", lambda max_plain, max_idem: [R])
+    monkeypatch.setattr(verify, "_catalog_semirings", lambda max_order: [R])
     rep = run_suite("cor5_8", 4)
     assert rep.verdict == "confirmed"
     assert [dict(r.fields)["witness"] for r in rep.records] == ["matrix:n=1,GF(4)"]
