@@ -222,9 +222,12 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
 class FiniteHemiring:
     """A finite hemiring (R, +, *, 0), optionally with a multiplicative one.
 
-    The constructor validates all axioms (``validate=False`` skips this for
-    callers that re-validate on their own terms, e.g. very large matrix
-    semirings).
+    The constructor validates all axioms, so a table from outside the
+    package (this constructor, ``parse_algebra``, an inline report witness)
+    is checked where it enters.  The package's own constructions (catalogs,
+    matrix semirings, corners, endomorphism semirings, finite fields) build
+    hemirings by construction and pass ``validate=False``; the tests
+    re-check their outputs with ``check_hemiring_axioms``.
     """
 
     __slots__ = ("add", "mul", "zero", "one", "name", "_memo")

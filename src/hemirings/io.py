@@ -41,7 +41,22 @@ def _significant_lines(text: str):
 
 def parse_algebra(text: str) -> FiniteHemiring | FiniteSemilattice:
     """Parse a table file, returning a hemiring or (for kind semilattice)
-    a semilattice."""
+    a semilattice; the tables are validated as they enter the package."""
+    kind, ln, zero, one, add, mul = _read_tables(text)
+    if kind == "semilattice":
+        try:
+            return FiniteSemilattice(add, zero=zero)
+        except ValueError as exc:
+            raise ParseError(str(exc), ln)
+    return FiniteHemiring(add, mul, zero=zero, one=one)
+
+
+def _read_tables(text: str) -> tuple:
+    """The kind, the line of the first table block, zero, one and the add
+    and mul tables (mul None for a semilattice) of a table file.
+
+    Checks the file's shape and index ranges, not the algebra's laws.
+    """
     lines = list(_significant_lines(text))
     pos = 0
 
@@ -114,14 +129,11 @@ def parse_algebra(text: str) -> FiniteHemiring | FiniteSemilattice:
     if kind == "semilattice":
         if pos != len(lines):
             raise ParseError("trailing content after semilattice table", lines[pos][0])
-        try:
-            return FiniteSemilattice(add, zero=zero)
-        except ValueError as exc:
-            raise ParseError(str(exc), ln)
+        return kind, ln, zero, one, add, None
     mul = block("mul")
     if pos != len(lines):
         raise ParseError("trailing content after tables", lines[pos][0])
-    return FiniteHemiring(add, mul, zero=zero, one=one)
+    return kind, ln, zero, one, add, mul
 
 
 def parse_algebra_file(path) -> FiniteHemiring | FiniteSemilattice:

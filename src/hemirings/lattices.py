@@ -19,6 +19,7 @@ from .core import (
     _associative,
     _distributive,
     _first,
+    _index_array,
     _law_witness,
     _map_search,
     as_op_table,
@@ -186,17 +187,35 @@ def endo_enumerate(M: FiniteSemilattice) -> list[Endo]:
 
 
 def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
-    """Sort and index self-maps of the monoid (``add``, ``zero``) that are
-    closed under pointwise sum and composition.
+    """Sort and index endomorphisms of the commutative monoid (``add``,
+    ``zero``) that are closed under pointwise sum and composition.
 
     Returns the sorted maps, their index, the pointwise-sum table, the
     composition table [i, j] -> maps[i] o maps[j], and the indices of the
     zero map and of the identity (None when it is absent).
+
+    The maps are checked instead of the tables built from them: every map
+    fixes ``zero`` and preserves ``add``, the set is closed and holds the
+    zero map.  Such a set is a hemiring under pointwise sum and
+    composition, so the tables need no axiom scan.  A set failing a check
+    raises ``ValueError`` naming it.
     """
     maps = sorted(set(maps))
+    if not maps:
+        raise ValueError("no maps to package")
+    n = add.shape[0]
+    arr = _index_array(np.array(maps), n, "map")
+    if arr.shape != (len(maps), n):
+        raise ValueError(f"maps must have length {n}")
+    bad = _first(arr[:, zero] != zero)
+    if bad is not None:
+        raise ValueError(f"map {maps[bad[0]]} does not fix zero {zero}")
+    bad = _first(arr[:, add] != add[arr[:, :, None], arr[:, None, :]])
+    if bad is not None:
+        f, x, y = bad
+        raise ValueError(f"map {maps[f]} does not preserve addition at ({x}, {y})")
     index = {f: i for i, f in enumerate(maps)}
-    k, n = len(maps), len(maps[0])
-    arr = np.array(maps, dtype=np.int32)
+    k = len(maps)
     sums = np.empty((k, k), dtype=np.int32)
     comp = np.empty((k, k), dtype=np.int32)
     try:
@@ -205,7 +224,10 @@ def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
             comp[i] = [index[g] for g in map(tuple, f[arr].tolist())]       # f(g(x))
     except KeyError:
         raise ValueError("carrier is not closed under join/composition") from None
-    return maps, index, sums, comp, index[(zero,) * n], index.get(tuple(range(n)))
+    zero_map = index.get((zero,) * n)
+    if zero_map is None:
+        raise ValueError("maps do not include the zero map")
+    return maps, index, sums, comp, zero_map, index.get(tuple(range(n)))
 
 
 class EndoSemiring:
@@ -213,7 +235,8 @@ class EndoSemiring:
     composition, packaged as a FiniteHemiring.
 
     Addition is pointwise join, multiplication is composition with
-    (f*g)(x) = f(g(x)); the identity map, when present, is the one.
+    (f*g)(x) = f(g(x)); the identity map, when present, is the one.  The
+    maps are checked (``_pack_maps``), not the tables packaged from them.
     """
 
     __slots__ = ("lattice", "maps", "hemiring", "index")
@@ -222,7 +245,8 @@ class EndoSemiring:
         self.lattice = M
         self.maps, self.index, add, mul, zero, one = _pack_maps(M.join, M.zero, maps)
         self.hemiring = FiniteHemiring(add, mul, zero=zero, one=one,
-                                       name=name or f"End({M.name or M.order})")
+                                       name=name or f"End({M.name or M.order})",
+                                       validate=False)
 
     @property
     def order(self) -> int:

@@ -162,7 +162,8 @@ class ModuleEndoSemiring:
             module.add, module.zero, maps)
         # (d_i * d_j)(x) = d_j(d_i(x)): the transpose of the composition table
         self.hemiring = FiniteHemiring(add, comp.T, zero=zero, one=one,
-                                       name=name or f"End({module.name})")
+                                       name=name or f"End({module.name})",
+                                       validate=False)
 
     @property
     def order(self) -> int:

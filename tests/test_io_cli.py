@@ -106,6 +106,35 @@ def test_cli_check_reports_failing_axioms(tmp_path, plain_hemirings_upto3):
         assert (r.returncode, r.stdout.splitlines()) == (1, want)
 
 
+SEMILATTICE_TEXT = "kind semilattice\norder 3\nzero 0\nadd\n0 1 2\n1 1 {}\n2 {} 2\n"
+
+
+def test_cli_check_reports_a_failing_semilattice(tmp_path):
+    f = tmp_path / "bad.alg"
+    f.write_text(SEMILATTICE_TEXT.format(0, 0))      # 1 v 2 = 0
+    r = run_cli("check", str(f), "--format", "structured")
+    assert (r.returncode, r.stdout.splitlines()) == (1, [
+        "kind: semilattice", "order: 3", "associative: fail (1, 1, 2)", "valid: false"])
+    r = run_cli("check", str(f))
+    assert (r.returncode, r.stdout) == (
+        1, "kind=semilattice, order=3, associative=fail (1, 1, 2), valid=false\n")
+    f.write_text(SEMILATTICE_TEXT.format(2, 2))      # the chain C3
+    r = run_cli("check", str(f), "--format", "structured")
+    assert (r.returncode, r.stdout) == (0, "kind: semilattice\norder: 3\nvalid: true\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    (SEMILATTICE_TEXT.format(3, 2), 6),                         # entry out of range
+    (SEMILATTICE_TEXT.format(2, 2).replace("2 2 2", "2 2"), 7),  # short row
+])
+def test_cli_check_rejects_a_malformed_semilattice_file(tmp_path, text, line):
+    f = tmp_path / "bad.alg"
+    f.write_text(text)
+    r = run_cli("check", str(f))
+    assert r.returncode == 2 and r.stdout == ""
+    assert f"parse error: line {line}:" in r.stderr
+
+
 def test_cli_classify_z2(tmp_path, z2):
     f = tmp_path / "z2.alg"
     write_algebra(z2, f)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hemirings import (
+    EndoSemiring,
     FiniteSemilattice,
     boolean_B,
     build_E_M,
@@ -241,3 +242,17 @@ def test_is_dense(e_c3, c3):
     assert is_dense(build_F_M(c3), c3)
     M3 = diamond_semilattice()
     assert is_dense(build_F_M(M3), M3)
+
+
+@pytest.mark.parametrize("maps, problem", [
+    ([], "no maps"),
+    ([(0, 1, 2)], "zero map"),                               # closed, no zero map
+    ([(0, 0, 0), (2, 2, 2)], r"\(2, 2, 2\) does not fix zero"),  # closed
+    ([(0, 0, 0), (0, 2, 1)], r"\(0, 2, 1\) does not preserve addition"),
+    ([(0, 0, 0), (0, 1, 1), (0, 0, 2)], "not closed"),        # misses (0, 1, 2)
+    ([(0, 0, 0), (0, 1, 3)], "out of range"),
+    ([(0, 0), (0, 1)], "length 3"),
+])
+def test_endo_semiring_rejects_bad_maps(c3, maps, problem):
+    with pytest.raises(ValueError, match=problem):
+        EndoSemiring(c3, maps)

@@ -19,7 +19,7 @@ from hemirings import (
 )
 from hemirings.core import SizeGuardExceeded, check_hemiring_axioms
 from hemirings.simpleness import ideal_violation
-from hemirings.semimodules import FiniteLeftSemimodule
+from hemirings.semimodules import FiniteLeftSemimodule, ModuleEndoSemiring
 
 
 def test_regular_module_validates(B, z3, two):
@@ -244,3 +244,13 @@ def test_zero_multiplication_minimal_ideal_has_no_idempotent(two):
     mins = minimal_left_ideals(two)
     assert [sorted(i.members) for i in mins] == [[0, 1]]
     assert idempotent_generated(two, mins[0]) is None
+
+
+def test_module_endo_semiring_rejects_bad_maps(B):
+    M = regular_semimodule(B)
+    with pytest.raises(ValueError, match="no maps"):
+        ModuleEndoSemiring(M, [])
+    with pytest.raises(ValueError, match="does not fix zero"):
+        ModuleEndoSemiring(M, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="zero map"):
+        ModuleEndoSemiring(M, [(0, 1)])
