@@ -31,7 +31,6 @@ import numpy as np
 from .core import (
     FiniteHemiring,
     InvariantViolation,
-    PartialOrder,
     SizeGuardExceeded,
     _lex_least_relabeling,
 )
@@ -337,26 +336,17 @@ def corner_congruence_to_ring(R: FiniteHemiring, c: CornerSemiring,
     return theta
 
 
-def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
-    """All isomorphism classes of semilattices with zero of the given order.
+def _natural_orders(n: int) -> np.ndarray:
+    """Every partial order on 0..n-1 with least element 0 in which x < y
+    implies x < y as integers, as an (m, n, n) boolean stack leq[r, x, y].
 
-    Enumerates naturally-labeled posets on the nonzero elements (strict
-    order compatible with indices covers every class): every strict
-    relation on the pairs i < j at once, filtered for transitivity in one
-    numpy pass.  It keeps those where all joins (the meets of the reversed
-    order) exist, and dedupes by canonical join table, all tables in one
-    batched relabeling.  Such a join table is a semilattice with zero by
-    construction and is not re-validated.
+    Every strict relation on the pairs 0 < i < j is built at once and
+    filtered for transitivity in one numpy pass; relation r holds pair u iff
+    bit u of r, the first pair most significant: the order of
+    itertools.product, which numbers the semilattice names.
     """
-    if order > SEMILATTICE_ORDER_BOUND:
-        raise SizeGuardExceeded(f"semilattice enumeration bounded at order {SEMILATTICE_ORDER_BOUND}")
-    if order < 1:
-        raise ValueError("order must be positive")
-    n = order
     k = n - 1
     i, j = np.triu_indices(k, 1)
-    # relation r holds pair u iff bit u of r, the first pair most
-    # significant: the order of itertools.product, which numbers the names
     bits = np.arange(1 << len(i))[:, None] >> np.arange(len(i))[::-1] & 1
     lt = np.zeros((len(bits), k, k), dtype=bool)
     lt[:, i, j] = bits
@@ -368,10 +358,40 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     leq[:, 0, :] = True
     leq[:, np.arange(n), np.arange(n)] = True
     leq[:, 1:, 1:] |= lt
-    joins = [PartialOrder(rel.T, validate=False).meet_table() for rel in leq]
-    joins = np.array([join for join in joins if join is not None])
+    return leq
+
+
+def _join_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of partial orders leq[r, x, z] (x <= z): which of them
+    have every binary join, and their join tables (valid where they do).
+
+    All in one numpy pass: the join of x and y exists iff some common upper
+    bound z has as its up-set exactly the common upper bounds, and such a z
+    is the common upper bound with the largest up-set.
+    """
+    upper = leq[:, :, None, :] & leq[:, None, :, :]               # [r, x, y, z]
+    cand = (upper * leq.sum(axis=2, dtype=np.int16)[:, None, None, :]).argmax(axis=3)
+    up = leq[np.arange(len(leq))[:, None, None], cand]            # up-set of cand
+    return (up == upper).all(axis=(1, 2, 3)), cand
+
+
+def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
+    """All isomorphism classes of semilattices with zero of the given order.
+
+    Enumerates naturally-labeled posets on the nonzero elements (strict
+    order compatible with indices covers every class), keeps those in
+    which all joins exist, and dedupes by canonical join table, all tables
+    in one batched relabeling.  Such a join table is a semilattice with
+    zero by construction and is not re-validated.
+    """
+    if order > SEMILATTICE_ORDER_BOUND:
+        raise SizeGuardExceeded(f"semilattice enumeration bounded at order {SEMILATTICE_ORDER_BOUND}")
+    if order < 1:
+        raise ValueError("order must be positive")
+    n = order
+    lattice, joins = _join_tables(_natural_orders(n))
     seen: dict[tuple, FiniteSemilattice] = {}
-    for key, _ in _lex_least_relabeling(joins[:, None], 0):
+    for key, _ in _lex_least_relabeling(joins[lattice][:, None], 0):
         if key not in seen:
             seen[key] = FiniteSemilattice(np.array(key, dtype=np.int32).reshape(n, n),
                                           zero=0, name=f"sl{n}_{len(seen):03d}",

@@ -12,6 +12,7 @@ from hemirings import (
     parse_algebra,
     write_algebra,
 )
+from hemirings import core
 from hemirings.io import ParseError
 
 from conftest import chain_semilattice
@@ -104,6 +105,28 @@ def test_cli_check_reports_failing_axioms(tmp_path, plain_hemirings_upto3):
                  for c in report.checks]
         want.append("valid: false")
         assert (r.returncode, r.stdout.splitlines()) == (1, want)
+
+
+def test_cli_check_large_endo_table(tmp_path, monkeypatch):
+    """An emitted E_M of order > 25, which the checker decides by its
+    reduced test, passes; with one cell changed, check prints the
+    witnesses of the scan that holds the whole cube in one slab."""
+    f = tmp_path / "c5.alg"
+    write_algebra(chain_semilattice(5), f)
+    assert run_cli("endo", str(f), "--out", str(tmp_path)).returncode == 0
+    em = tmp_path / "c5_EM.alg"
+    E = parse_algebra(em.read_text())
+    assert E.order ** 3 > core._LAW_SLAB_CELLS
+    r = run_cli("check", str(em))
+    assert r.returncode == 0 and "FAIL" not in r.stdout
+    text, mul = perturbed_text(E, E.order // 2, E.order // 3)
+    monkeypatch.setattr(core, "_LAW_SLAB_CELLS", E.order ** 3)
+    report = check_hemiring_axioms(E.add, mul, E.zero, E.one)
+    assert not report.ok
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    r = run_cli("check", str(bad))
+    assert (r.returncode, r.stdout) == (1, report.summary() + "\n")
 
 
 SEMILATTICE_TEXT = "kind semilattice\norder 3\nzero 0\nadd\n0 1 2\n1 1 {}\n2 {} 2\n"

@@ -10,12 +10,14 @@ from hemirings import (
     PartialOrder,
     all_congruences,
     all_ideals,
+    boolean_B,
     bourne_congruence,
     build_F_M,
     check_hemiring_axioms,
     double_centralizer_check,
     enumerate_hemirings,
     enumerate_semilattices,
+    finite_field,
     hom_search,
     hom_semimodules,
     integers_mod,
@@ -25,6 +27,7 @@ from hemirings import (
     is_ideal_simple,
     is_lattice_ordered,
     left_ideal_semimodule,
+    matrix_semiring,
     minimal_left_ideals,
     natural_order,
     principal_congruence,
@@ -140,6 +143,114 @@ def test_axiom_checker_accepts_catalog(plain_hemirings_upto3):
     for R in plain_hemirings_upto3:
         naive = naive_axiom_witnesses(R.add.tolist(), R.mul.tolist(), R.zero, R.one)
         assert all(w is None for _, w in naive)
+
+
+def full_scan_witnesses(add, mul, zero, one=None):
+    """The checker's (axiom, witness) list with its four three-variable laws
+    taken from the kernel's scan over every middle argument, mid = 0..n-1."""
+    add, mul = np.asarray(add, dtype=np.int32), np.asarray(mul, dtype=np.int32)
+    n = len(add)
+    mid = np.arange(n)
+    laws = {"add-associative": core._associative(add, mid),
+            "mul-associative": core._associative(mul, mid),
+            "left-distributive": core._distributive(mul, add, add, mid),
+            "right-distributive": core._distributive(mul.T, add, add, mid)}
+    return [(c.axiom, core._law_witness(laws[c.axiom], (n, n, n), mid)
+             if c.axiom in laws else c.witness)
+            for c in check_hemiring_axioms(add, mul, zero, one).checks]
+
+
+@pytest.fixture(scope="module")
+def large_hemirings(semilattices_upto5, endo_cache):
+    """Hemirings of order > 25, so that the checker takes the reduced test:
+    E_M and F_M of every order-5 semilattice, M_2(GF(3)), and E_M x B and
+    E_M x GF(2) for the order-43 E_M."""
+    out = []
+    for M in semilattices_upto5:
+        if M.order == 5:
+            E, F = endo_cache(M).hemiring, build_F_M(M).hemiring
+            out += [E] if F.order == E.order else [E, F]
+    E = next(R for R in out if R.order == 43)
+    out += [matrix_semiring(finite_field(3), 2).hemiring,
+            direct_product(E, boolean_B()), direct_product(E, finite_field(2))]
+    assert all(R.order ** 3 > core._LAW_SLAB_CELLS for R in out)
+    return out
+
+
+CUBIC_LAWS = ("add-associative", "mul-associative", "left-distributive", "right-distributive")
+
+
+def test_reduced_axiom_decision_on_large_perturbations(large_hemirings):
+    """Valid hemirings of order > 25 and changed copies of them get exactly
+    the witnesses of the scan over every middle argument.  The copies:
+    one-cell perturbations of add and of mul, and three products that
+    break a single three-variable law of an additively idempotent one:
+    s(ab) breaks mul-associativity alone, and ab = rho(a) (ab = rho(b)) with
+    rho idempotent but not additive breaks right (left) distributivity
+    alone."""
+    rng = random.Random(13)
+    failing, alone = set(), set()
+    for R in large_hemirings:
+        n, add, mul = R.order, R.add.tolist(), R.mul.tolist()
+        assert full_scan_witnesses(add, mul, R.zero, R.one) == [
+            (c.axiom, None) for c in check_hemiring_axioms(add, mul, R.zero, R.one).checks]
+        cases = [(perturbed(add, rng, k % 2 == 1), mul) for k in range(20)]
+        cases += [(add, perturbed(mul, rng)) for _ in range(20)]
+        for _ in range(3 if is_additively_idempotent(R) else 0):
+            s, j = rng.randrange(n), rng.randrange(n)
+            rho = np.where(np.arange(n) == j, j, R.zero)
+            cases += [(add, R.mul[s][R.mul].tolist()),
+                      (add, np.repeat(rho[:, None], n, axis=1).tolist()),
+                      (add, np.repeat(rho[None, :], n, axis=0).tolist())]
+        for a, m in cases:
+            report = check_hemiring_axioms(a, m, R.zero, R.one)
+            want = full_scan_witnesses(a, m, R.zero, R.one)
+            assert [(c.axiom, c.witness) for c in report.checks] == want
+            broken = {axiom for axiom, w in want if w is not None} & set(CUBIC_LAWS)
+            failing |= broken
+            if len(broken) == 1:
+                alone |= broken
+    assert failing == set(CUBIC_LAWS)
+    assert alone >= {"mul-associative", "left-distributive", "right-distributive"}
+
+
+def naive_closure(T, gens):
+    """The elements reached from ``gens`` by the table T, pair by pair."""
+    closed = set(gens)
+    while True:
+        new = {T[x][y] for x in closed for y in closed} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+def naive_irreducibles(T):
+    """The z that are no T[x][y] with x != z and y != z."""
+    reducible = {v for x, row in enumerate(T) for y, v in enumerate(row) if v not in (x, y)}
+    return set(range(len(T))) - reducible
+
+
+def test_generating_set_generates_and_holds_the_irreducibles(
+        plain_hemirings_upto3, idem_hemirings_upto4, large_hemirings):
+    # (table, whether it is a semilattice, which its irreducibles generate)
+    rng = random.Random(8)
+    tables = [(R.add.tolist(), is_additively_idempotent(R))
+              for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4)
+              + large_hemirings]
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        tables.append(([[rng.randrange(n) for _ in range(n)] for _ in range(n)], False))
+    greedy = 0
+    for T, semilattice in tables:
+        gens = core._generating_set(np.array(T, dtype=np.int32)).tolist()
+        irreducible = naive_irreducibles(T)
+        assert len(set(gens)) == len(gens)
+        assert irreducible <= set(gens)
+        assert naive_closure(T, gens) == set(range(len(T)))
+        if semilattice:
+            assert set(gens) == irreducible
+        greedy += set(gens) != irreducible
+    assert greedy >= 50
 
 
 def naive_semilattice_violation(join, zero):
@@ -384,6 +495,28 @@ def test_meet_table_against_pairwise_meet(semilattices_upto5, endo_cache):
             assert got is not None and (got == want).all()
     assert all(po.meet_table() is not None for po in lattices)
     assert without_meets >= 50
+
+
+def test_batched_join_tables_against_meet_table():
+    """The one-pass join test of the semilattice enumeration against
+    ``meet_table`` of the reversed order, on every relation it is given at
+    orders <= 6 and on seeded random posets, with and without a bottom."""
+    rng = random.Random(11)
+    stacks = [constructions._natural_orders(n) for n in range(1, 7)]
+    stacks += [random_poset(rng, n, rng.random()).leq[None]
+               for n in range(1, 8) for _ in range(30)]
+    with_joins = without = 0
+    for leq in stacks:
+        lattice, joins = constructions._join_tables(leq)
+        for rel, ok, join in zip(leq, lattice, joins):
+            want = PartialOrder(rel.T, validate=False).meet_table()
+            assert ok == (want is not None)
+            if ok:
+                with_joins += 1
+                assert (join == want).all()
+            else:
+                without += 1
+    assert with_joins >= 100 and without >= 100
 
 
 def test_lattice_ordered_against_meet_table(plain_hemirings_upto3, idem_hemirings_upto4,
