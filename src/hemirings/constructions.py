@@ -32,6 +32,7 @@ from .core import (
     FiniteHemiring,
     InvariantViolation,
     SizeGuardExceeded,
+    _LAW_SLAB_CELLS,
     _lex_least_relabeling,
 )
 from .lattices import FiniteSemilattice
@@ -193,9 +194,14 @@ def matrix_semiring(R: FiniteHemiring, n: int,
                     max_order: int = MATRIX_ORDER_BOUND) -> MatrixSemiring:
     """The matrix hemiring M_n(R) with packed tables.
 
-    Tables are computed directly from entrywise digit arithmetic over the
-    base tables.  M_n of a hemiring is a hemiring, so the result is not
-    re-validated.
+    Tables are computed from entrywise digit arithmetic over the base
+    tables, for a slab of rows x at once, with y on the innermost axis: all
+    products x_ik * y_kj of the slab in one gather, each entry's sum over k
+    as a fold of n - 1 gathers from ``R.add``, and every result packed by
+    one product with the digit weights.  A slab takes as many rows as keep
+    its products within ``_LAW_SLAB_CELLS`` cells, and at least one.  M_n
+    of a hemiring is a hemiring (so 0 + t = t starts each fold), and the
+    result is not re-validated.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -212,22 +218,19 @@ def matrix_semiring(R: FiniteHemiring, n: int,
         digits[:, c] = rem % b
         rem //= b
 
-    dtype = np.int32
-    add = np.empty((N, N), dtype=dtype)
-    mul = np.empty((N, N), dtype=dtype)
-    D3 = digits.reshape(N, n, n)
-    for x in range(N):
-        sums = R.add[digits[x][None, :], digits]          # (N, cells)
-        add[x] = (sums.astype(np.int64) * weights).sum(axis=1)
-        a = D3[x]
-        acc = np.full((N, n, n), R.zero, dtype=np.int32)
-        for i in range(n):
-            for j in range(n):
-                col = acc[:, i, j]
-                for k in range(n):
-                    col = R.add[col, R.mul[a[i, k], D3[:, k, j]]]
-                acc[:, i, j] = col
-        mul[x] = (acc.reshape(N, cells).astype(np.int64) * weights).sum(axis=1)
+    plus, times = R.add.ravel(), R.mul.ravel()     # x + y is plus[x * b + y]
+    add = np.empty((N, N), dtype=np.int32)
+    mul = np.empty((N, N), dtype=np.int32)
+    ys = np.ascontiguousarray(digits.T)            # [cell, y]
+    step = max(1, _LAW_SLAB_CELLS // (N * cells * n))
+    for s in range(0, N, step):
+        xb = digits[s:s + step] * b
+        add[s:s + step] = weights @ np.take(plus, xb[:, :, None] + ys)
+        terms = np.take(times, xb.reshape(-1, n, n, 1, 1) + ys.reshape(n, n, N))
+        acc = terms[:, :, 0]                       # [x, i, k, j, y] -> [x, i, j, y]
+        for k in range(1, n):
+            acc = np.take(plus, acc * b + terms[:, :, k])
+        mul[s:s + step] = weights @ acc.reshape(len(xb), cells, N)
 
     zero = int((np.full(cells, R.zero, dtype=np.int64) * weights).sum())
     one = None
@@ -272,18 +275,13 @@ def corner(R: FiniteHemiring, e: int) -> CornerSemiring:
     if R.mul[e, e] != e:
         raise ValueError(f"element {e} is not idempotent")
     exe = R.mul[R.mul[e], e]           # x -> e*x*e
-    members = tuple(int(v) for v in np.unique(exe))
-    pos = {m: i for i, m in enumerate(members)}
-    k = len(members)
-    add = np.empty((k, k), dtype=np.int32)
-    mul = np.empty((k, k), dtype=np.int32)
-    for i, x in enumerate(members):
-        for j, y in enumerate(members):
-            add[i, j] = pos[int(R.add[x, y])]
-            mul[i, j] = pos[int(R.mul[x, y])]
-    H = FiniteHemiring(add, mul, zero=pos[R.zero], one=pos[e],
+    members = np.unique(exe)
+    pos = np.zeros(R.order, dtype=np.int32)   # member -> corner index
+    pos[members] = np.arange(len(members))
+    block = np.ix_(members, members)
+    H = FiniteHemiring(pos[R.add[block]], pos[R.mul[block]], zero=pos[R.zero], one=pos[e],
                        name=f"corner({R.name or R.order},{e})", validate=False)
-    return CornerSemiring(R, e, members, H)
+    return CornerSemiring(R, e, tuple(members.tolist()), H)
 
 
 def is_full_idempotent(R: FiniteHemiring, e: int) -> bool:

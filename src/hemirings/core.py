@@ -13,22 +13,12 @@ the lexicographically first failing (a, b, c).  The hemiring, semilattice,
 lattice-distributivity and semimodule validators are ordered lists of such
 laws next to one-line table masks.
 
-The hemiring validator decides its four three-variable laws with the middle
-argument b of each (a, b, c) restricted to a generating set G of (S, +),
-which costs O(n^2 |G|) instead of O(n^3).  Each restriction is sound by a
-closure argument:
-
-- add-associative: Light's associativity test (Clifford & Preston, *The
-  Algebraic Theory of Semigroups* I, section 1.2): the g with
-  (x + g) + y = x + (g + y) for all x, y are closed under +, so if G holds
-  only such g, all of S does;
-- left and right distributive: once + is associative, the b with
-  a(b + c) = ab + ac for all a, c are closed under + (the right law alike);
-- mul-associative: once both distributive laws hold, the g with
-  (xg)y = x(gy) for all x, y are closed under +.
-
-Only when the reduced test finds a failure does the full scan run, so the
-witnesses are still the lexicographically first.
+The hemiring validator decides its four three-variable laws with their
+arguments restricted to a generating set G of (S, +), which costs
+O(n^2 |G|) instead of O(n^3), and scans the whole cube only when that
+reduced test fails, so the witnesses are still the lexicographically
+first; ``check_hemiring_axioms`` gives the closure arguments that make each
+restriction sound.
 """
 
 from __future__ import annotations
@@ -147,7 +137,10 @@ class AxiomReport:
 # Cells one numpy step of _law_witness touches, unless one first argument
 # alone has more: each step's arrays stay O(n^2), never n^3.  The hemiring
 # laws on E_M of order 43-120 ran equally fast with 2^12 to 2^16 cells
-# (numpy 2.4, 2-vCPU x86-64 host).
+# (numpy 2.4, 2-vCPU x86-64 host).  The slabs of rows that
+# ``lattices._pack_maps`` and ``constructions.matrix_semiring`` fill at
+# once take the same bound; of 2^14, 2^16 and 2^18 cells, 2^14 ran both
+# within 15% of their fastest.
 _LAW_SLAB_CELLS = 1 << 14
 
 
@@ -188,11 +181,16 @@ def _law_witness(sides, shape: tuple[int, int, int],
 # (same host).  A ``mid`` array restricts the middle argument b to its
 # entries, as ``_law_witness`` expects; None means every b.
 
-def _associative(T: np.ndarray, mid: np.ndarray | None = None):
-    """(ab)c = a(bc) in the table T, as sides for ``_law_witness``."""
-    ab = T if mid is None else T[:, mid]
-    bc = T if mid is None else T[mid]
-    return lambda s: (T[ab[s]], np.take(T[s], bc, axis=1))
+def _associative(T: np.ndarray, mid: np.ndarray | None = None,
+                 outer: np.ndarray | None = None):
+    """(ab)c = a(bc) in the table T, as sides for ``_law_witness``; an
+    ``outer`` array also restricts a and c to its entries, which the sides
+    then index by position."""
+    rows = T if outer is None else T[outer]       # T[a, x]
+    cols = T if outer is None else T[:, outer]    # T[x, c]
+    ab = rows if mid is None else rows[:, mid]
+    bc = cols if mid is None else cols[mid]
+    return lambda s: (cols[ab[s]], np.take(rows[s], bc, axis=1))
 
 
 def _distributive(mul: np.ndarray, inner: np.ndarray, outer: np.ndarray,
@@ -249,14 +247,33 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
     before any axiom is examined.  Each witness is the lexicographically
     first violation of its axiom.
 
-    The four three-variable laws are first decided with their middle
-    argument in an additive generating set G (``_generating_set``): by
-    Light's associativity test (Clifford & Preston I, section 1.2) and the
-    closure arguments of the module docstring, they hold on all of S iff
-    they hold there.  Only if that reduced test fails are they scanned over
-    the whole cube, which alone gives the first witnesses.  When the cube
-    fits in one ``_LAW_SLAB_CELLS`` slab (n <= 25 at the default) G is all
-    of S and the one scan is the full one.
+    The four three-variable laws are first decided with arguments in an
+    additive generating set G (``_generating_set``), in this order, each
+    restriction sound by a closure argument that rests only on
+    commutativity and the laws before it:
+
+    - add-associative, b in G: Light's associativity test (Clifford &
+      Preston, *The Algebraic Theory of Semigroups* I, section 1.2): the g
+      with (x + g) + y = x + (g + y) for all x, y are closed under +;
+    - right distributive, b in G: once + is associative, the b with
+      (b + c)a = ba + ca for all a, c are closed under +;
+    - left distributive, a and b in G when + is commutative (n |G|^2
+      instead of n^2 |G| instances), else b in G: for each a the b with
+      a(b + c) = ab + ac for all c are closed under + (associativity
+      alone), and given the right law the a for which that holds for all
+      b, c are too, since (a1 + a2)(b + c) = a1b + a1c + a2b + a2c =
+      (a1 + a2)b + (a1 + a2)c, where the middle step reorders the sum;
+    - mul-associative, a, b and c in G (|G|^3): once both distributive
+      laws hold, both sides of (ab)c = a(bc) are additive in each
+      argument, so with two arguments fixed, the third ones where it
+      holds are closed under +.
+
+    So all four hold on S iff every reduced test passes.  Only if one fails
+    are they scanned over the whole cube, which alone gives the first
+    witnesses (the reduced tests index a and c by position in G and report
+    only whether a failure exists).  When the cube fits in one
+    ``_LAW_SLAB_CELLS`` slab (n <= 25 at the default) G is all of S and the
+    one scan is the full one.
     """
     add = as_op_table(add)
     n = add.shape[0]
@@ -272,20 +289,26 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
 
     idx = np.arange(n)
     cube = (n, n, n)
+    commutative = _first(add != add.T)
 
-    def laws(mid):    # the four three-variable laws, middle argument in mid
-        return (_associative(add, mid), _associative(mul, mid),
-                _distributive(mul, add, add, mid), _distributive(mul.T, add, add, mid))
+    def reduced_hold(G):    # the four laws, decided with arguments in G
+        g = len(G)
+        left = ((_distributive(mul[G], add, add, G), (g, n, n)) if commutative is None
+                else (_distributive(mul, add, add, G), cube))
+        tests = [(_associative(add, G), cube), (_distributive(mul.T, add, add, G), cube),
+                 left, (_associative(mul, G, G), (g, n, g))]
+        return all(_law_witness(sides, shape, G) is None for sides, shape in tests)
 
     gens = None if n ** 3 <= _LAW_SLAB_CELLS else _generating_set(add)
-    if gens is not None and all(_law_witness(sides, cube, gens) is None
-                                for sides in laws(gens)):
+    if gens is not None and reduced_hold(gens):
         witnesses = (None,) * 4
     else:
-        witnesses = tuple(_law_witness(sides, cube) for sides in laws(None))
+        witnesses = tuple(_law_witness(sides, cube) for sides in (
+            _associative(add), _associative(mul),
+            _distributive(mul, add, add), _distributive(mul.T, add, add)))
     add_assoc, mul_assoc, left, right = witnesses
     checks = [
-        ("add-commutative", _first(add != add.T)),
+        ("add-commutative", commutative),
         ("add-associative", add_assoc),
         ("zero-neutral", at(zero, add[zero] != idx)),
         ("mul-associative", mul_assoc),

@@ -16,6 +16,7 @@ from .core import (
     FiniteHemiring,
     InvariantViolation,
     PartialOrder,
+    _LAW_SLAB_CELLS,
     _associative,
     _distributive,
     _first,
@@ -199,6 +200,13 @@ def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
     zero map.  Such a set is a hemiring under pointwise sum and
     composition, so the tables need no axiom scan.  A set failing a check
     raises ``ValueError`` naming it.
+
+    Each map gets an exact int64 code that increases with its lexicographic
+    order: its images as base-n digits, read in chunks of w digits, each
+    chunk appended to the rank of the code of the digits before it among
+    the maps' codes (one chunk, no rank, whenever k * n^n fits).  Both
+    tables are filled slab by slab of rows, each table of a slab by one
+    gather of its result maps and one ``searchsorted`` of their codes.
     """
     maps = sorted(set(maps))
     if not maps:
@@ -214,16 +222,42 @@ def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
     if bad is not None:
         f, x, y = bad
         raise ValueError(f"map {maps[f]} does not preserve addition at ({x}, {y})")
-    index = {f: i for i, f in enumerate(maps)}
     k = len(maps)
+    w = 1
+    while w < n and k * n ** (w + 1) < 1 << 63:
+        w += 1
+    ranks: list[np.ndarray] = []      # the maps' distinct codes at each chunk end
+
+    def encode(rows):                 # (codes, whether each prefix was found)
+        code = np.zeros(rows.shape[:-1], dtype=np.int64)
+        found = np.ones(code.shape, dtype=bool)
+        for c, s in enumerate(range(0, n, w)):
+            if s:
+                if len(ranks) < c:        # encoding the sorted maps themselves
+                    ranks.append(code[np.r_[True, code[1:] != code[:-1]]])
+                key = ranks[c - 1]
+                rank = np.minimum(np.searchsorted(key, code), len(key) - 1)
+                found &= key[rank] == code
+                code = rank
+            for x in range(s, min(s + w, n)):
+                code *= n
+                code += rows[..., x]
+        return code, found
+
+    codes, _ = encode(arr)
     sums = np.empty((k, k), dtype=np.int32)
     comp = np.empty((k, k), dtype=np.int32)
-    try:
-        for i, f in enumerate(arr):
-            sums[i] = [index[g] for g in map(tuple, add[f, arr].tolist())]  # f(x) + g(x)
-            comp[i] = [index[g] for g in map(tuple, f[arr].tolist())]       # f(g(x))
-    except KeyError:
-        raise ValueError("carrier is not closed under join/composition") from None
+    step = max(1, _LAW_SLAB_CELLS // (k * n))
+    for s in range(0, k, step):
+        f = arr[s:s + step]
+        for table, rows in ((sums, add[f[:, None, :], arr]),   # f(x) + g(x)
+                            (comp, f[:, arr])):                 # f(g(x))
+            code, found = encode(rows)
+            at = np.minimum(np.searchsorted(codes, code), k - 1)
+            if not (found & (codes[at] == code)).all():
+                raise ValueError("carrier is not closed under join/composition")
+            table[s:s + step] = at
+    index = {f: i for i, f in enumerate(maps)}
     zero_map = index.get((zero,) * n)
     if zero_map is None:
         raise ValueError("maps do not include the zero map")

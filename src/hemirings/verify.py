@@ -343,6 +343,15 @@ def suite_prop5_5(max_order: int) -> list[InstanceRecord]:
     return records
 
 
+@lru_cache(maxsize=1)    # prop5_3 visits the idempotents of one R in a row
+def _ring_side(R: FiniteHemiring) -> tuple[set, set, bool, bool]:
+    """R's two-sided ideals and congruences and its ideal- and
+    congruence-simpleness, which the corner of every full idempotent of R
+    is compared with."""
+    return (set(all_ideals(R, "two-sided")), set(all_congruences(R)),
+            is_ideal_simple(R), is_congruence_simple(R))
+
+
 def _corner_correspondence(R: FiniteHemiring, e: int) -> tuple[bool, list[tuple[str, str]]]:
     c = corner(R, e)
     full = is_full_idempotent(R, e)
@@ -361,12 +370,11 @@ def _corner_correspondence(R: FiniteHemiring, e: int) -> tuple[bool, list[tuple[
               ("corner-ideals", str(len(ideals_c))),
               ("corner-congruences", str(len(congs_c)))]
     if full:
-        ideals_r = set(all_ideals(R, "two-sided"))
-        congs_r = set(all_congruences(R))
+        ideals_r, congs_r, ideal_simple, congruence_simple = _ring_side(R)
         surj_i = lifted_ideals == ideals_r
         surj_c = lifted_congs == congs_r
-        transfer = (is_ideal_simple(R) == is_ideal_simple(c.hemiring)
-                    and is_congruence_simple(R) == is_congruence_simple(c.hemiring))
+        transfer = (ideal_simple == is_ideal_simple(c.hemiring)
+                    and congruence_simple == is_congruence_simple(c.hemiring))
         ok = surj_i and surj_c and transfer
         fields += [("ideal-bijection", _b(surj_i)),
                    ("congruence-bijection", _b(surj_c)),

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from hemirings import (
+    FiniteSemilattice,
     PartialOrder,
     all_congruences,
     all_ideals,
     boolean_B,
     bourne_congruence,
+    build_E_M,
     build_F_M,
     check_hemiring_axioms,
+    corner,
     double_centralizer_check,
     enumerate_hemirings,
     enumerate_semilattices,
@@ -26,6 +29,7 @@ from hemirings import (
     is_distributive,
     is_ideal_simple,
     is_lattice_ordered,
+    is_simple,
     left_ideal_semimodule,
     matrix_semiring,
     minimal_left_ideals,
@@ -36,9 +40,11 @@ from hemirings import (
     try_lattice,
 )
 from hemirings import constructions, core
+from hemirings.constructions import HEMIRING_IDEMPOTENT_BOUND, SEMILATTICE_ORDER_BOUND
 from hemirings.core import _lex_least_relabeling, _map_search, canonical_form
-from hemirings.lattices import semilattice_violation
+from hemirings.lattices import _pack_maps, endo_enumerate, semilattice_violation
 from hemirings.simpleness import Congruence, _merge
+from hemirings.verify import _catalog_semirings
 
 from conftest import direct_product, naive_lex_least, relabeled
 
@@ -180,22 +186,61 @@ def large_hemirings(semilattices_upto5, endo_cache):
 CUBIC_LAWS = ("add-associative", "mul-associative", "left-distributive", "right-distributive")
 
 
+def left_regular_band(letters):
+    """The words over ``letters`` without a repeated letter, shortest
+    first, as (add, mul): x + y is x followed by the letters of y not in
+    x (the free left regular band, with the empty word as zero), and x * y
+    keeps the letters of x that occur in y.  + is associative but not
+    commutative, * is associative and right distributive, and left
+    distributivity holds whenever a and b are the empty word or a letter
+    (the additive generators) but fails at a = "ab", b = "b", c = "a"."""
+    words = ["".join(w) for k in range(len(letters) + 1)
+             for w in itertools.permutations(letters, k)]
+    index = {w: i for i, w in enumerate(words)}
+    add = [[index[x + "".join(ch for ch in y if ch not in x)] for y in words] for x in words]
+    mul = [[index["".join(ch for ch in x if ch in y)] for y in words] for x in words]
+    return add, mul
+
+
+def fails_with_arguments_in(mul, add, gens):
+    """Whether left distributivity fails with a and b in ``gens``, and
+    whether mul-associativity fails with a, b and c in it."""
+    mul, add, g = np.asarray(mul), np.asarray(add), np.asarray(gens)
+    mg = mul[g]
+    left = mg[:, add[g]] != add[mg[:, g, None], mg[:, None, :]]
+    ab = mg[:, g]
+    assoc = mul[ab][:, :, g] != mg[:, ab]
+    return bool(left.any()), bool(assoc.any())
+
+
 def test_reduced_axiom_decision_on_large_perturbations(large_hemirings):
     """Valid hemirings of order > 25 and changed copies of them get exactly
     the witnesses of the scan over every middle argument.  The copies:
-    one-cell perturbations of add and of mul, and three products that
-    break a single three-variable law of an additively idempotent one:
-    s(ab) breaks mul-associativity alone, and ab = rho(a) (ab = rho(b)) with
-    rho idempotent but not additive breaks right (left) distributivity
-    alone."""
+    one-cell perturbations of add and of mul; mul cells (x, y) with x and
+    y outside the additive generating set G, which break left
+    distributivity only at first arguments outside G and mul-associativity
+    only outside G^3; and three products that break a single
+    three-variable law of an additively idempotent one: s(ab) breaks
+    mul-associativity alone, and ab = rho(a) (ab = rho(b)) with rho
+    idempotent but not additive breaks right (left) distributivity alone.
+    Last, the non-commutative + of ``left_regular_band``, over which left
+    distributivity holds on G^2 but not everywhere."""
     rng = random.Random(13)
-    failing, alone = set(), set()
+    failing, alone, outside_only = set(), set(), set()
     for R in large_hemirings:
         n, add, mul = R.order, R.add.tolist(), R.mul.tolist()
         assert full_scan_witnesses(add, mul, R.zero, R.one) == [
             (c.axiom, None) for c in check_hemiring_axioms(add, mul, R.zero, R.one).checks]
         cases = [(perturbed(add, rng, k % 2 == 1), mul) for k in range(20)]
         cases += [(add, perturbed(mul, rng)) for _ in range(20)]
+        gens = core._generating_set(R.add)
+        outside = sorted(set(range(n)) - set(gens.tolist()))
+        for _ in range(3):
+            m = [list(row) for row in mul]
+            x, y = rng.choice(outside), rng.choice(outside)
+            m[x][y] = rng.choice([v for v in range(n) if v != m[x][y]])
+            assert fails_with_arguments_in(m, add, gens) == (False, False)
+            cases.append((add, m))
         for _ in range(3 if is_additively_idempotent(R) else 0):
             s, j = rng.randrange(n), rng.randrange(n)
             rho = np.where(np.arange(n) == j, j, R.zero)
@@ -210,8 +255,25 @@ def test_reduced_axiom_decision_on_large_perturbations(large_hemirings):
             failing |= broken
             if len(broken) == 1:
                 alone |= broken
+            if a is add:    # G is that of R
+                left, assoc = fails_with_arguments_in(m, a, gens)
+                if "left-distributive" in broken and not left:
+                    outside_only.add("left-distributive")
+                if "mul-associative" in broken and not assoc:
+                    outside_only.add("mul-associative")
     assert failing == set(CUBIC_LAWS)
     assert alone >= {"mul-associative", "left-distributive", "right-distributive"}
+    assert outside_only == {"left-distributive", "mul-associative"}
+
+    add, mul = left_regular_band("abcd")
+    n = len(add)
+    assert n ** 3 > core._LAW_SLAB_CELLS
+    assert core._generating_set(np.array(add)).tolist() == [0, 1, 2, 3, 4]
+    assert fails_with_arguments_in(mul, add, [0, 1, 2, 3, 4]) == (False, False)
+    want = full_scan_witnesses(add, mul, 0)
+    assert [axiom for axiom, w in want if w is not None] == [
+        "add-commutative", "left-distributive"]
+    assert [(c.axiom, c.witness) for c in check_hemiring_axioms(add, mul, 0).checks] == want
 
 
 def naive_closure(T, gens):
@@ -769,3 +831,169 @@ def test_semimodule_searches_against_brute_force(B, m2b, e_c3):
                      and all(g[d[i]] == d[g[i]] for d in D for i in range(n))]
             rep = double_centralizer_check(R, I)
             assert (rep.endo_count, rep.bicommutant_count) == (len(D), len(bicom))
+
+
+# ------------------------------------------------- construction kernels
+
+def naive_pack_maps(add, zero, maps):
+    """Loop reference for ``lattices._pack_maps``: one dict lookup per
+    table cell, the same checks in the same order."""
+    maps = sorted(set(maps))
+    if not maps:
+        raise ValueError("no maps to package")
+    n = add.shape[0]
+    arr = core._index_array(np.array(maps), n, "map")
+    if arr.shape != (len(maps), n):
+        raise ValueError(f"maps must have length {n}")
+    bad = core._first(arr[:, zero] != zero)
+    if bad is not None:
+        raise ValueError(f"map {maps[bad[0]]} does not fix zero {zero}")
+    bad = core._first(arr[:, add] != add[arr[:, :, None], arr[:, None, :]])
+    if bad is not None:
+        f, x, y = bad
+        raise ValueError(f"map {maps[f]} does not preserve addition at ({x}, {y})")
+    index = {f: i for i, f in enumerate(maps)}
+    k = len(maps)
+    sums = np.empty((k, k), dtype=np.int32)
+    comp = np.empty((k, k), dtype=np.int32)
+    try:
+        for i, f in enumerate(arr):
+            sums[i] = [index[g] for g in map(tuple, add[f, arr].tolist())]  # f(x) + g(x)
+            comp[i] = [index[g] for g in map(tuple, f[arr].tolist())]       # f(g(x))
+    except KeyError:
+        raise ValueError("carrier is not closed under join/composition") from None
+    zero_map = index.get((zero,) * n)
+    if zero_map is None:
+        raise ValueError("maps do not include the zero map")
+    return maps, index, sums, comp, zero_map, index.get(tuple(range(n)))
+
+
+def naive_matrix_tables(R, n):
+    """Loop reference for ``matrix_semiring``: (add, mul, zero, one), one
+    row x at a time, each entry summed k by k from the base zero."""
+    b, cells = R.order, n * n
+    N = b ** cells
+    weights = b ** np.arange(cells, dtype=np.int64)
+    digits = np.array([[x // b ** c % b for c in range(cells)] for x in range(N)],
+                      dtype=np.int32)
+    D3 = digits.reshape(N, n, n)
+    add = np.empty((N, N), dtype=np.int32)
+    mul = np.empty((N, N), dtype=np.int32)
+    for x in range(N):
+        add[x] = R.add[digits[x][None, :], digits].astype(np.int64) @ weights
+        a = D3[x]
+        acc = np.full((N, n, n), R.zero, dtype=np.int32)
+        for i in range(n):
+            for j in range(n):
+                col = acc[:, i, j]
+                for k in range(n):
+                    col = R.add[col, R.mul[a[i, k], D3[:, k, j]]]
+                acc[:, i, j] = col
+        mul[x] = acc.reshape(N, cells).astype(np.int64) @ weights
+    zero = int(R.zero * weights.sum())
+    one = None if R.one is None else int(
+        (np.where(np.eye(n, dtype=bool), R.one, R.zero).ravel() * weights).sum())
+    return add, mul, zero, one
+
+
+def naive_corner_tables(R, e):
+    """Loop reference for ``corner``: (members, add, mul, zero, one) of eRe,
+    one dict lookup per cell."""
+    members = tuple(sorted({int(R.mul[R.mul[e, x], e]) for x in range(R.order)}))
+    pos = {m: i for i, m in enumerate(members)}
+    add = [[pos[int(R.add[x, y])] for y in members] for x in members]
+    mul = [[pos[int(R.mul[x, y])] for y in members] for x in members]
+    return members, add, mul, pos[R.zero], pos[e]
+
+
+def assert_same_packing(add, zero, maps):
+    want, got = naive_pack_maps(add, zero, maps), _pack_maps(add, zero, maps)
+    assert want[0] == got[0] and want[1] == got[1] and want[4:] == got[4:]
+    assert np.array_equal(want[2], got[2]) and np.array_equal(want[3], got[3])
+
+
+def packing_outcome(add, zero, maps):
+    try:
+        naive_pack_maps(add, zero, maps)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_pack_maps_against_loop_reference(B, m2b):
+    # E_M and F_M of every semilattice of order <= 6
+    for n in range(1, SEMILATTICE_ORDER_BOUND + 1):
+        for M in enumerate_semilattices(n):
+            assert_same_packing(M.join, M.zero, endo_enumerate(M))
+            assert_same_packing(M.join, M.zero, build_F_M(M).maps)
+    # the modules whose endomorphisms the double centralizer suite packs
+    rings = [R for R in _catalog_semirings(HEMIRING_IDEMPOTENT_BOUND) if is_simple(R)]
+    rings += [m2b.hemiring, build_E_M(FiniteSemilattice(
+        [[0, 1, 2], [1, 1, 2], [2, 2, 2]])).hemiring]
+    modules = [left_ideal_semimodule(R, I) for R in rings for I in minimal_left_ideals(R)]
+    assert len(modules) == 8
+    # an order-16 module: base-16 codes of 16 images overflow int64, so the
+    # packer's codes take two chunks
+    big = regular_semimodule(m2b.hemiring)
+    assert big.order ** big.order >= 2 ** 63
+    for M in modules + [big]:
+        assert_same_packing(M.add, M.zero, hom_semimodules(M, M))
+    # the same errors on bad sets, also through the two-chunk codes
+    maps = hom_semimodules(big, big)
+    rng = random.Random(14)
+    bad_sets = [maps[:i] + maps[i + 1:] for i in rng.sample(range(len(maps)), 6)]
+    bad_sets += [maps + [tuple(rng.randrange(big.order) for _ in range(big.order))]]
+    outcomes = [packing_outcome(big.add, big.zero, s) for s in bad_sets]
+    assert "carrier is not closed under join/composition" in outcomes
+    for s, outcome in zip(bad_sets, outcomes):
+        if outcome is None:
+            assert_same_packing(big.add, big.zero, s)
+        else:
+            with pytest.raises(ValueError) as exc:
+                _pack_maps(big.add, big.zero, s)
+            assert str(exc.value) == outcome
+
+
+@pytest.mark.parametrize("maps", [
+    [], [(0, 1, 2)], [(0, 0, 0), (2, 2, 2)], [(0, 0, 0), (0, 2, 1)],
+    [(0, 0, 0), (0, 1, 1), (0, 0, 2)], [(0, 0, 0), (0, 1, 3)], [(0, 0), (0, 1)],
+])
+def test_pack_maps_rejects_bad_maps_like_loop_reference(c3, maps):
+    want = packing_outcome(c3.join, c3.zero, maps)
+    assert want is not None
+    with pytest.raises(ValueError) as exc:
+        _pack_maps(c3.join, c3.zero, maps)
+    assert str(exc.value) == want
+
+
+def test_matrix_semiring_and_corners_against_loop_reference(plain_hemirings_upto3,
+                                                            idem_hemirings_upto4):
+    """M_n(R) for every catalog base R with |R|^(n^2) <= 512, and the corner
+    at every idempotent of each M_2(R).  The order-4 idempotent catalog
+    (129 bases, about 9 s through the loop references) is sampled."""
+    rng = random.Random(12)
+    order4 = [R for R in idem_hemirings_upto4 if R.order == 4]
+    bases = {}    # the catalogs share their canonical tables
+    for R in (plain_hemirings_upto3 + [R for R in idem_hemirings_upto4 if R.order < 4]
+              + rng.sample(order4, 8)):
+        bases.setdefault((R.add.tobytes(), R.mul.tobytes(), R.one), R)
+    corners = 0
+    for R in bases.values():
+        for n in (1, 2, 3):
+            if R.order ** (n * n) > 512:
+                continue
+            M = matrix_semiring(R, n)
+            H = M.hemiring
+            add, mul, zero, one = naive_matrix_tables(R, n)
+            assert np.array_equal(H.add, add) and np.array_equal(H.mul, mul)
+            assert (H.zero, H.one) == (zero, one)
+            if n != 2:
+                continue
+            for e in H.idempotents():
+                c = corner(H, e)
+                members, cadd, cmul, czero, cone = naive_corner_tables(H, e)
+                assert c.members == members
+                assert c.hemiring.add.tolist() == cadd and c.hemiring.mul.tolist() == cmul
+                assert (c.hemiring.zero, c.hemiring.one) == (czero, cone)
+                corners += 1
+    assert corners > 500
