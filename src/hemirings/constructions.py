@@ -195,12 +195,8 @@ def matrix_semiring(R: FiniteHemiring, n: int,
     """The matrix hemiring M_n(R) with packed tables.
 
     Tables are computed from entrywise digit arithmetic over the base
-    tables, for a slab of rows x at once, with y on the innermost axis: all
-    products x_ik * y_kj of the slab in one gather, each entry's sum over k
-    as a fold of n - 1 gathers from ``R.add``, and every result packed by
-    one product with the digit weights.  A slab takes as many rows as keep
-    its products within ``_LAW_SLAB_CELLS`` cells, and at least one.  M_n
-    of a hemiring is a hemiring (so 0 + t = t starts each fold), and the
+    tables, for as many rows x at once as keep their products within
+    ``_LAW_SLAB_CELLS`` cells.  M_n of a hemiring is a hemiring, so the
     result is not re-validated.
     """
     if n < 1:

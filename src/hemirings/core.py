@@ -137,10 +137,8 @@ class AxiomReport:
 # Cells one numpy step of _law_witness touches, unless one first argument
 # alone has more: each step's arrays stay O(n^2), never n^3.  The hemiring
 # laws on E_M of order 43-120 ran equally fast with 2^12 to 2^16 cells
-# (numpy 2.4, 2-vCPU x86-64 host).  The slabs of rows that
-# ``lattices._pack_maps`` and ``constructions.matrix_semiring`` fill at
-# once take the same bound; of 2^14, 2^16 and 2^18 cells, 2^14 ran both
-# within 15% of their fastest.
+# (numpy 2.4, 2-vCPU x86-64 host), as did the row slabs of ``_pack_maps``
+# and ``matrix_semiring`` within 15% at 2^14 to 2^18.
 _LAW_SLAB_CELLS = 1 << 14
 
 
@@ -257,23 +255,21 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
       with (x + g) + y = x + (g + y) for all x, y are closed under +;
     - right distributive, b in G: once + is associative, the b with
       (b + c)a = ba + ca for all a, c are closed under +;
-    - left distributive, a and b in G when + is commutative (n |G|^2
-      instead of n^2 |G| instances), else b in G: for each a the b with
-      a(b + c) = ab + ac for all c are closed under + (associativity
-      alone), and given the right law the a for which that holds for all
-      b, c are too, since (a1 + a2)(b + c) = a1b + a1c + a2b + a2c =
-      (a1 + a2)b + (a1 + a2)c, where the middle step reorders the sum;
+    - left distributive, a and b in G (n |G|^2 instead of n^2 |G|
+      instances): for each a the b with a(b + c) = ab + ac for all c are
+      closed under + (associativity alone), and given the right law the a
+      for which that holds for all b, c are too, since (a1 + a2)(b + c) =
+      a1b + a1c + a2b + a2c = (a1 + a2)b + (a1 + a2)c, where the middle
+      step reorders the sum;
     - mul-associative, a, b and c in G (|G|^3): once both distributive
       laws hold, both sides of (ab)c = a(bc) are additive in each
       argument, so with two arguments fixed, the third ones where it
       holds are closed under +.
 
-    So all four hold on S iff every reduced test passes.  Only if one fails
-    are they scanned over the whole cube, which alone gives the first
-    witnesses (the reduced tests index a and c by position in G and report
-    only whether a failure exists).  When the cube fits in one
-    ``_LAW_SLAB_CELLS`` slab (n <= 25 at the default) G is all of S and the
-    one scan is the full one.
+    So all four hold on S iff every reduced test passes.  If + is not
+    commutative, the cube fits in one ``_LAW_SLAB_CELLS`` slab (n <= 25 at
+    the default) or a reduced test fails, the laws are scanned over the
+    whole cube, which alone gives the first witnesses.
     """
     add = as_op_table(add)
     n = add.shape[0]
@@ -293,14 +289,12 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
 
     def reduced_hold(G):    # the four laws, decided with arguments in G
         g = len(G)
-        left = ((_distributive(mul[G], add, add, G), (g, n, n)) if commutative is None
-                else (_distributive(mul, add, add, G), cube))
         tests = [(_associative(add, G), cube), (_distributive(mul.T, add, add, G), cube),
-                 left, (_associative(mul, G, G), (g, n, g))]
+                 (_distributive(mul[G], add, add, G), (g, n, n)),
+                 (_associative(mul, G, G), (g, g, g))]
         return all(_law_witness(sides, shape, G) is None for sides, shape in tests)
 
-    gens = None if n ** 3 <= _LAW_SLAB_CELLS else _generating_set(add)
-    if gens is not None and reduced_hold(gens):
+    if commutative is None and n ** 3 > _LAW_SLAB_CELLS and reduced_hold(_generating_set(add)):
         witnesses = (None,) * 4
     else:
         witnesses = tuple(_law_witness(sides, cube) for sides in (

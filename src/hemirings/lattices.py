@@ -201,12 +201,10 @@ def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
     composition, so the tables need no axiom scan.  A set failing a check
     raises ``ValueError`` naming it.
 
-    Each map gets an exact int64 code that increases with its lexicographic
-    order: its images as base-n digits, read in chunks of w digits, each
-    chunk appended to the rank of the code of the digits before it among
-    the maps' codes (one chunk, no rank, whenever k * n^n fits).  Both
-    tables are filled slab by slab of rows, each table of a slab by one
-    gather of its result maps and one ``searchsorted`` of their codes.
+    Each map gets an exact int64 code in lexicographic order: its images as
+    base-n digits in chunks of w, each chunk after the rank of the digits
+    before it among the maps (one chunk whenever k * n^n fits).  A slab of
+    table rows is one gather and one ``searchsorted`` of the codes.
     """
     maps = sorted(set(maps))
     if not maps:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 
 from .core import (
     FiniteHemiring,
@@ -343,7 +343,6 @@ def suite_prop5_5(max_order: int) -> list[InstanceRecord]:
     return records
 
 
-@lru_cache(maxsize=1)    # prop5_3 visits the idempotents of one R in a row
 def _ring_side(R: FiniteHemiring) -> tuple[set, set, bool, bool]:
     """R's two-sided ideals and congruences and its ideal- and
     congruence-simpleness, which the corner of every full idempotent of R
@@ -352,7 +351,8 @@ def _ring_side(R: FiniteHemiring) -> tuple[set, set, bool, bool]:
             is_ideal_simple(R), is_congruence_simple(R))
 
 
-def _corner_correspondence(R: FiniteHemiring, e: int) -> tuple[bool, list[tuple[str, str]]]:
+def _corner_correspondence(R: FiniteHemiring, e: int, ring_side: Callable[[], tuple]
+                           ) -> tuple[bool, list[tuple[str, str]]]:
     c = corner(R, e)
     full = is_full_idempotent(R, e)
     ideals_c = all_ideals(c.hemiring, "two-sided")
@@ -370,7 +370,7 @@ def _corner_correspondence(R: FiniteHemiring, e: int) -> tuple[bool, list[tuple[
               ("corner-ideals", str(len(ideals_c))),
               ("corner-congruences", str(len(congs_c)))]
     if full:
-        ideals_r, congs_r, ideal_simple, congruence_simple = _ring_side(R)
+        ideals_r, congs_r, ideal_simple, congruence_simple = ring_side()
         surj_i = lifted_ideals == ideals_r
         surj_c = lifted_congs == congs_r
         transfer = (ideal_simple == is_ideal_simple(c.hemiring)
@@ -387,9 +387,10 @@ def suite_prop5_3(max_order: int) -> list[InstanceRecord]:
     and of M_2(B); bijective (and simpleness-preserving) for full ones."""
     records = []
     for R in _catalog_semirings(max_order) + [_boolean_matrices(2)]:
+        ring_side = cache(partial(_ring_side, R))   # at R's first full idempotent
         for e in R.idempotents():
             try:
-                ok, fields = _corner_correspondence(R, e)
+                ok, fields = _corner_correspondence(R, e, ring_side)
             except InvariantViolation as exc:
                 ok, fields = False, [("error", str(exc))]
             if not ok:
