@@ -379,7 +379,8 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     zero by construction and is not re-validated.
     """
     if order > SEMILATTICE_ORDER_BOUND:
-        raise SizeGuardExceeded(f"semilattice enumeration bounded at order {SEMILATTICE_ORDER_BOUND}")
+        raise SizeGuardExceeded(f"semilattice enumeration is bounded at order "
+                                 f"{SEMILATTICE_ORDER_BOUND}; asked for {order}")
     if order < 1:
         raise ValueError("order must be positive")
     n = order
@@ -519,7 +520,8 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
     bound = HEMIRING_IDEMPOTENT_BOUND if additively_idempotent else HEMIRING_ORDER_BOUND
     if order > bound:
         kind = "additively idempotent " if additively_idempotent else ""
-        raise SizeGuardExceeded(f"{kind}hemiring enumeration bounded at order {bound}")
+        raise SizeGuardExceeded(f"{kind}hemiring enumeration is bounded at order {bound}; "
+                                 f"asked for {order}")
     if order < 1:
         raise ValueError("order must be positive")
     cells = order * order

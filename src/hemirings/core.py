@@ -23,6 +23,7 @@ restriction sound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -763,6 +764,20 @@ def _permutations(m: int) -> np.ndarray:
     return P
 
 
+@functools.cache
+def _zero_first_relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, p) for the relabelings of 0..n-1 that fix 0, in the order of
+    ``_permutations(n - 1)``: q[k, i] is the element relabeling k puts at i,
+    p[k, x] the label it gives x.  Built on first use, once per order, and
+    read-only, since every call shares them."""
+    rest = _permutations(n - 1)
+    q = np.concatenate((np.zeros((len(rest), 1), dtype=np.int8), rest + 1), axis=1)
+    p = np.empty_like(q)
+    p[np.arange(len(q))[:, None], q] = np.arange(n, dtype=np.int8)
+    q.flags.writeable = p.flags.writeable = False
+    return q, p
+
+
 def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """For each tuple of same-order tables in ``stack``, in order, the
     lexicographically least concatenation of the relabelled tables over all
@@ -772,31 +787,44 @@ def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], l
     The concatenation is decided one table row at a time over the
     (tuple, relabeling) pairs still tied on every earlier row, a row read
     as one base-n number, so no relabelled table is built except the
-    winners'.  The permutations are built once per call, for the whole
-    stack, and the tied pairs are scanned in slabs of bounded size.
+    winners'.  While more pairs are tied than fit in one slab, a row is
+    decided one cell at a time instead, which keeps the same pairs: on
+    catalog products cell (1, 1) of + alone cuts most ties.  Zero's row
+    (column) of a table reads 0..n-1 or all zeros under every relabeling
+    when it is neutral (``T[zero, x] == x``) or absorbing
+    (``T[zero, x] == zero``) in every tuple, as in every addition, join and
+    hemiring multiplication; such a row is skipped, and such a column's
+    cells filter nothing.  The stack is renamed so that zero is 0, and the
+    relabelings fixing 0 come from ``_zero_first_relabelings``, built once
+    per order.  Tied pairs are scanned in slabs of bounded size.
     """
+    # int8 keeps the tables and the (n-1)! x n relabelings small; the
+    # factorial cost keeps n far below 128
     S = np.asarray(stack, dtype=np.int8)          # [tuple, table, x, y]
     nb, nt, n = S.shape[:3]
-    # q[k, i]: the element relabeling k puts at i; p[k, x]: the label it gives
-    # x.  int8 keeps these (n-1)! x n arrays small; the factorial cost keeps n
-    # far below 128.
-    # zero first, then the permutations of 0..n-2 with the values >= zero
-    # shifted up: those of the other elements, in the same order
-    rest = _permutations(n - 1)
-    q = np.concatenate((np.full((len(rest), 1), zero, dtype=np.int8), rest + (rest >= zero)),
-                       axis=1)
-    p = np.empty_like(q)
-    perm_ids = np.arange(len(q))
-    for i in range(n):
-        p[perm_ids, q[:, i]] = i
+    # rename zero to 0 and the other elements, in order, to 1..n-1, so that
+    # the relabelings are those fixing 0, in the same order; rename[x] is
+    # x's new name
+    back = np.array([zero] + [x for x in range(n) if x != zero])
+    rename = np.argsort(back).astype(np.int8)
+    S = rename[S[:, :, back[:, None], back]]
+    q, p = _zero_first_relabelings(n)
 
     # the tied pairs (b[t], k[t]), tuple-major; starts[g]: the first of tuple g
     tuples = np.arange(nb)
     b = np.repeat(tuples, len(q))
-    k = np.tile(perm_ids, nb)
+    k = np.tile(np.arange(len(q)), nb)
     starts = np.arange(0, len(b), len(q))
     weights = n ** np.arange(n - 1, -1, -1)
     step = max(1, _RELABEL_SLAB_CELLS // n)
+    # zero's row (column) is neutral or absorbing in every tuple
+    ids = np.arange(n)
+    fixed_row, fixed_col = (((lines == ids).all(axis=2) | (lines == 0).all(axis=2)).all(axis=0)
+                            for lines in (S[:, :, 0], S[:, :, :, 0]))
+
+    # flat views: cell (b, T, x, y) of the stack at ((b * nt + T) * n + x) * n + y,
+    # p[k, x] at k * n + x; ``take`` on them is the fastest gather
+    S_flat, p_flat = S.reshape(-1), p.reshape(-1)
 
     def row_keys(T: int, i: int) -> np.ndarray:
         """Row i of table T under each tied pair's relabeling, read as one
@@ -804,19 +832,36 @@ def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], l
         keys = []
         for s in range(0, len(b), step):
             ks = k[s:s + step]
-            qs = q[ks]
-            rows = S[b[s:s + step, None], T, qs[:, i, None], qs]
-            keys.append(p[ks[:, None], rows] @ weights)
+            qs = q.take(ks, axis=0)
+            at = ((b[s:s + step] * nt + T) * n + qs[:, i]) * n
+            rows = S_flat.take(at[:, None] + qs)
+            keys.append(p_flat.take((ks * n)[:, None] + rows) @ weights)
         return np.concatenate(keys)
+
+    def cell_values(T: int, i: int, j: int) -> np.ndarray:
+        """Cell (i, j) of table T under each tied pair's relabeling."""
+        at = ((b * nt + T) * n + q[:, i].take(k)) * n + q[:, j].take(k)
+        return p_flat.take(k * n + S_flat.take(at))
+
+    def keep_least(values: np.ndarray) -> None:
+        """Keep the tied pairs whose value is least within their tuple."""
+        nonlocal b, k, starts
+        keep = values == np.minimum.reduceat(values, starts)[b]
+        if not keep.all():
+            b, k = b[keep], k[keep]
+            starts = np.searchsorted(b, tuples)
 
     for T, i in itertools.product(range(nt), range(n)):
         if len(b) == nb:
             break
-        row = row_keys(T, i)
-        keep = row == np.minimum.reduceat(row, starts)[b]
-        if not keep.all():
-            b, k = b[keep], k[keep]
-            starts = np.searchsorted(b, tuples)
+        if i == 0 and fixed_row[T]:
+            continue
+        j = int(fixed_col[T])
+        while len(b) > step and j < n:
+            keep_least(cell_values(T, i, j))
+            j += 1
+        if j < n:
+            keep_least(row_keys(T, i))
     # the winners' relabelled tables, slab by slab of tuples
     qw, pw = q[k[starts]], p[k[starts]]
     per_slab = max(1, _RELABEL_SLAB_CELLS // (nt * n * n))
@@ -827,13 +872,17 @@ def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], l
                   qs[:, None, :, None], qs[:, None, None, :]]
         forms.append(pw[s:s + per_slab][tuples[:len(qs), None], cells.reshape(len(qs), -1)])
     return ((tuple(f.tolist()), labels.tolist())
-            for f, labels in zip(np.concatenate(forms), pw))
+            for f, labels in zip(np.concatenate(forms), pw[:, rename]))
 
 
 def canonical_form(R: FiniteHemiring) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
     """Lexicographically least (add, mul) relabeling fixing zero at index 0.
 
-    Only meant for catalog-scale algebras; the cost is (n-1)! permutations.
+    Only meant for catalog-scale algebras: it ranges over the (n-1)!
+    relabelings fixing zero, built once per order.  Zero's rows of + and *
+    (neutral and absorbing) read the same under each of them and are never
+    scored; the first live row, row 1 of +, is decided cell by cell while
+    many relabelings stay tied (``_lex_least_relabeling``).
     The form is memoised on R; catalog entries come with theirs.
     """
     memo = R._memo.get("canonical_form")

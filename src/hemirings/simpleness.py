@@ -162,9 +162,10 @@ def _merge(labels: np.ndarray, xs, ys) -> np.ndarray:
             parent = jumped
 
 
-def _compat_closure(R: FiniteHemiring, labels: np.ndarray):
-    """Climb from the least-element ``labels`` to the smallest compatible
-    partition above it, yielding the labels after every merge.
+def _compat_closure(tables, labels: np.ndarray):
+    """Climb from the least-element ``labels`` to the smallest partition
+    above it compatible with ``tables`` (those of ``_tables``), yielding the
+    labels after every merge.
 
     The partition is generated by the pairs x ~ rep(x), so compatibility
     needs only the rows of non-representatives: T[x, c] ~ T[rep(x), c].
@@ -172,7 +173,6 @@ def _compat_closure(R: FiniteHemiring, labels: np.ndarray):
     early stops iterating.
     """
     ids = np.arange(labels.size)
-    tables = _tables(R)
     while True:
         changed = False
         for T in tables:
@@ -192,7 +192,7 @@ def congruence_closure(R: FiniteHemiring, pairs) -> Congruence:
     """Smallest congruence containing the given element pairs."""
     xs, ys = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     labels = _merge(np.arange(R.order), xs, ys)
-    for labels in _compat_closure(R, labels):
+    for labels in _compat_closure(_tables(R), labels):
         pass
     return Congruence(labels)
 
@@ -230,7 +230,8 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
     """
     n = R.order
     ids = np.arange(n)
-    rows = np.concatenate(_tables(R), axis=1)   # row x: x + c, x * c, c * x
+    tables = _tables(R)
+    rows = np.concatenate(tables, axis=1)       # row x: x + c, x * c, c * x
     for a in range(n - 1):
         bs = ids[a + 1:]
         lo = np.minimum(rows[a], rows[a + 1:])
@@ -240,7 +241,7 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
         for b in bs[~settled]:
             labels = ids.copy()
             labels[b] = a
-            for labels in _compat_closure(R, labels):
+            for labels in _compat_closure(tables, labels):
                 if ((labels * n + ids < a * n + b) & (labels != ids)).any():
                     break
             else:
@@ -253,7 +254,8 @@ def all_congruences(R: FiniteHemiring, max_order: int = CONGRUENCE_LATTICE_BOUND
     """The full congruence lattice, as joins of principal congruences."""
     n = R.order
     if n > max_order:
-        raise SizeGuardExceeded(f"congruence lattice enumeration bounded at order {max_order}")
+        raise SizeGuardExceeded(f"congruence lattice enumeration is bounded at order "
+                                 f"{max_order}; asked for {n}")
     found = {Congruence.diagonal(n)}
     principals = set()
     for a in range(n):
@@ -363,7 +365,8 @@ def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided",
     """
     n = R.order
     if n > max_order:
-        raise SizeGuardExceeded(f"ideal enumeration bounded at order {max_order}")
+        raise SizeGuardExceeded(f"ideal enumeration is bounded at order {max_order}; "
+                                 f"asked for {n}")
     start = generated_ideal(R, [], sidedness)
     found = {start}
     frontier = [start]

@@ -214,7 +214,8 @@ def test_semilattice_counts_frozen():
 
 
 def test_semilattice_enumeration_guard():
-    with pytest.raises(SizeGuardExceeded):
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"^semilattice enumeration is bounded at order 6; asked for 7$"):
         enumerate_semilattices(7)
 
 
@@ -259,8 +260,11 @@ def test_catalog_entries_carry_their_canonical_form(plain_hemirings_upto3,
 
 
 def test_hemiring_enumeration_guard():
-    with pytest.raises(SizeGuardExceeded):
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"^hemiring enumeration is bounded at order 3; asked for 4$"):
         enumerate_hemirings(4)
-    with pytest.raises(SizeGuardExceeded):
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"^additively idempotent hemiring enumeration is bounded at order 4; "
+                             r"asked for 5$"):
         enumerate_hemirings(5, additively_idempotent=True)
 

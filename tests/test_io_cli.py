@@ -302,6 +302,13 @@ def test_cli_verify_names_the_bound_it_skips():
                         "asked for 5\n")
 
 
+def test_cli_enumerate_names_the_bound_it_exceeds(tmp_path):
+    r = run_cli("enumerate", "hemirings", "--order", "4", "--out", str(tmp_path / "D"))
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == "size guard: hemiring enumeration is bounded at order 3; asked for 4\n"
+
+
 @pytest.mark.parametrize("max_order", ["0", "-3"])
 def test_cli_verify_rejects_non_positive_max_order(max_order):
     r = run_cli("verify", "thm3_3", "--max-order", max_order)

@@ -652,10 +652,18 @@ def relabelled_concatenation(tables, p):
     return out
 
 
+def fixes_zero_row(T, zero):
+    """Zero's row is neutral or absorbing: every relabeling fixing zero
+    leaves it as it is."""
+    return bool((T[zero] == np.arange(len(T))).all() or (T[zero] == zero).all())
+
+
 def test_lex_least_relabeling_against_naive(plain_hemirings_upto3, idem_hemirings_upto4,
                                             semilattices_upto5, e_c3, monkeypatch):
     """Batches of one and mixed batches of (add, mul) pairs and of join
-    tables, under several slab sizes."""
+    tables, order-6 and order-8 catalog products with relabelled copies,
+    and seeded tables whose zero row changes under relabeling, under several
+    slab sizes."""
     rng = random.Random(7)
     algebras = list(plain_hemirings_upto3) + list(idem_hemirings_upto4) + [e_c3.hemiring]
     algebras += [relabeled(R, rng.sample(range(R.order), R.order)) for R in algebras[-40:]]
@@ -680,7 +688,47 @@ def test_lex_least_relabeling_against_naive(plain_hemirings_upto3, idem_hemiring
     counts = {automorphism_count(tables, 0) for tables in groups[(4, 0)]}
     assert 1 in counts and max(counts) > 1
 
+    # seeded tables of orders 5-8 whose zero row is neither neutral nor
+    # absorbing, so every row is scored: random ones, and products with many
+    # automorphisms whose addition's zero row is made constant or mixed
+    # (part neutral, part absorbing), so ties survive the first rows
+    catalog = {R.name: R for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4)}
+    gen = np.random.default_rng(11)
+    first = len(cases)
+    for n, tuples in ((5, 3), (6, 3), (7, 2), (8, 1)):
+        zero = int(gen.integers(n))
+        cases.append(([tuple(gen.integers(0, n, (2, n, n))) for _ in range(tuples)], zero))
+    P = direct_product(*(catalog[name] for name in ("hr2_000", "hr2_000", "hr2_003")))
+    constant, mixed = P.add.copy(), P.add.copy()
+    constant[P.zero] = 5
+    mixed[P.zero, 4:] = P.zero
+    cases.append(([(constant, P.mul), (mixed, P.mul)], P.zero))
+    Q = relabeled(P, rng.sample(range(P.order), P.order))
+    mixed = Q.add.copy()
+    mixed[Q.zero, Q.add[Q.zero] > 3] = Q.zero
+    cases.append(([(mixed, Q.mul)], Q.zero))
+    for batch, zero in cases[first:]:
+        assert not any(fixes_zero_row(tables[0], zero) for tables in batch)
+    # a batch in which one tuple's zero row is fixed and the other's is not
+    cases.append(([(P.add, P.mul), (constant, P.mul)], P.zero))
+
     want = [[naive_lex_least(tables, zero) for tables in batch] for batch, zero in cases]
+
+    # order-6 and order-8 catalog products, in one batch per order and each
+    # with a relabelled copy, which has the same least form
+    products = [direct_product(*(catalog[name] for name in names)) for names in (
+        ("hr2_001", "hr3_010"), ("hr2_003", "hr3_017"), ("ai2_001", "ai3_004"),
+        ("hr2_000", "hr2_003", "hr2_003"), ("hr2_002", "ai4_007"))]
+    assert automorphism_count((products[3].add, products[3].mul), products[3].zero) > 1
+    product_forms = [naive_lex_least((R.add, R.mul), R.zero) for R in products]
+    for n in (6, 8):
+        batch = [(R.add, R.mul) for R in products if R.order == n]
+        cases.append((batch, 0))
+        want.append([form for R, form in zip(products, product_forms) if R.order == n])
+    for R, form in zip(products, product_forms):
+        copy = relabeled(R, rng.sample(range(R.order), R.order))
+        cases.append(([(copy.add, copy.mul)], copy.zero))
+        want.append([form])
     for slab in (core._RELABEL_SLAB_CELLS, 1, 20):
         monkeypatch.setattr(core, "_RELABEL_SLAB_CELLS", slab)
         for (batch, zero), forms in zip(cases, want):
@@ -693,6 +741,23 @@ def test_lex_least_relabeling_against_naive(plain_hemirings_upto3, idem_hemiring
         [(flat, p)] = _lex_least_relabeling([(R.add, R.mul)], R.zero)
         add, mul, one = canonical_form(R)
         assert add + mul == flat and one == (None if R.one is None else p[R.one])
+
+
+def test_zero_first_relabelings_are_shared_and_read_only():
+    """The relabelings of one order are built once, list every permutation
+    fixing 0 in ``itertools.permutations`` order with its inverse, and
+    cannot be written through."""
+    for n in range(1, 9):
+        q, p = core._zero_first_relabelings(n)
+        assert core._zero_first_relabelings(n)[0] is q
+        assert not q.flags.writeable and not p.flags.writeable
+        with pytest.raises(ValueError):
+            q[0, 0] = 1
+        with pytest.raises(ValueError):
+            p[0, 0] = 1
+        perms = [(0, *(v + 1 for v in perm)) for perm in itertools.permutations(range(n - 1))]
+        assert [tuple(row) for row in q.tolist()] == perms
+        assert (np.take_along_axis(p, q.astype(np.intp), axis=1) == np.arange(n)).all()
 
 
 def recursive_table_search(table, cells, add=None, symmetric=False):

@@ -114,8 +114,20 @@ def test_congruence_simple_agrees_with_lattice_size(
 def test_all_congruences_size_guard():
     M = chain_semilattice(5)
     E = build_E_M(M).hemiring   # order 70
-    with pytest.raises(SizeGuardExceeded):
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"^congruence lattice enumeration is bounded at order 40; "
+                             r"asked for 70$"):
         all_congruences(E)
+
+
+def test_all_ideals_size_guard():
+    E = build_E_M(chain_semilattice(5)).hemiring   # order 70
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"^ideal enumeration is bounded at order 40; asked for 70$"):
+        all_ideals(E)
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"^ideal enumeration is bounded at order 69; asked for 70$"):
+        all_ideals(E, "left", max_order=69)
 
 
 def test_generated_ideal_examples(B, e_c3, e_m3):
