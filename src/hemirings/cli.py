@@ -113,8 +113,6 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "semilattices":
         algebras = enumerate_semilattices(args.order)
     elif args.kind == "hemirings":
@@ -123,6 +121,8 @@ def cmd_enumerate(args) -> int:
     else:
         sys.stderr.write(f"unknown kind {args.kind!r}\n")
         return EXIT_INPUT
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     index_lines = []
     for alg in algebras:
         text = format_algebra(alg)

@@ -307,6 +307,8 @@ def test_cli_enumerate_names_the_bound_it_exceeds(tmp_path):
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr == "size guard: hemiring enumeration is bounded at order 3; asked for 4\n"
+    # the output directory is made only once the enumeration has returned
+    assert not (tmp_path / "D").exists()
 
 
 @pytest.mark.parametrize("max_order", ["0", "-3"])

@@ -21,6 +21,7 @@ from hemirings import (
     enumerate_hemirings,
     enumerate_semilattices,
     finite_field,
+    generated_ideal,
     hom_search,
     hom_semimodules,
     integers_mod,
@@ -43,7 +44,7 @@ from hemirings import constructions, core
 from hemirings.constructions import HEMIRING_IDEMPOTENT_BOUND, SEMILATTICE_ORDER_BOUND
 from hemirings.core import _lex_least_relabeling, _map_search, canonical_form
 from hemirings.lattices import _pack_maps, endo_enumerate, semilattice_violation
-from hemirings.simpleness import Congruence, _merge
+from hemirings.simpleness import Congruence, _compat_closure, _merge, _sweep_order, _tables
 from hemirings.verify import _catalog_semirings
 
 from conftest import direct_product, naive_lex_least, relabeled
@@ -418,6 +419,74 @@ def test_ideal_simple_against_definition(semilattices_upto5, endo_cache, order4_
     verdicts = [is_ideal_simple(R) for R in algebras]
     assert verdicts == [len(all_ideals(R)) <= 2 for R in algebras]
     assert True in verdicts and False in verdicts
+
+
+def index_order_congruence_simple(R):
+    """``is_congruence_simple`` sweeping pairs in index order: the same
+    earlier-witness pre-pass and early-stopping closure on the original
+    labels."""
+    n = R.order
+    ids = np.arange(n)
+    tables = _tables(R)
+    rows = np.concatenate(tables, axis=1)
+    for a in range(n - 1):
+        bs = ids[a + 1:]
+        lo = np.minimum(rows[a], rows[a + 1:])
+        hi = np.maximum(rows[a], rows[a + 1:])
+        earlier = (lo < a) | ((lo == a) & (hi < bs[:, None]))
+        settled = ((lo != hi) & earlier).any(axis=1)
+        for b in bs[~settled]:
+            labels = ids.copy()
+            labels[b] = a
+            for labels in _compat_closure(tables, labels):
+                if ((labels * n + ids < a * n + b) & (labels != ids)).any():
+                    break
+            else:
+                if labels.any():
+                    return False
+    return True
+
+
+def index_order_ideal_simple(R):
+    """``is_ideal_simple`` sweeping nonzero elements in index order."""
+    ids = np.arange(R.order)
+    rows = np.concatenate([R.mul.T, R.mul], axis=1)
+    settled = ((rows != R.zero) & (rows < ids[:, None])).any(axis=1)
+    return all(x == R.zero or generated_ideal(R, [x]).is_full for x in ids[~settled])
+
+
+@pytest.fixture(scope="module")
+def sweep_order_inputs(semilattices_upto5, endo_cache):
+    """E_M and F_M of every order-5 semilattice (orders 42-70), their
+    products with B, and M_2(GF(3)), each with two seeded relabellings:
+    orders where the sweep order changes which pairs run a closure."""
+    base = []
+    for M in semilattices_upto5:
+        if M.order == 5:
+            E, F = endo_cache(M).hemiring, build_F_M(M).hemiring
+            base += [E] if F.order == E.order else [E, F]
+    base += [direct_product(R, boolean_B()) for R in base]
+    base.append(matrix_semiring(finite_field(3), 2).hemiring)
+    rng = random.Random(17)
+    return [[R] + [relabeled(R, rng.sample(range(R.order), R.order)) for _ in range(2)]
+            for R in base]
+
+
+def test_sweep_order_deciders_against_index_order(sweep_order_inputs):
+    seen = set()
+    for copies in sweep_order_inputs:
+        for R in copies:
+            assert _sweep_order(R)[0][0] == R.zero
+        cs = [is_congruence_simple(R) for R in copies]
+        isim = [is_ideal_simple(R) for R in copies]
+        assert cs == [index_order_congruence_simple(R) for R in copies]
+        assert isim == [index_order_ideal_simple(R) for R in copies]
+        assert isim == [all(generated_ideal(R, [x]).is_full
+                            for x in range(R.order) if x != R.zero) for R in copies]
+        # a relabelling never changes a verdict
+        assert len(set(cs)) == 1 and len(set(isim)) == 1
+        seen.add((cs[0], isim[0]))
+    assert {(True, True), (False, False)} <= seen
 
 
 def naive_merge(labels, xs, ys):

@@ -20,6 +20,7 @@ from hemirings import (
     radical_left,
     tau_congruence,
 )
+from hemirings import simpleness
 from hemirings.core import SizeGuardExceeded
 from hemirings.lattices import build_E_M, FiniteSemilattice
 from hemirings.simpleness import ideal_violation, is_congruence
@@ -109,6 +110,21 @@ def test_congruence_simple_agrees_with_lattice_size(
         plain_hemirings_upto3, idem_hemirings_upto4, z4):
     for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4) + [z4]:
         assert is_congruence_simple(R) == (len(all_congruences(R)) <= 2)
+
+
+def test_all_congruences_builds_the_tables_once(monkeypatch, plain_hemirings_upto3, z4):
+    tables = simpleness._tables
+    builds = []
+
+    def counted(R):
+        builds.append(R)
+        return tables(R)
+
+    monkeypatch.setattr(simpleness, "_tables", counted)
+    for R in list(plain_hemirings_upto3) + [z4]:
+        builds.clear()
+        all_congruences(R)
+        assert builds == [R]
 
 
 def test_all_congruences_size_guard():
