@@ -1,13 +1,13 @@
 """Congruence and ideal machinery for finite hemirings.
 
-Congruences are partitions stored as canonical block labels.  The principal
-congruence closure is the dominant cost of the package.  It works on
-least-element labels: the partition is generated by the pairs x ~ rep(x),
-so a pass compares the table rows of the non-representatives only with the
-rows of their representatives, through addition and both sides of
-multiplication, and merges every mismatch at once with one vectorized
-union-find; passes repeat until no merge fires.  Deciding
-congruence-simpleness needs only principal congruences, since any
+Congruences are partitions stored as least-element labels: labels[x] is
+the least element rep(x) of x's block.  The principal congruence closure
+is the dominant cost of the package.  The partition is generated by the
+pairs x ~ rep(x), so a pass compares the table rows of the
+non-representatives only with the rows of their representatives, through
+addition and both sides of multiplication, and merges every mismatch at
+once with one vectorized union-find; passes repeat until no merge fires.
+Deciding congruence-simpleness needs only principal congruences, since any
 congruence above the diagonal contains a principal one; pairs are visited
 in lexicographic order of a sweep order (zero first, then by descending
 count of distinct sums x + c), so every earlier pair is already known to
@@ -19,7 +19,9 @@ numpy pass per row every pair with a non-diagonal earlier image; only the
 remaining pairs run a closure, and it stops as soon as it identifies an
 earlier pair.  The ideal-simpleness decider does the same over elements in
 the sweep order: x is settled when some r * x or x * r is a nonzero
-element before x.
+element before x.  Both lattices are enumerated by one walk, the join
+closure of the principal congruences or ideals from the bottom element,
+which stops with ``SizeGuardExceeded`` past ``LATTICE_BOUND`` elements.
 """
 
 from __future__ import annotations
@@ -49,23 +51,23 @@ __all__ = [
 ]
 
 CONGRUENCE_LATTICE_BOUND = 40
-IDEAL_LATTICE_BOUND = 200000
+LATTICE_BOUND = 200000
 RADICAL_BOUND = 24
 
 
-def _canonical_labels(labels) -> tuple[int, ...]:
-    """Renumber block ids by first appearance."""
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(int(v), len(seen)) for v in labels)
-
-
 class Congruence:
-    """A partition of 0..n-1 compatible with both hemiring operations."""
+    """A partition of 0..n-1 compatible with both hemiring operations.
+
+    ``labels[x]`` is the least element of x's block, so x ~ labels[x]
+    generates the partition and the blocks are numbered by their least
+    elements.
+    """
 
     __slots__ = ("labels",)
 
     def __init__(self, labels):
-        self.labels = _canonical_labels(labels)
+        least: dict[int, int] = {}
+        self.labels = tuple(least.setdefault(int(v), x) for x, v in enumerate(labels))
 
     @classmethod
     def diagonal(cls, n: int) -> "Congruence":
@@ -81,7 +83,7 @@ class Congruence:
 
     @property
     def num_blocks(self) -> int:
-        return len(set(self.labels))
+        return sum(x == l for x, l in enumerate(self.labels))
 
     @property
     def is_diagonal(self) -> bool:
@@ -89,7 +91,7 @@ class Congruence:
 
     @property
     def is_universal(self) -> bool:
-        return self.num_blocks == 1
+        return not any(self.labels)
 
     def same(self, a: int, b: int) -> bool:
         return self.labels[a] == self.labels[b]
@@ -98,21 +100,17 @@ class Congruence:
         by: dict[int, list[int]] = {}
         for x, l in enumerate(self.labels):
             by.setdefault(l, []).append(x)
-        return tuple(tuple(b) for _, b in sorted(by.items()))
+        return tuple(map(tuple, by.values()))
 
     def refines(self, other: "Congruence") -> bool:
         """Every block of self lies inside a block of other."""
-        rep: dict[int, int] = {}
-        for x, l in enumerate(self.labels):
-            o = other.labels[x]
-            if rep.setdefault(l, o) != o:
-                return False
-        return True
+        o = other.labels
+        return all(o[x] == o[l] for x, l in enumerate(self.labels))
 
     def join(self, other: "Congruence") -> "Congruence":
         """Smallest partition containing both (transitive closure of union)."""
-        return Congruence(_merge(_least_labels(self), np.arange(self.order),
-                                 _least_labels(other)))
+        return Congruence(_merge(np.array(self.labels), np.arange(self.order),
+                                 np.array(other.labels)))
 
     def __eq__(self, other):
         return isinstance(other, Congruence) and self.labels == other.labels
@@ -122,19 +120,6 @@ class Congruence:
 
     def __repr__(self):
         return f"Congruence(blocks={self.num_blocks}/{self.order})"
-
-
-def _least_labels(part: Congruence) -> np.ndarray:
-    """The least element of each element's block.
-
-    Labels are numbered by first appearance, so block k's least element is
-    where label k first appears: one pass over the labels, no sort.
-    """
-    first: list[int] = []
-    for x, label in enumerate(part.labels):
-        if label == len(first):
-            first.append(x)
-    return np.array(first)[np.asarray(part.labels)]
 
 
 def _tables(R: FiniteHemiring) -> tuple[np.ndarray, ...]:
@@ -200,23 +185,16 @@ def _closure(tables, xs, ys) -> Congruence:
     return Congruence(labels)
 
 
-def congruence_closure(R: FiniteHemiring, pairs) -> Congruence:
-    """Smallest congruence containing the given element pairs."""
-    xs, ys = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-    return _closure(_tables(R), xs, ys)
-
-
 def principal_congruence(R: FiniteHemiring, a: int, b: int) -> Congruence:
     """Smallest congruence identifying a and b."""
-    return congruence_closure(R, [(a, b)])
+    return _closure(_tables(R), [a], [b])
 
 
 def is_congruence(R: FiniteHemiring, part: Congruence) -> bool:
     """Check compatibility of a partition with both operations."""
-    labels = np.asarray(part.labels)
-    reps = _least_labels(part)
+    labels = np.array(part.labels)
     for T in _tables(R):
-        if (labels[T] != labels[T[reps]]).any():
+        if (labels[T] != labels[T[labels]]).any():
             return False
     return True
 
@@ -289,26 +267,40 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
     return True
 
 
+def _join_closure(bottom, principals, join, kind: str) -> set:
+    """Every join of ``bottom`` with finitely many ``principals``: the whole
+    lattice when each element is a join of principal ones.
+
+    Each round joins the elements found in the last round with every
+    principal element.  More than ``LATTICE_BOUND`` elements raise
+    ``SizeGuardExceeded``.
+    """
+    found = {bottom}
+    frontier = [bottom]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for p in principals:
+                j = join(c, p)
+                if j not in found:
+                    found.add(j)
+                    nxt.append(j)
+                    if len(found) > LATTICE_BOUND:
+                        raise SizeGuardExceeded(f"{kind} lattice enumeration bounded at "
+                                                 f"{LATTICE_BOUND} {kind}s")
+        frontier = nxt
+    return found
+
+
 def all_congruences(R: FiniteHemiring, max_order: int = CONGRUENCE_LATTICE_BOUND) -> list[Congruence]:
     """The full congruence lattice, as joins of principal congruences."""
     n = R.order
     if n > max_order:
         raise SizeGuardExceeded(f"congruence lattice enumeration is bounded at order "
                                  f"{max_order}; asked for {n}")
-    found = {Congruence.diagonal(n)}
     tables = _tables(R)
     principals = {_closure(tables, [a], [b]) for a in range(n) for b in range(a + 1, n)}
-    found |= principals
-    frontier = list(principals)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for p in principals:
-                j = c.join(p)
-                if j not in found:
-                    found.add(j)
-                    nxt.append(j)
-        frontier = nxt
+    found = _join_closure(Congruence.diagonal(n), principals, Congruence.join, "congruence")
     return sorted(found, key=lambda c: c.labels)
 
 
@@ -395,32 +387,25 @@ def generated_ideal(R: FiniteHemiring, seed, sidedness: str = "two-sided") -> Id
 
 def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided",
                max_order: int = CONGRUENCE_LATTICE_BOUND) -> list[IdealSubset]:
-    """Every ideal, by extending each ideal found with one element not in it.
+    """Every ideal, as sums I + J = {i + j} of {0} and principal ideals <x>.
 
-    Every ideal is reached: it is the last of a chain of ideals generated by
-    growing subsets of its members.
+    Every ideal I is the sum of {0} and the <x> with x nonzero in I.  I + J
+    is already an ideal, by commutativity of + and distributivity, and
+    I + J = I when J is inside I.
     """
     n = R.order
     if n > max_order:
         raise SizeGuardExceeded(f"ideal enumeration is bounded at order {max_order}; "
                                  f"asked for {n}")
-    start = generated_ideal(R, [], sidedness)
-    found = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for I in frontier:
-            for x in range(n):
-                if x in I.members:
-                    continue
-                J = generated_ideal(R, I.members | {x}, sidedness)
-                if J not in found:
-                    found.add(J)
-                    nxt.append(J)
-                    if len(found) > IDEAL_LATTICE_BOUND:
-                        raise SizeGuardExceeded(
-                            f"ideal lattice enumeration bounded at {IDEAL_LATTICE_BOUND} ideals")
-        frontier = nxt
+
+    def plus(I: IdealSubset, J: IdealSubset) -> IdealSubset:
+        if J <= I:
+            return I
+        sums = R.add[sorted(I.members)][:, sorted(J.members)]
+        return IdealSubset(sums.ravel().tolist(), sidedness, n)
+
+    principals = {generated_ideal(R, [x], sidedness) for x in range(n) if x != R.zero}
+    found = _join_closure(IdealSubset([R.zero], sidedness, n), principals, plus, "ideal")
     return sorted(found, key=lambda I: (len(I.members), sorted(I.members)))
 
 

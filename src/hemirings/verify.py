@@ -215,8 +215,8 @@ def suite_thm3_3(max_order: int) -> list[InstanceRecord]:
         E = _endo(M)
         lat = try_lattice(M)
         dist = lat is not None and is_distributive(lat)
-        simple = is_simple(E.hemiring)
         ideal_simple = is_ideal_simple(E.hemiring)
+        simple = ideal_simple and is_congruence_simple(E.hemiring)
         ok = simple == ideal_simple == dist
         fields = [("order", str(M.order)), ("endo-order", str(E.order)),
                   ("distributive", _b(dist)), ("ideal-simple", _b(ideal_simple)),
@@ -497,7 +497,7 @@ def suite_thm6_4_6_5(max_order: int) -> list[InstanceRecord]:
             continue
         isim = is_ideal_simple(R)
         div = is_division_semiring(R)
-        simple = is_simple(R)
+        simple = isim and is_congruence_simple(R)
         iso_b = is_isomorphic(R, B) is not None
         J = aic_max_ideal(R)
         rad = radical_left(R)
@@ -522,7 +522,7 @@ def suite_thm6_7(max_order: int) -> list[InstanceRecord]:
         if not R.is_semiring or not is_lattice_ordered(R):
             continue
         cs = is_congruence_simple(R)
-        simple = is_simple(R)
+        simple = is_ideal_simple(R) and cs
         iso_b = is_isomorphic(R, B) is not None
         ok = cs == simple == iso_b
         fields = [("order", str(R.order)), ("congruence-simple", _b(cs)),

@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from hemirings import (
     Congruence,
+    FiniteHemiring,
     IdealSubset,
     aic_max_ideal,
     all_congruences,
@@ -29,7 +31,8 @@ from conftest import chain3_min_semiring, chain_semilattice
 
 
 def all_partitions(n):
-    """Every partition of range(n), as canonical label tuples."""
+    """Every partition of range(n), as label tuples numbered by first
+    appearance."""
     if n == 0:
         yield ()
         return
@@ -57,6 +60,43 @@ def brute_force_ideals(R, sidedness):
             if ideal_violation(R, subset, sidedness) is None:
                 out.append(IdealSubset(subset, sidedness, R.order))
     return sorted(out, key=lambda I: (len(I.members), sorted(I.members)))
+
+
+def test_congruence_labels_are_least_elements():
+    for n in range(1, 7):
+        parts = []
+        for labels in all_partitions(n):
+            by = {}
+            for x, l in enumerate(labels):
+                by.setdefault(l, []).append(x)
+            blocks = tuple(tuple(b) for b in by.values())
+            least = tuple(min(by[l]) for l in labels)
+            # any numbering of the blocks is renamed to least elements
+            for given in (labels, [2 * n - l for l in labels]):
+                cong = Congruence(given)
+                assert cong.labels == least
+                assert cong.blocks() == blocks
+                assert cong.num_blocks == len(blocks)
+                assert cong.is_universal == (len(blocks) == 1)
+                assert cong.is_diagonal == (len(blocks) == n)
+            parts.append((Congruence(labels), blocks, labels))
+        for fine, fine_blocks, _ in parts:
+            for coarse, _, coarse_labels in parts:
+                inside = all(len({coarse_labels[x] for x in b}) == 1 for b in fine_blocks)
+                assert fine.refines(coarse) == inside
+
+
+def test_lattice_walks_stop_at_the_bound(monkeypatch):
+    chain = np.maximum.outer(np.arange(8), np.arange(8))
+    R = FiniteHemiring(chain, np.zeros((8, 8), dtype=int))   # 128 of each
+    assert len(all_congruences(R)) == len(all_ideals(R)) == 128
+    monkeypatch.setattr(simpleness, "LATTICE_BOUND", 50)
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"^congruence lattice enumeration bounded at 50 congruences$"):
+        all_congruences(R)
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"^ideal lattice enumeration bounded at 50 ideals$"):
+        all_ideals(R)
 
 
 def test_principal_congruence_diagonal_for_equal_pair(B):
