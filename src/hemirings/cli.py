@@ -26,6 +26,18 @@ EXIT_INPUT = 2
 EXIT_SIZE = 3
 
 
+class _InputError(Exception):
+    """Input a command cannot run on; ``main`` prints the message and exits 2."""
+
+
+def _hemiring_file(args, command: str):
+    """The hemiring in ``args.file``; a semilattice file is an input error."""
+    alg = parse_algebra_file(args.file)
+    if isinstance(alg, FiniteSemilattice):
+        raise _InputError(f"{command} needs a hemiring file")
+    return alg
+
+
 def _emit_fields(fields, fmt: str) -> str:
     if fmt == "structured":
         return "\n".join(f"{k}: {v}" for k, v in fields) + "\n"
@@ -66,8 +78,7 @@ def cmd_classify(args) -> int:
 def cmd_endo(args) -> int:
     alg = parse_algebra_file(args.file)
     if not isinstance(alg, FiniteSemilattice):
-        sys.stderr.write("endo needs a semilattice file (kind semilattice)\n")
-        return EXIT_INPUT
+        raise _InputError("endo needs a semilattice file (kind semilattice)")
     E = build_E_M(alg)
     F = build_F_M(alg)
     out = Path(args.out) if args.out else Path(args.file).parent
@@ -88,10 +99,7 @@ def cmd_endo(args) -> int:
 
 
 def cmd_congruences(args) -> int:
-    alg = parse_algebra_file(args.file)
-    if isinstance(alg, FiniteSemilattice):
-        sys.stderr.write("congruences needs a hemiring file\n")
-        return EXIT_INPUT
+    alg = _hemiring_file(args, "congruences")
     congs = all_congruences(alg, max_order=args.max_order)
     sys.stdout.write(f"count: {len(congs)}\n")
     for c in congs:
@@ -101,10 +109,7 @@ def cmd_congruences(args) -> int:
 
 
 def cmd_ideals(args) -> int:
-    alg = parse_algebra_file(args.file)
-    if isinstance(alg, FiniteSemilattice):
-        sys.stderr.write("ideals needs a hemiring file\n")
-        return EXIT_INPUT
+    alg = _hemiring_file(args, "ideals")
     ideals = all_ideals(alg, args.sidedness, max_order=args.max_order)
     sys.stdout.write(f"count: {len(ideals)}\n")
     for I in ideals:
@@ -163,10 +168,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    alg = parse_algebra_file(args.file)
-    if isinstance(alg, FiniteSemilattice):
-        sys.stderr.write("matrix needs a hemiring file\n")
-        return EXIT_INPUT
+    alg = _hemiring_file(args, "matrix")
     M = matrix_semiring(alg, args.n)
     if args.out:
         write_algebra(M.hemiring, args.out)
@@ -177,14 +179,10 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_morita_corner(args) -> int:
-    alg = parse_algebra_file(args.file)
-    if isinstance(alg, FiniteSemilattice):
-        sys.stderr.write("corner needs a hemiring file\n")
-        return EXIT_INPUT
+    alg = _hemiring_file(args, "corner")
     e = args.idempotent
     if not 0 <= e < alg.order or alg.mul[e, e] != e:
-        sys.stderr.write(f"element {e} is not an idempotent of the algebra\n")
-        return EXIT_INPUT
+        raise _InputError(f"element {e} is not an idempotent of the algebra")
     c = corner(alg, e)
     full = is_full_idempotent(alg, e)
     sys.stdout.write(f"corner-order: {c.order}\n")
@@ -274,6 +272,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except _InputError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_INPUT
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_INPUT

@@ -207,35 +207,43 @@ def _distributive(mul: np.ndarray, inner: np.ndarray, outer: np.ndarray,
     return sides
 
 
+def _subset_closure(mask: np.ndarray, T: np.ndarray, actions=()) -> np.ndarray:
+    """The least superset of the boolean ``mask`` closed under the table T
+    (T[x, y] for marked x, y) and each action A in ``actions`` (A[r, x] for
+    every r and marked x), as a new mask: each round applies them to the
+    elements marked at its start.  It assumes no law of T."""
+    mask = mask.copy()
+    while True:
+        idx = np.flatnonzero(mask)
+        mask[T[np.ix_(idx, idx)]] = True
+        for A in actions:
+            mask[A[:, idx]] = True
+        if np.count_nonzero(mask) == idx.size:
+            return mask
+
+
 def _generating_set(T: np.ndarray) -> np.ndarray:
     """An array of elements that generate the magma (0..n-1, T).
 
     Let reps[z] count the pairs x, y != z with T[x, y] = z.  The set holds
     every irreducible element (reps 0), which every generating set must
     hold, and then, while the closure misses an element, a missing one of
-    fewest reps (the least such).  The closure marks T[x, y] only once x
-    and y are marked, so it assumes no law of T.
+    fewest reps (the least such).  The closure is ``_subset_closure``,
+    resumed from the closed set plus each new generator.
     """
     n = T.shape[0]
     idx = np.arange(n)
     reps = np.bincount(T[(T != idx[:, None]) & (T != idx[None, :])], minlength=n)
     gens = np.flatnonzero(reps == 0)
     marked = np.zeros(n, dtype=bool)
-    frontier = gens
+    marked[gens] = True
     while True:
-        # each new element meets every marked one, itself included, once
-        while frontier.size:
-            marked[frontier] = True
-            old = np.flatnonzero(marked)
-            reached = np.zeros(n, dtype=bool)
-            reached[T[np.ix_(frontier, old)]] = True
-            reached[T[np.ix_(old, frontier)]] = True
-            frontier = np.flatnonzero(reached & ~marked)
+        marked = _subset_closure(marked, T)
         if marked.all():
             return gens
         missing = np.flatnonzero(~marked)
-        frontier = missing[[reps[missing].argmin()]]
-        gens = np.append(gens, frontier)
+        gens = np.append(gens, missing[reps[missing].argmin()])
+        marked[gens[-1]] = True
 
 
 def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomReport:

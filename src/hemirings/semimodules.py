@@ -25,6 +25,7 @@ from .core import (
     _index_array,
     _law_witness,
     _map_search,
+    _subset_closure,
     as_op_table,
 )
 from .lattices import _pack_maps
@@ -112,19 +113,12 @@ def left_ideal_semimodule(R: FiniteHemiring, I: IdealSubset) -> FiniteLeftSemimo
     bad = ideal_violation(R, I.members, "left")
     if bad is not None:
         raise ValueError(f"not a left ideal: {bad}")
-    members = tuple(sorted(I.members))
-    pos = {m: i for i, m in enumerate(members)}
-    k = len(members)
-    add = np.empty((k, k), dtype=np.int32)
-    for i, x in enumerate(members):
-        for j, y in enumerate(members):
-            add[i, j] = pos[int(R.add[x, y])]
-    act = np.empty((R.order, k), dtype=np.int32)
-    for r in range(R.order):
-        for j, x in enumerate(members):
-            act[r, j] = pos[int(R.mul[r, x])]
-    return FiniteLeftSemimodule(R, add, pos[R.zero], act,
-                                name=f"ideal{sorted(I.members)}", members=members)
+    members = sorted(I.members)
+    pos = np.zeros(R.order, dtype=np.int32)   # member -> module index
+    pos[members] = np.arange(len(members))
+    add = pos[R.add[np.ix_(members, members)]]
+    return FiniteLeftSemimodule(R, add, pos[R.zero], pos[R.mul[:, members]],
+                                name=f"ideal{members}", members=tuple(members))
 
 
 def hom_semimodules(M: FiniteLeftSemimodule, N: FiniteLeftSemimodule,
@@ -215,37 +209,27 @@ def double_centralizer_check(R: FiniteHemiring, I: IdealSubset,
     bicom = _additive_maps(module, module, ((d_action, d_action),))
     index = {g: i for i, g in enumerate(bicom)}
 
-    nat = []
-    members = module.members
-    pos = {m: i for i, m in enumerate(members)}
-    for r in range(R.order):
-        g = tuple(pos[int(R.mul[r, x])] for x in members)
-        if g not in index:
-            raise InvariantViolation("natural image is not D-equivariant")
-        nat.append(index[g])
+    # r -> (x -> r x) is row r of the module's action table
+    nat = [index.get(g) for g in map(tuple, module.action.tolist())]
+    if None in nat:
+        raise InvariantViolation("natural image is not D-equivariant")
 
     injective = len(set(nat)) == R.order
     surjective = len(set(nat)) == len(bicom)
-    return DoubleCentralizerReport(R, members, len(d_maps), len(bicom),
+    return DoubleCentralizerReport(R, module.members, len(d_maps), len(bicom),
                                    tuple(nat), injective, surjective, simple)
 
 
 def trace_ideal(R: FiniteHemiring, P: FiniteLeftSemimodule) -> IdealSubset:
-    """Additive closure of the union of images of all homs P -> _R R."""
+    """The ``_subset_closure`` under + of zero and the images of all homs
+    P -> _R R."""
     homs = hom_semimodules(P, regular_semimodule(R))
-    members = {R.zero}
-    for f in homs:
-        members.update(f)
+    mask = np.zeros(R.order, dtype=bool)
+    mask[R.zero] = True
+    mask[[x for f in homs for x in f]] = True
     # close under addition only; the result is a two-sided ideal already,
     # which the validator confirms
-    while True:
-        new = set(members)
-        lst = sorted(members)
-        for x in lst:
-            new.update(int(v) for v in R.add[x, lst])
-        if new == members:
-            break
-        members = new
+    members = np.flatnonzero(_subset_closure(mask, R.add))
     bad = ideal_violation(R, members, "two-sided")
     if bad is not None:
         raise InvariantViolation(f"trace is not a two-sided ideal: {bad}")

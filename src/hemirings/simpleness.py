@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteHemiring, SizeGuardExceeded, is_aic
+from .core import FiniteHemiring, SizeGuardExceeded, _subset_closure, is_aic
 from .lattices import EndoSemiring
 
 __all__ = [
@@ -366,23 +366,20 @@ def ideal_violation(R: FiniteHemiring, members, sidedness: str):
 
 
 def generated_ideal(R: FiniteHemiring, seed, sidedness: str = "two-sided") -> IdealSubset:
-    """Closure of ``seed`` under addition and outer multiplication."""
+    """The least ideal containing ``seed``: the ``_subset_closure`` of seed
+    and zero under + and the outer products r * x (left), x * r (right) or
+    both.  A seed entry that is not an int in [0, R.order) raises
+    ``ValueError`` rather than being truncated or wrapped."""
     n = R.order
     mask = np.zeros(n, dtype=bool)
     mask[R.zero] = True
     for x in seed:
-        mask[int(x)] = True
-    while True:
-        idx = np.flatnonzero(mask)
-        new = mask.copy()
-        new[R.add[np.ix_(idx, idx)].ravel()] = True
-        if sidedness in ("left", "two-sided"):
-            new[R.mul[:, idx].ravel()] = True
-        if sidedness in ("right", "two-sided"):
-            new[R.mul[idx, :].ravel()] = True
-        if (new == mask).all():
-            return IdealSubset(np.flatnonzero(mask), sidedness, n)
-        mask = new
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n:
+            raise ValueError(f"seed entry {x!r} is not an element index in [0, {n})")
+        mask[x] = True
+    outer = {"left": (R.mul,), "right": (R.mul.T,), "two-sided": (R.mul, R.mul.T)}
+    mask = _subset_closure(mask, R.add, outer.get(sidedness, ()))
+    return IdealSubset(np.flatnonzero(mask), sidedness, n)
 
 
 def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided",

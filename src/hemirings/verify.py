@@ -12,7 +12,9 @@ default max-order, its size bound and any fixed report parameter in
 ``skipped(size)`` report past the bound, and sorts the records by name.
 Instances come from one cached source: ``_semilattices`` and ``_hemirings``
 (each order enumerated once), ``_catalog`` (both hemiring catalogs,
-deduplicated), ``_endo`` (E_M per semilattice) and ``_boolean_matrices``.
+deduplicated), ``_endo`` and ``_generated_endo`` (E_M and F_M per
+semilattice) and ``_boolean_matrices``.  A witness search walks candidates
+from these sources through one ``_isomorphic_candidate``.
 """
 
 from __future__ import annotations
@@ -164,6 +166,17 @@ def _endo(M: FiniteSemilattice):
 
 
 @lru_cache(maxsize=None)
+def _generated_endo(M: FiniteSemilattice):
+    return build_F_M(M)
+
+
+@lru_cache(maxsize=None)
+def _distributive(M: FiniteSemilattice) -> bool:
+    lat = try_lattice(M)
+    return lat is not None and is_distributive(lat)
+
+
+@lru_cache(maxsize=None)
 def _catalog(max_order: int) -> tuple[FiniteHemiring, ...]:
     """Entries of both enumerations, deduplicated by fingerprint (exact at
     catalog orders) and sorted by it."""
@@ -191,19 +204,21 @@ def _boolean_matrices(n: int) -> FiniteHemiring:
     return matrix_semiring(boolean_B(), n).hemiring
 
 
-def _endo_witness(R: FiniteHemiring) -> FiniteSemilattice | None:
-    """The first catalog distributive lattice M with E_M isomorphic to R.
-    E_M has at least |M| elements, so M.order <= R.order."""
-    for M in _semilattices(min(R.order, SEMILATTICE_ORDER_BOUND)):
-        E = _endo(M)
-        if E.order != R.order:
-            continue
-        lat = try_lattice(M)
-        if lat is None or not is_distributive(lat):
-            continue
-        if is_isomorphic(R, E.hemiring) is not None:
-            return M
+def _isomorphic_candidate(R: FiniteHemiring, candidates) -> str | None:
+    """The label of the first (label, hemiring) candidate isomorphic to R;
+    orders are compared before any search."""
+    for label, H in candidates:
+        if H.order == R.order and is_isomorphic(R, H) is not None:
+            return label
     return None
+
+
+def _endo_witness(R: FiniteHemiring) -> str | None:
+    """The name of the first catalog distributive lattice M with E_M
+    isomorphic to R.  E_M has at least |M| elements, so M.order <= R.order."""
+    return _isomorphic_candidate(R, (
+        (M.name, _endo(M).hemiring)
+        for M in _semilattices(min(R.order, SEMILATTICE_ORDER_BOUND)) if _distributive(M)))
 
 
 # ---------------------------------------------------------------- suites
@@ -213,8 +228,7 @@ def suite_thm3_3(max_order: int) -> list[InstanceRecord]:
     records = []
     for M in _semilattices(max_order):
         E = _endo(M)
-        lat = try_lattice(M)
-        dist = lat is not None and is_distributive(lat)
+        dist = _distributive(M)
         ideal_simple = is_ideal_simple(E.hemiring)
         simple = ideal_simple and is_congruence_simple(E.hemiring)
         ok = simple == ideal_simple == dist
@@ -235,8 +249,7 @@ def suite_cor3_8(max_order: int) -> list[InstanceRecord]:
     records = []
     for M in _semilattices(max_order):
         E = _endo(M)
-        lat = try_lattice(M)
-        dist = lat is not None and is_distributive(lat)
+        dist = _distributive(M)
         cs = is_congruence_simple(E.hemiring)
         isim = is_ideal_simple(E.hemiring)
         simple = isim and cs
@@ -313,9 +326,9 @@ def suite_cor5_8(max_order: int) -> list[InstanceRecord]:
             if F is not None and is_isomorphic(R, F) is not None:
                 witness = f"matrix:n=1,{F.name}"
         else:
-            M = _endo_witness(R)
-            if M is not None:
-                witness = f"endo:{M.name}"
+            lattice = _endo_witness(R)
+            if lattice is not None:
+                witness = f"endo:{lattice}"
         fields = [("order", str(R.order)), ("ring", _b(R.is_ring)),
                   ("witness", witness or "none")]
         if witness is None:
@@ -437,13 +450,13 @@ def suite_thm5_7(max_order: int) -> list[InstanceRecord]:
     for R in _catalog_semirings(max_order):
         simple = is_simple(R)
         inf = infinite_element(R) is not None
-        M = _endo_witness(R)
-        ok = (simple and inf) == (M is not None)
+        lattice = _endo_witness(R)
+        ok = (simple and inf) == (lattice is not None)
         fields = [("order", str(R.order)), ("simple", _b(simple)),
                   ("infinite-element", _b(inf)),
-                  ("endo-witness", "none" if M is None else M.name)]
+                  ("endo-witness", lattice or "none")]
         if simple and inf:
-            morita = _morita_witness(R)
+            morita = _isomorphic_candidate(R, _full_corners())
             fields.append(("corner-witness", morita or "none"))
             ok = ok and morita is not None
         if not ok:
@@ -460,12 +473,8 @@ def suite_thm5_7(max_order: int) -> list[InstanceRecord]:
                 ("order", str(R.order)), ("zero-multiplication", "true"),
                 ("fm-witness", "skipped"), algebra=R))
             continue
-        fm = None
-        for M in lattices:
-            F = build_F_M(M)
-            if F.order == R.order and is_isomorphic(R, F.hemiring) is not None:
-                fm = M.name
-                break
+        fm = _isomorphic_candidate(
+            R, ((M.name, _generated_endo(M).hemiring) for M in lattices))
         records.append(_record(
             R.name + "/fm", fm is not None,
             ("order", str(R.order)), ("zero-multiplication", "false"),
@@ -473,17 +482,13 @@ def suite_thm5_7(max_order: int) -> list[InstanceRecord]:
     return records
 
 
-def _morita_witness(R: FiniteHemiring) -> str | None:
-    """A full idempotent e of some M_n(B) with corner iso to R."""
+def _full_corners():
+    """(label, eRe) for each full idempotent e of M_1(B), then of M_2(B)."""
     for n in (1, 2):
         Mn = _boolean_matrices(n)
         for e in Mn.idempotents():
-            if not is_full_idempotent(Mn, e):
-                continue
-            c = corner(Mn, e)
-            if c.order == R.order and is_isomorphic(c.hemiring, R) is not None:
-                return f"M_{n}(B):e={e}"
-    return None
+            if is_full_idempotent(Mn, e):
+                yield f"M_{n}(B):e={e}", corner(Mn, e).hemiring
 
 
 def suite_thm6_4_6_5(max_order: int) -> list[InstanceRecord]:

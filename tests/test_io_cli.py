@@ -146,6 +146,28 @@ def test_cli_check_reports_a_failing_semilattice(tmp_path):
     assert (r.returncode, r.stdout) == (0, "kind: semilattice\norder: 3\nvalid: true\n")
 
 
+@pytest.mark.parametrize("command, name", [
+    (["congruences"], "congruences"), (["ideals"], "ideals"),
+    (["matrix", "--n", "2"], "matrix"), (["morita", "corner", "--idempotent", "1"], "corner"),
+])
+def test_cli_hemiring_commands_reject_a_semilattice_file(tmp_path, command, name):
+    f = tmp_path / "c3.alg"
+    f.write_text(SEMILATTICE_TEXT.format(2, 2))
+    r = run_cli(*command, str(f))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"{name} needs a hemiring file\n")
+
+
+def test_cli_input_errors_print_the_bare_message(tmp_path, B):
+    f = tmp_path / "b.alg"
+    write_algebra(B, f)
+    r = run_cli("endo", str(f))
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", "endo needs a semilattice file (kind semilattice)\n")
+    r = run_cli("morita", "corner", str(f), "--idempotent", "2")
+    assert (r.returncode, r.stdout, r.stderr) == (
+        2, "", "element 2 is not an idempotent of the algebra\n")
+
+
 @pytest.mark.parametrize("text, line", [
     (SEMILATTICE_TEXT.format(3, 2), 6),                         # entry out of range
     (SEMILATTICE_TEXT.format(2, 2).replace("2 2 2", "2 2"), 7),  # short row

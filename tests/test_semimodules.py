@@ -206,6 +206,45 @@ def test_trace_of_nonzero_ideal_over_simple_ring(e_c3, m2b):
             assert t.is_full and is_generator(R, P)
 
 
+def test_left_ideal_semimodule_restricts_the_tables(plain_hemirings_upto3, m2b):
+    for R in list(plain_hemirings_upto3) + [m2b.hemiring]:
+        for I in all_ideals(R, "left"):
+            P = left_ideal_semimodule(R, I)
+            members = P.members
+            assert members == tuple(sorted(I.members)) and members[P.zero] == R.zero
+            for i, x in enumerate(members):
+                for j, y in enumerate(members):
+                    assert members[P.add[i, j]] == R.add[x, y]
+                for r in range(R.order):
+                    assert members[P.action[r, i]] == R.mul[r, x]
+
+
+def additive_closure(R, members):
+    """Oracle: the least superset of the set ``members`` closed under +,
+    by Python set rounds."""
+    while True:
+        new = set(members)
+        lst = sorted(members)
+        for x in lst:
+            new.update(int(v) for v in R.add[x, lst])
+        if new == members:
+            break
+        members = new
+    return members
+
+
+def test_trace_ideal_against_set_closure(plain_hemirings_upto3, m2b):
+    for R in [R for R in plain_hemirings_upto3 if R.is_semiring] + [m2b.hemiring]:
+        for I in all_ideals(R, "left"):
+            if I.is_zero:
+                continue
+            P = left_ideal_semimodule(R, I)
+            members = {R.zero}
+            for f in hom_semimodules(P, regular_semimodule(R)):
+                members.update(f)
+            assert trace_ideal(R, P).members == additive_closure(R, members), (R.name, I)
+
+
 def test_trace_is_always_two_sided(plain_hemirings_upto3):
     for R in plain_hemirings_upto3:
         if not R.is_semiring:

@@ -203,6 +203,26 @@ def test_generated_ideal_examples(B, e_c3, e_m3):
     assert not I.is_full
 
 
+@pytest.mark.parametrize("seed", [[-1], [2], [1.7], [1, 1.0], [True]])
+def test_generated_ideal_rejects_malformed_seeds(B, seed):
+    # B has order 2: -1 and 2 fall outside [0, 2), floats and bools are
+    # not element indices, and none of them is coerced
+    with pytest.raises(ValueError, match=r"^seed entry .* is not an element index in \[0, 2\)$"):
+        generated_ideal(B, seed)
+
+
+def test_generated_ideal_is_the_least_ideal_containing_the_seed(plain_hemirings_upto3, B, two):
+    for R in list(plain_hemirings_upto3) + [B, two]:
+        for side in ("left", "right", "two-sided"):
+            ideals = brute_force_ideals(R, side)
+            for k in range(R.order + 1):
+                for seed in itertools.combinations(range(R.order), k):
+                    # brute_force_ideals lists by size, so the first one
+                    # containing the seed is the least one
+                    least = next(I for I in ideals if I.members >= set(seed))
+                    assert generated_ideal(R, seed, side) == least, (R.name, side, seed)
+
+
 def test_all_ideals_against_subset_oracle(plain_hemirings_upto3, B, two):
     for R in list(plain_hemirings_upto3) + [B, two]:
         for side in ("left", "right", "two-sided"):
