@@ -241,17 +241,18 @@ def matrix_semiring(R: FiniteHemiring, n: int,
 
 
 class CornerSemiring:
-    """The semiring e*R*e for an idempotent e, with identity e."""
+    """The semiring e*R*e for an idempotent e, with identity e; position[m]
+    is the corner index of a member m (0 for other elements of R)."""
 
     __slots__ = ("base", "e", "members", "hemiring", "position")
 
     def __init__(self, base: FiniteHemiring, e: int, members: tuple[int, ...],
-                 hemiring: FiniteHemiring):
+                 hemiring: FiniteHemiring, position: np.ndarray):
         self.base = base
         self.e = e
         self.members = members
         self.hemiring = hemiring
-        self.position = {m: i for i, m in enumerate(members)}
+        self.position = position
 
     @property
     def order(self) -> int:
@@ -259,7 +260,7 @@ class CornerSemiring:
 
     def project(self, x: int) -> int:
         """Corner index of e*x*e."""
-        return self.position[int(self.base.mul[self.base.mul[self.e, x], self.e])]
+        return int(self.position[self.base.mul[self.base.mul[self.e, x], self.e]])
 
 
 def corner(R: FiniteHemiring, e: int) -> CornerSemiring:
@@ -270,14 +271,15 @@ def corner(R: FiniteHemiring, e: int) -> CornerSemiring:
     """
     if R.mul[e, e] != e:
         raise ValueError(f"element {e} is not idempotent")
-    exe = R.mul[R.mul[e], e]           # x -> e*x*e
-    members = np.unique(exe)
+    mask = np.zeros(R.order, dtype=bool)
+    mask[R.mul[R.mul[e], e]] = True     # the e*x*e
+    members = np.flatnonzero(mask)
     pos = np.zeros(R.order, dtype=np.int32)   # member -> corner index
     pos[members] = np.arange(len(members))
     block = np.ix_(members, members)
     H = FiniteHemiring(pos[R.add[block]], pos[R.mul[block]], zero=pos[R.zero], one=pos[e],
                        name=f"corner({R.name or R.order},{e})", validate=False)
-    return CornerSemiring(R, e, tuple(members.tolist()), H)
+    return CornerSemiring(R, e, tuple(members.tolist()), H, pos)
 
 
 def is_full_idempotent(R: FiniteHemiring, e: int) -> bool:
@@ -311,15 +313,12 @@ def corner_congruence_to_ring(R: FiniteHemiring, c: CornerSemiring,
     e = c.e
     er = R.mul[e]                       # r -> e*r
     glabels = np.asarray(gamma.labels, dtype=np.int32)
-    posarr = np.full(n, -1, dtype=np.int32)
-    for m, i in c.position.items():
-        posarr[m] = i
     sigs: dict[bytes, int] = {}
     labels = np.empty(n, dtype=np.int32)
     for a in range(n):
         era = R.mul[er, a]               # r -> e*r*a
         erase = R.mul[R.mul[era], e]     # [r, s] -> e*r*a*s*e
-        sig = glabels[posarr[erase]].tobytes()
+        sig = glabels[c.position[erase]].tobytes()
         labels[a] = sigs.setdefault(sig, a)
     theta = Congruence(labels)
     if not is_congruence(R, theta):

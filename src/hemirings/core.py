@@ -478,7 +478,8 @@ def natural_order(R: FiniteHemiring) -> PartialOrder:
 
     On a non-idempotent algebra the relation is not even reflexive, so the
     input is rejected with a witness element rather than returned as a
-    preorder.
+    preorder.  On an idempotent commutative monoid it is always a partial
+    order, so it is not re-validated.
     """
     memo = R._memo.get("natural_order")
     if memo is not None:
@@ -490,7 +491,7 @@ def natural_order(R: FiniteHemiring) -> PartialOrder:
         raise ValueError(
             f"natural order undefined: element {int(bad[0])} is not additively idempotent")
     leq = R.add == np.arange(n)[None, :]
-    order = PartialOrder(leq)
+    order = PartialOrder(leq, validate=False)
     R._memo["natural_order"] = order
     return order
 

@@ -23,6 +23,7 @@ from .core import (
     _index_array,
     _law_witness,
     _map_search,
+    _subset_closure,
     as_op_table,
 )
 
@@ -114,10 +115,11 @@ class FiniteSemilattice:
 
 
 def induced_order(M: FiniteSemilattice) -> PartialOrder:
-    """x <= y iff x v y = y."""
+    """x <= y iff x v y = y: a partial order on any idempotent commutative
+    monoid, so it is not re-validated."""
     memo = M._memo.get("order")
     if memo is None:
-        memo = PartialOrder(M.join == np.arange(M.order)[None, :])
+        memo = PartialOrder(M.join == np.arange(M.order)[None, :], validate=False)
         M._memo["order"] = memo
     return memo
 
@@ -292,8 +294,13 @@ class EndoSemiring:
 
 
 def build_E_M(M: FiniteSemilattice) -> EndoSemiring:
-    """The full endomorphism semiring of M."""
-    return EndoSemiring(M, endo_enumerate(M), name=f"E_{M.name or M.order}")
+    """The full endomorphism semiring of M, memoised in M and shared by
+    every caller (``build_F_M`` too): rename a copy, never this one."""
+    memo = M._memo.get("E_M")
+    if memo is None:
+        memo = EndoSemiring(M, endo_enumerate(M), name=f"E_{M.name or M.order}")
+        M._memo["E_M"] = memo
+    return memo
 
 
 def generator_maps(M: FiniteSemilattice) -> list[Endo]:
@@ -302,23 +309,15 @@ def generator_maps(M: FiniteSemilattice) -> list[Endo]:
 
 
 def build_F_M(M: FiniteSemilattice) -> EndoSemiring:
-    """The additive submonoid of E_M generated by all e_{a,b}.
-
-    Computed as the closure of the generators under pointwise join: each
-    round joins the maps new in the last round with all maps found, in one
-    numpy operation.  Closure under composition is not used for generation,
-    but packaging the result re-checks it (it holds because the result is
-    an ideal of E_M).
+    """The additive submonoid of E_M generated by all e_{a,b}: their
+    ``_subset_closure`` under the pointwise join of ``build_E_M(M)``.
+    Packaging re-checks closure under composition (F_M is an ideal of E_M).
     """
-    n = M.order
-    arr = new = np.array(generator_maps(M), dtype=np.int32)
-    row = np.dtype((np.void, arr.itemsize * n))   # one map as one comparable value
-    while len(new):
-        joined = np.concatenate([arr, M.join[new[:, None, :], arr[None, :, :]].reshape(-1, n)])
-        _, first = np.unique(joined.view(row).ravel(), return_index=True)
-        new = joined[first[first >= len(arr)]]
-        arr = joined[first]
-    return EndoSemiring(M, map(tuple, arr.tolist()), name=f"F_{M.name or M.order}")
+    E = build_E_M(M)
+    mask = np.zeros(E.order, dtype=bool)
+    mask[[E.index[g] for g in generator_maps(M)]] = True
+    closed = np.flatnonzero(_subset_closure(mask, E.hemiring.add))
+    return EndoSemiring(M, [E.maps[i] for i in closed], name=f"F_{M.name or M.order}")
 
 
 def e_ab_absorb(M: FiniteSemilattice, a: int, f: Endo) -> int:

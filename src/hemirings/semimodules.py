@@ -29,7 +29,7 @@ from .core import (
     as_op_table,
 )
 from .lattices import _pack_maps
-from .simpleness import IdealSubset, all_ideals, ideal_violation
+from .simpleness import IdealSubset, generated_ideal, ideal_violation
 
 __all__ = [
     "DoubleCentralizerReport",
@@ -242,10 +242,12 @@ def is_generator(R: FiniteHemiring, P: FiniteLeftSemimodule) -> bool:
 
 
 def minimal_left_ideals(R: FiniteHemiring) -> list[IdealSubset]:
-    """Minimal nonzero left ideals, by inclusion."""
-    ideals = [I for I in all_ideals(R, "left") if not I.is_zero]
-    return [I for I in ideals
-            if not any(J.members < I.members for J in ideals)]
+    """Minimal nonzero left ideals, by size and then members: the minimal
+    principal left ideals <x>, x nonzero, since a nonzero left ideal holds
+    the <x> of each of its nonzero x.  No order bound applies."""
+    principals = {generated_ideal(R, [x], "left") for x in range(R.order) if x != R.zero}
+    return sorted((I for I in principals if not any(J.members < I.members for J in principals)),
+                  key=lambda I: (len(I.members), sorted(I.members)))
 
 
 def idempotent_generated(R: FiniteHemiring, I: IdealSubset) -> int | None:

@@ -12,7 +12,7 @@ default max-order, its size bound and any fixed report parameter in
 ``skipped(size)`` report past the bound, and sorts the records by name.
 Instances come from one cached source: ``_semilattices`` and ``_hemirings``
 (each order enumerated once), ``_catalog`` (both hemiring catalogs,
-deduplicated), ``_endo`` and ``_generated_endo`` (E_M and F_M per
+deduplicated), ``build_E_M`` and ``_generated_endo`` (E_M and F_M per
 semilattice) and ``_boolean_matrices``.  A witness search walks candidates
 from these sources through one ``_isomorphic_candidate``.
 """
@@ -161,11 +161,6 @@ def _hemirings(max_order: int, idempotent: bool) -> tuple[FiniteHemiring, ...]:
 
 
 @lru_cache(maxsize=None)
-def _endo(M: FiniteSemilattice):
-    return build_E_M(M)
-
-
-@lru_cache(maxsize=None)
 def _generated_endo(M: FiniteSemilattice):
     return build_F_M(M)
 
@@ -217,7 +212,7 @@ def _endo_witness(R: FiniteHemiring) -> str | None:
     """The name of the first catalog distributive lattice M with E_M
     isomorphic to R.  E_M has at least |M| elements, so M.order <= R.order."""
     return _isomorphic_candidate(R, (
-        (M.name, _endo(M).hemiring)
+        (M.name, build_E_M(M).hemiring)
         for M in _semilattices(min(R.order, SEMILATTICE_ORDER_BOUND)) if _distributive(M)))
 
 
@@ -227,7 +222,7 @@ def suite_thm3_3(max_order: int) -> list[InstanceRecord]:
     """E_M simple <=> E_M ideal-simple <=> M a distributive lattice."""
     records = []
     for M in _semilattices(max_order):
-        E = _endo(M)
+        E = build_E_M(M)
         dist = _distributive(M)
         ideal_simple = is_ideal_simple(E.hemiring)
         simple = ideal_simple and is_congruence_simple(E.hemiring)
@@ -248,7 +243,7 @@ def suite_cor3_8(max_order: int) -> list[InstanceRecord]:
     universal on every finite instance."""
     records = []
     for M in _semilattices(max_order):
-        E = _endo(M)
+        E = build_E_M(M)
         dist = _distributive(M)
         cs = is_congruence_simple(E.hemiring)
         isim = is_ideal_simple(E.hemiring)
@@ -281,7 +276,7 @@ def dense_embedding_search(R: FiniteHemiring, max_lattice_order: int
         if len(set(maps)) == R.order and is_dense(maps, M0):
             return ("left-regular", M0)
     for M in _semilattices(min(max_lattice_order, SEMILATTICE_ORDER_BOUND)):
-        E = _endo(M)
+        E = build_E_M(M)
         if E.order < R.order:
             continue
         gens = {E.endo_index(g) for g in generator_maps(M)}

@@ -12,7 +12,7 @@ from hemirings import (
     matrix_semiring,
     two_zero_mult,
 )
-from hemirings.verify import _endo, _hemirings, _semilattices
+from hemirings.verify import _hemirings, _semilattices
 
 
 def chain_semilattice(n: int, name: str = "") -> FiniteSemilattice:
@@ -173,4 +173,4 @@ def plain_hemirings_upto3():
 @pytest.fixture(scope="session")
 def endo_cache():
     """Shared E_M builder keyed by semilattice."""
-    return _endo
+    return build_E_M

@@ -5,7 +5,9 @@ Tables from outside the package are validated where they enter
 package builds are hemirings by construction and skip that scan, so this
 file runs ``check_hemiring_axioms`` on every kind of construction output:
 the catalogs, M_2(R) and its corners, E_M and F_M, module endomorphism
-semirings and the small named algebras.
+semirings and the small named algebras.  The orders and lattices the
+package builds skip validation too, and are re-built here with the
+validating ``PartialOrder`` and ``FiniteLattice``.
 """
 
 import pytest
@@ -13,7 +15,9 @@ import pytest
 from hemirings import (
     AxiomError,
     FiniteHemiring,
+    FiniteLattice,
     FiniteSemilattice,
+    PartialOrder,
     boolean_B,
     build_E_M,
     build_F_M,
@@ -22,13 +26,17 @@ from hemirings import (
     end_semiring,
     enumerate_semilattices,
     finite_field,
+    induced_order,
     integers_mod,
+    is_additively_idempotent,
     is_simple,
     left_ideal_semimodule,
     matrix_semiring,
     minimal_left_ideals,
+    natural_order,
     parse_algebra,
     regular_semimodule,
+    try_lattice,
     two_zero_mult,
 )
 from hemirings.constructions import FIELD_ORDERS, SEMILATTICE_ORDER_BOUND
@@ -85,6 +93,21 @@ def test_endomorphism_semirings_satisfy_the_laws(semilattices_upto5, endo_cache)
     for M in semilattices_upto5:
         assert_hemiring(endo_cache(M).hemiring)
         assert_hemiring(build_F_M(M).hemiring)
+
+
+def test_orders_and_lattices_pass_their_validation(plain_hemirings_upto3,
+                                                   idem_hemirings_upto4):
+    semilattices = [M for n in range(1, SEMILATTICE_ORDER_BOUND + 1)
+                    for M in enumerate_semilattices(n)]
+    algebras = [R for R in plain_hemirings_upto3 + idem_hemirings_upto4
+                if is_additively_idempotent(R)]
+    algebras += [E.hemiring for M in semilattices for E in (build_E_M(M), build_F_M(M))]
+    # each validating constructor raises ValueError on a failed law
+    for R in algebras:
+        PartialOrder(natural_order(R).leq)
+    for M in semilattices:
+        PartialOrder(induced_order(M).leq)
+        FiniteLattice(M, try_lattice(M).meet)
 
 
 def thm5_10_instances():

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -268,3 +270,26 @@ def test_hemiring_enumeration_guard():
                              r"asked for 5$"):
         enumerate_hemirings(5, additively_idempotent=True)
 
+
+
+def test_corner_suites_do_not_load_numpy_ma():
+    """``corner`` collects eRe through a mask, not ``np.unique``, whose
+    first plain call in a process imports ``numpy.ma``."""
+    code = """if True:
+        import sys
+        from hemirings.verify import run_suite
+        for name in ("prop5_3", "thm5_7"):
+            assert run_suite(name).verdict == "confirmed"
+        print("numpy.ma" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
+def test_corner_position_indexes_the_members(m2b):
+    R = m2b.hemiring
+    for e in R.idempotents():
+        c = corner(R, e)
+        assert c.position[list(c.members)].tolist() == list(range(c.order))
+        assert all(c.members[c.project(x)] == R.mul[R.mul[e, x], e] for x in range(R.order))

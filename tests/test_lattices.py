@@ -172,6 +172,13 @@ def test_generated_equals_full_iff_distributive(semilattices_upto5, endo_cache):
         assert (set(F.maps) == set(E.maps)) == dist
 
 
+def test_build_E_M_is_memoised_and_shared_with_F_M(m3):
+    E = build_E_M(m3)
+    assert build_E_M(m3) is E
+    F = build_F_M(m3)
+    assert set(F.maps) < set(E.maps) and build_E_M(m3) is E
+
+
 def test_diamond_generated_submonoid_is_proper(m3, e_m3):
     F = build_F_M(m3)
     assert set(F.maps) < set(e_m3.maps)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hemirings import (
+    EndoSemiring,
     FiniteSemilattice,
     PartialOrder,
     all_congruences,
@@ -43,11 +44,18 @@ from hemirings import (
 from hemirings import constructions, core
 from hemirings.constructions import HEMIRING_IDEMPOTENT_BOUND, SEMILATTICE_ORDER_BOUND
 from hemirings.core import _lex_least_relabeling, _map_search, canonical_form
-from hemirings.lattices import _pack_maps, endo_enumerate, semilattice_violation
-from hemirings.simpleness import Congruence, _compat_closure, _merge, _sweep_order, _tables
-from hemirings.verify import _catalog_semirings
+from hemirings.lattices import _pack_maps, endo_enumerate, generator_maps, semilattice_violation
+from hemirings.simpleness import (
+    CONGRUENCE_LATTICE_BOUND,
+    Congruence,
+    _compat_closure,
+    _merge,
+    _sweep_order,
+    _tables,
+)
+from hemirings.verify import _catalog_semirings, _semilattices
 
-from conftest import direct_product, naive_lex_least, relabeled
+from conftest import chain_semilattice, direct_product, naive_lex_least, relabeled
 
 
 def first_failure(law, *ranges):
@@ -1131,3 +1139,48 @@ def test_matrix_semiring_and_corners_against_loop_reference(plain_hemirings_upto
                 assert (c.hemiring.zero, c.hemiring.one) == (czero, cone)
                 corners += 1
     assert corners > 500
+
+
+# ------------------------------------- sub-objects against their old walks
+
+def frontier_F_M(M):
+    """Frontier-join reference for ``build_F_M``: each round joins the maps
+    new in the last round with all maps found, in one numpy operation."""
+    n = M.order
+    arr = new = np.array(generator_maps(M), dtype=np.int32)
+    row = np.dtype((np.void, arr.itemsize * n))   # one map as one comparable value
+    while len(new):
+        joined = np.concatenate([arr, M.join[new[:, None, :], arr[None, :, :]].reshape(-1, n)])
+        _, first = np.unique(joined.view(row).ravel(), return_index=True)
+        new = joined[first[first >= len(arr)]]
+        arr = joined[first]
+    return EndoSemiring(M, map(tuple, arr.tolist()), name=f"F_{M.name or M.order}")
+
+
+def test_build_F_M_against_frontier_closure(m3, n5):
+    lattices = list(_semilattices(SEMILATTICE_ORDER_BOUND)) + [chain_semilattice(7), m3, n5]
+    assert len(lattices) == 28
+    for M in lattices:
+        want, got = frontier_F_M(M), build_F_M(M)
+        assert got.maps == want.maps, M.name
+        W, G = want.hemiring, got.hemiring
+        assert np.array_equal(G.add, W.add) and np.array_equal(G.mul, W.mul), M.name
+        assert (G.zero, G.one, G.name) == (W.zero, W.one, W.name), M.name
+
+
+def lattice_minimal_left_ideals(R):
+    """Lattice-filter reference for ``minimal_left_ideals``: the minimal
+    nonzero members of the whole left-ideal lattice."""
+    ideals = [I for I in all_ideals(R, "left") if not I.is_zero]
+    return [I for I in ideals if not any(J.members < I.members for J in ideals)]
+
+
+def test_minimal_left_ideals_against_lattice_filter(plain_hemirings_upto3,
+                                                    idem_hemirings_upto4, m2b):
+    rings = plain_hemirings_upto3 + idem_hemirings_upto4 + [m2b.hemiring]
+    for M in _semilattices(SEMILATTICE_ORDER_BOUND):
+        rings += [E.hemiring for E in (build_E_M(M), build_F_M(M))
+                  if E.order <= CONGRUENCE_LATTICE_BOUND]
+    assert len(rings) > 150
+    for R in rings:
+        assert minimal_left_ideals(R) == lattice_minimal_left_ideals(R), R.name

@@ -4,6 +4,7 @@ from hemirings import (
     IdealSubset,
     all_ideals,
     boolean_B,
+    build_E_M,
     double_centralizer_check,
     end_semiring,
     generated_ideal,
@@ -18,8 +19,10 @@ from hemirings import (
     trace_ideal,
 )
 from hemirings.core import SizeGuardExceeded, check_hemiring_axioms
-from hemirings.simpleness import ideal_violation
+from hemirings.simpleness import CONGRUENCE_LATTICE_BOUND, ideal_violation
 from hemirings.semimodules import FiniteLeftSemimodule, ModuleEndoSemiring
+
+from conftest import chain_semilattice
 
 
 def test_regular_module_validates(B, z3, two):
@@ -277,6 +280,23 @@ def test_minimal_left_ideals_matrix(m2b):
     by_members = {I.members: I for I in mins}
     assert idempotent_generated(R, by_members[col1]) == m2b.unit(0, 0)
     assert idempotent_generated(R, by_members[col2]) == m2b.unit(1, 1)
+
+
+@pytest.mark.parametrize("n, count, size", [(5, 4, 5), (6, 5, 6)])
+def test_minimal_left_ideals_past_the_lattice_bound(n, count, size):
+    R = build_E_M(chain_semilattice(n)).hemiring     # orders 70 and 252
+    assert R.order > CONGRUENCE_LATTICE_BOUND
+    mins = minimal_left_ideals(R)
+    assert [len(I.members) for I in mins] == [size] * count
+    for I in mins:
+        for x in I.members - {R.zero}:
+            assert generated_ideal(R, [x], "left") == I
+    for x in range(R.order):
+        if x != R.zero:
+            principal = generated_ideal(R, [x], "left")
+            assert any(I <= principal for I in mins)
+    I = next(I for I in mins if idempotent_generated(R, I) is not None)
+    assert double_centralizer_check(R, I).isomorphism
 
 
 def test_zero_multiplication_minimal_ideal_has_no_idempotent(two):

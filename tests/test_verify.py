@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -184,3 +186,28 @@ def test_classify_lattice_ordered_non_simple():
     assert got["lattice-ordered"] == "true"
     assert got["aic"] == "true"
     assert got["congruence-simple"] == "false"
+
+
+def test_thm5_7_enumerates_each_endomorphism_set_once():
+    """E_M is memoised in M and F_M is closed inside it, so the E_M and F_M
+    witness searches share one ``endo_enumerate`` per semilattice, counted
+    in a fresh process."""
+    code = """if True:
+        import collections
+        from hemirings import lattices
+        from hemirings.verify import _semilattices, run_suite
+        calls = collections.Counter()
+        inner = lattices.endo_enumerate
+        def counted(M):
+            calls[M.name] += 1
+            return inner(M)
+        lattices.endo_enumerate = counted
+        assert run_suite("thm5_7").verdict == "confirmed"
+        memoised = [M.name for M in _semilattices(5) if "E_M" in M._memo]
+        print(*(f"{name}={calls[name]}" for name in memoised), len(calls))
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    # every memoised E_M was enumerated once, and no other
+    assert out.stdout.split() == ["sl1_000=1", "sl2_000=1", "sl3_000=1", "sl4_000=1",
+                                  "sl4_001=1", "5"]
