@@ -33,6 +33,7 @@ from .core import (
     InvariantViolation,
     SizeGuardExceeded,
     _LAW_SLAB_CELLS,
+    _least_bounds,
     _lex_least_relabeling,
 )
 from .lattices import FiniteSemilattice
@@ -354,20 +355,6 @@ def _natural_orders(n: int) -> np.ndarray:
     return leq
 
 
-def _join_tables(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack of partial orders leq[r, x, z] (x <= z): which of them
-    have every binary join, and their join tables (valid where they do).
-
-    All in one numpy pass: the join of x and y exists iff some common upper
-    bound z has as its up-set exactly the common upper bounds, and such a z
-    is the common upper bound with the largest up-set.
-    """
-    upper = leq[:, :, None, :] & leq[:, None, :, :]               # [r, x, y, z]
-    cand = (upper * leq.sum(axis=2, dtype=np.int16)[:, None, None, :]).argmax(axis=3)
-    up = leq[np.arange(len(leq))[:, None, None], cand]            # up-set of cand
-    return (up == upper).all(axis=(1, 2, 3)), cand
-
-
 def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     """All isomorphism classes of semilattices with zero of the given order.
 
@@ -383,7 +370,7 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     if order < 1:
         raise ValueError("order must be positive")
     n = order
-    lattice, joins = _join_tables(_natural_orders(n))
+    lattice, joins = _least_bounds(_natural_orders(n))
     seen: dict[tuple, FiniteSemilattice] = {}
     for key, _ in _lex_least_relabeling(joins[lattice][:, None], 0):
         if key not in seen:

@@ -398,6 +398,24 @@ class FiniteHemiring:
         return f"FiniteHemiring({tag}, zero={self.zero}{one})"
 
 
+def _least_bounds(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of partial orders leq[r, x, z] (x <= z): which of them
+    have every binary least upper bound, and the tables of those bounds
+    (valid where they do).  The least upper bound of x and y exists iff the
+    common upper bound z with the largest up-set has exactly the common
+    upper bounds as its up-set.  One pass per x keeps memory at O(r n^2).
+    """
+    r, n, _ = leq.shape
+    stack = np.arange(r)[:, None]
+    ups = leq.sum(axis=2, dtype=np.int32)[:, None, :]              # [r, 1, z]
+    ok, out = np.ones(r, dtype=bool), np.empty((r, n, n), dtype=np.int32)
+    for x in range(n):
+        upper = leq[:, x, None, :] & leq                             # [r, y, z]
+        out[:, x] = (upper * ups).argmax(axis=2)
+        ok &= (leq[stack, out[:, x]] == upper).all(axis=(1, 2))
+    return ok, out
+
+
 class PartialOrder:
     """A partial order on 0..n-1 as a boolean leq matrix."""
 
@@ -445,23 +463,10 @@ class PartialOrder:
         return None
 
     def meet_table(self) -> np.ndarray | None:
-        """All binary meets, or None if some pair has no glb.
-
-        One pass per row a: the candidate for a ^ b is the common lower
-        bound with the largest down-set, and it is the meet iff the common
-        lower bounds are exactly its down-set.
-        """
-        leq = self.leq
-        n = self.order
-        down = leq.sum(axis=0)[:, None]
-        out = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            lower = leq[:, a, None] & leq           # [x, b]: x <= a and x <= b
-            cand = (lower * down).argmax(axis=0)
-            if not (lower == leq[:, cand]).all():
-                return None
-            out[a] = cand
-        return out
+        """All binary meets, or None if some pair has no glb: the least
+        upper bounds of the reversed order (made contiguous for speed)."""
+        ok, meets = _least_bounds(np.ascontiguousarray(self.leq.T)[None])
+        return meets[0] if ok[0] else None
 
     def comparable(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b] or self.leq[b, a])

@@ -155,11 +155,12 @@ def try_lattice(M: FiniteSemilattice) -> FiniteLattice | None:
 
     For a validated FiniteSemilattice this always succeeds (the join of the
     common lower bounds is the meet); the optional covers malformed input.
+    The meets are the glbs by construction, so they are not re-validated.
     """
     meets = induced_order(M).meet_table()
     if meets is None:
         return None
-    return FiniteLattice(M, meets)
+    return FiniteLattice(M, meets, validate=False)
 
 
 def is_distributive(L: FiniteLattice) -> bool:

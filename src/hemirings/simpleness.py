@@ -19,9 +19,10 @@ numpy pass per row every pair with a non-diagonal earlier image; only the
 remaining pairs run a closure, and it stops as soon as it identifies an
 earlier pair.  The ideal-simpleness decider does the same over elements in
 the sweep order: x is settled when some r * x or x * r is a nonzero
-element before x.  Both lattices are enumerated by one walk, the join
-closure of the principal congruences or ideals from the bottom element,
-which stops with ``SizeGuardExceeded`` past ``LATTICE_BOUND`` elements.
+element before x.  Both lattices are enumerated by one walk from the
+bottom element: one pass over the principal congruences or ideals, in the
+order the lattice is returned in, joins each with every element found so
+far, and stops with ``SizeGuardExceeded`` past ``LATTICE_BOUND`` elements.
 """
 
 from __future__ import annotations
@@ -60,14 +61,17 @@ class Congruence:
 
     ``labels[x]`` is the least element of x's block, so x ~ labels[x]
     generates the partition and the blocks are numbered by their least
-    elements.
+    elements.  Other integer labels are renamed; non-integers raise.
     """
 
     __slots__ = ("labels",)
 
     def __init__(self, labels):
+        arr = np.asarray(labels)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError(f"congruence labels must be a 1-D integer sequence, not {arr!r}")
         least: dict[int, int] = {}
-        self.labels = tuple(least.setdefault(int(v), x) for x, v in enumerate(labels))
+        self.labels = tuple(least.setdefault(v, x) for x, v in enumerate(arr.tolist()))
 
     @classmethod
     def diagonal(cls, n: int) -> "Congruence":
@@ -267,29 +271,22 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
     return True
 
 
-def _join_closure(bottom, principals, join, kind: str) -> set:
-    """Every join of ``bottom`` with finitely many ``principals``: the whole
-    lattice when each element is a join of principal ones.
+def _join_closure(bottom, principals, join, key, kind: str) -> list:
+    """Every join of ``bottom`` with a subset of ``principals``, sorted by
+    ``key``: the whole lattice when each element is a join of principal ones.
 
-    Each round joins the elements found in the last round with every
-    principal element.  More than ``LATTICE_BOUND`` elements raise
-    ``SizeGuardExceeded``.
+    One pass over the principals in ``key`` order: after the k-th, ``found``
+    holds the joins of ``bottom`` with subsets of the first k (Freese 2008).
+    The bound is checked after each principal, so one union can take
+    ``found`` to twice ``LATTICE_BOUND`` before ``SizeGuardExceeded``.
     """
     found = {bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for p in principals:
-                j = join(c, p)
-                if j not in found:
-                    found.add(j)
-                    nxt.append(j)
-                    if len(found) > LATTICE_BOUND:
-                        raise SizeGuardExceeded(f"{kind} lattice enumeration bounded at "
-                                                 f"{LATTICE_BOUND} {kind}s")
-        frontier = nxt
-    return found
+    for p in sorted(principals, key=key):
+        found |= {join(c, p) for c in found}
+        if len(found) > LATTICE_BOUND:
+            raise SizeGuardExceeded(f"{kind} lattice enumeration bounded at "
+                                     f"{LATTICE_BOUND} {kind}s")
+    return sorted(found, key=key)
 
 
 def all_congruences(R: FiniteHemiring, max_order: int = CONGRUENCE_LATTICE_BOUND) -> list[Congruence]:
@@ -300,8 +297,8 @@ def all_congruences(R: FiniteHemiring, max_order: int = CONGRUENCE_LATTICE_BOUND
                                  f"{max_order}; asked for {n}")
     tables = _tables(R)
     principals = {_closure(tables, [a], [b]) for a in range(n) for b in range(a + 1, n)}
-    found = _join_closure(Congruence.diagonal(n), principals, Congruence.join, "congruence")
-    return sorted(found, key=lambda c: c.labels)
+    return _join_closure(Congruence.diagonal(n), principals, Congruence.join,
+                         lambda c: c.labels, "congruence")
 
 
 class IdealSubset:
@@ -402,8 +399,8 @@ def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided",
         return IdealSubset(sums.ravel().tolist(), sidedness, n)
 
     principals = {generated_ideal(R, [x], sidedness) for x in range(n) if x != R.zero}
-    found = _join_closure(IdealSubset([R.zero], sidedness, n), principals, plus, "ideal")
-    return sorted(found, key=lambda I: (len(I.members), sorted(I.members)))
+    return _join_closure(IdealSubset([R.zero], sidedness, n), principals, plus,
+                         lambda I: (len(I.members), sorted(I.members)), "ideal")
 
 
 def is_ideal_simple(R: FiniteHemiring) -> bool:

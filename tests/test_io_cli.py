@@ -15,7 +15,7 @@ from hemirings import (
 from hemirings import core
 from hemirings.io import ParseError
 
-from conftest import chain_semilattice
+from conftest import chain_semilattice, direct_product
 
 
 def run_cli(*args, cwd=None):
@@ -244,6 +244,21 @@ def test_cli_congruences_and_ideals(tmp_path, z4):
     assert r.returncode == 0 and r.stdout.startswith("count: 3")
     r = run_cli("ideals", str(f))
     assert r.returncode == 0 and r.stdout.startswith("count: 3")
+
+
+def test_cli_reader_closing_the_pipe_is_not_an_error(tmp_path, plain_hemirings_upto3):
+    # the order-36 product's congruence dump (285 kB) outgrows the pipe
+    catalog = {R.name: R for R in plain_hemirings_upto3}
+    f = tmp_path / "p36.alg"
+    write_algebra(direct_product(*(catalog[name] for name in
+                                   ("hr2_000", "hr2_000", "hr3_000", "hr3_000"))), f)
+    proc = subprocess.Popen([sys.executable, "-m", "hemirings.cli", "congruences", str(f)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "count: 2092\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
 
 
 def test_cli_size_guard_exit(tmp_path):

@@ -19,7 +19,7 @@ from hemirings import (
     is_semilattice,
     try_lattice,
 )
-from hemirings.core import check_hemiring_axioms
+from hemirings.core import PartialOrder, check_hemiring_axioms
 from hemirings.lattices import generator_maps
 
 from conftest import chain_semilattice, diamond_semilattice
@@ -61,6 +61,19 @@ def test_try_lattice_chain_distributive(c3):
     lat = try_lattice(c3)
     assert lat is not None
     assert is_distributive(lat)
+
+
+def test_try_lattice_computes_its_meets_once(monkeypatch, m3):
+    meet_table = PartialOrder.meet_table
+    calls = []
+
+    def counted(po):
+        calls.append(po)
+        return meet_table(po)
+
+    monkeypatch.setattr(PartialOrder, "meet_table", counted)
+    assert try_lattice(m3) is not None
+    assert len(calls) == 1
 
 
 def test_try_lattice_diamond_not_distributive(m3):

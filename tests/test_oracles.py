@@ -41,13 +41,14 @@ from hemirings import (
     tau_congruence,
     try_lattice,
 )
-from hemirings import constructions, core
+from hemirings import constructions, core, simpleness
 from hemirings.constructions import HEMIRING_IDEMPOTENT_BOUND, SEMILATTICE_ORDER_BOUND
-from hemirings.core import _lex_least_relabeling, _map_search, canonical_form
+from hemirings.core import SizeGuardExceeded, _lex_least_relabeling, _map_search, canonical_form
 from hemirings.lattices import _pack_maps, endo_enumerate, generator_maps, semilattice_violation
 from hemirings.simpleness import (
     CONGRUENCE_LATTICE_BOUND,
     Congruence,
+    IdealSubset,
     _compat_closure,
     _merge,
     _sweep_order,
@@ -637,16 +638,17 @@ def test_meet_table_against_pairwise_meet(semilattices_upto5, endo_cache):
 
 
 def test_batched_join_tables_against_meet_table():
-    """The one-pass join test of the semilattice enumeration against
-    ``meet_table`` of the reversed order, on every relation it is given at
-    orders <= 6 and on seeded random posets, with and without a bottom."""
+    """The least-bound kernel over a stack, as the semilattice enumeration
+    calls it, against ``meet_table`` of each reversed order on its own, on
+    every relation it is given at orders <= 6 and on seeded random posets,
+    with and without a bottom."""
     rng = random.Random(11)
     stacks = [constructions._natural_orders(n) for n in range(1, 7)]
     stacks += [random_poset(rng, n, rng.random()).leq[None]
                for n in range(1, 8) for _ in range(30)]
     with_joins = without = 0
     for leq in stacks:
-        lattice, joins = constructions._join_tables(leq)
+        lattice, joins = core._least_bounds(leq)
         for rel, ok, join in zip(leq, lattice, joins):
             want = PartialOrder(rel.T, validate=False).meet_table()
             assert ok == (want is not None)
@@ -1184,3 +1186,80 @@ def test_minimal_left_ideals_against_lattice_filter(plain_hemirings_upto3,
     assert len(rings) > 150
     for R in rings:
         assert minimal_left_ideals(R) == lattice_minimal_left_ideals(R), R.name
+
+
+def frontier_join_closure(bottom, principals, join, kind: str) -> set:
+    """Frontier reference for ``simpleness._join_closure``: each round joins
+    the elements found in the last round with every principal element."""
+    found = {bottom}
+    frontier = [bottom]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for p in principals:
+                j = join(c, p)
+                if j not in found:
+                    found.add(j)
+                    nxt.append(j)
+                    if len(found) > simpleness.LATTICE_BOUND:
+                        raise SizeGuardExceeded(f"{kind} lattice enumeration bounded at "
+                                                 f"{simpleness.LATTICE_BOUND} {kind}s")
+        frontier = nxt
+    return found
+
+
+def frontier_congruences(R):
+    n = R.order
+    principals = {principal_congruence(R, a, b) for a in range(n) for b in range(a + 1, n)}
+    found = frontier_join_closure(Congruence.diagonal(n), principals, Congruence.join,
+                                  "congruence")
+    return sorted(found, key=lambda c: c.labels)
+
+
+def frontier_ideals(R, sidedness):
+    n = R.order
+
+    def plus(I, J):
+        if J <= I:
+            return I
+        sums = R.add[sorted(I.members)][:, sorted(J.members)]
+        return IdealSubset(sums.ravel().tolist(), sidedness, n)
+
+    principals = {generated_ideal(R, [x], sidedness) for x in range(n) if x != R.zero}
+    found = frontier_join_closure(IdealSubset([R.zero], sidedness, n), principals, plus, "ideal")
+    return sorted(found, key=lambda I: (len(I.members), sorted(I.members)))
+
+
+def test_lattice_walks_against_frontier_walk(plain_hemirings_upto3, idem_hemirings_upto4,
+                                             monkeypatch):
+    """The one pass over the principals gives the frontier walk's lattices,
+    list for list, on both catalogs, on E_M and F_M of order <= 40 and on
+    seeded products of catalog members of order <= 40.  The reference is
+    slow, so the sample is small and a product whose lattices pass 3000
+    elements is skipped."""
+    catalog = list(plain_hemirings_upto3) + list(idem_hemirings_upto4)
+    algebras = list(catalog)
+    for M in _semilattices(SEMILATTICE_ORDER_BOUND):
+        algebras += [E.hemiring for E in (build_E_M(M), build_F_M(M))
+                     if E.order <= CONGRUENCE_LATTICE_BOUND]
+    factors = [R for R in catalog if R.order > 1]
+    rng = random.Random(5)
+    products = []
+    while len(products) < 12:
+        P = direct_product(*rng.sample(factors, rng.choice((2, 3, 4))))
+        if P.order <= CONGRUENCE_LATTICE_BOUND:
+            products.append(P)
+    monkeypatch.setattr(simpleness, "LATTICE_BOUND", 3000)
+    sidednesses = ("two-sided", "left", "right")
+    sizes = []
+    for R in algebras + products:
+        try:
+            lattices = [all_congruences(R)] + [all_ideals(R, s) for s in sidednesses]
+        except SizeGuardExceeded:
+            assert R in products
+            continue
+        assert lattices[0] == frontier_congruences(R), R.name
+        for s, ideals in zip(sidednesses, lattices[1:]):
+            assert ideals == frontier_ideals(R, s), (R.name, s)
+        sizes.append(max(map(len, lattices)))
+    assert len(sizes) > 180 and max(sizes) > 500

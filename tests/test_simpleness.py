@@ -27,7 +27,7 @@ from hemirings.core import SizeGuardExceeded
 from hemirings.lattices import build_E_M, FiniteSemilattice
 from hemirings.simpleness import ideal_violation, is_congruence
 
-from conftest import chain3_min_semiring, chain_semilattice
+from conftest import chain3_min_semiring, chain_semilattice, direct_product
 
 
 def all_partitions(n):
@@ -84,6 +84,20 @@ def test_congruence_labels_are_least_elements():
             for coarse, _, coarse_labels in parts:
                 inside = all(len({coarse_labels[x] for x in b}) == 1 for b in fine_blocks)
                 assert fine.refines(coarse) == inside
+
+
+@pytest.mark.parametrize("labels", [[0, 1.7, 0], [0.0, 1.0], [True, False, True],
+                                    [[0, 1], [1, 0]], ["0", "1"]])
+def test_congruence_rejects_non_integer_labels(labels):
+    # a float label used to be truncated, a bool read as 0 or 1
+    with pytest.raises(ValueError, match=r"^congruence labels must be a 1-D integer sequence"):
+        Congruence(labels)
+
+
+def test_congruence_renames_integer_arrays_to_python_ints():
+    cong = Congruence(np.array([7, 3, 7, 250], dtype=np.uint8))
+    assert cong.labels == (0, 1, 0, 3)
+    assert all(type(v) is int for v in cong.labels)
 
 
 def test_lattice_walks_stop_at_the_bound(monkeypatch):
@@ -165,6 +179,34 @@ def test_all_congruences_builds_the_tables_once(monkeypatch, plain_hemirings_upt
         builds.clear()
         all_congruences(R)
         assert builds == [R]
+
+
+def test_order36_product_lattices(plain_hemirings_upto3, monkeypatch):
+    """hr2_000 x hr2_000 x hr3_000 x hr3_000: the walk over its 2092
+    congruences makes at most 30,000 joins (the frontier walk made
+    133,888)."""
+    catalog = {R.name: R for R in plain_hemirings_upto3}
+    P = direct_product(*(catalog[name] for name in ("hr2_000", "hr2_000", "hr3_000", "hr3_000")))
+    join = Congruence.join
+    joins = []
+
+    def counted(c, d):
+        joins.append(d)
+        return join(c, d)
+
+    monkeypatch.setattr(Congruence, "join", counted)
+    assert P.order == 36 and len(all_congruences(P)) == 2092
+    assert len(joins) <= 30000
+    for sidedness in ("two-sided", "left", "right"):
+        assert len(all_ideals(P, sidedness)) == 2520
+
+
+def test_ai4_lattice_totals(idem_hemirings_upto4):
+    ai4 = [R for R in idem_hemirings_upto4 if R.order == 4]
+    assert len(ai4) == 129
+    assert sum(len(all_congruences(R)) for R in ai4) == 645
+    assert [sum(len(all_ideals(R, s)) for R in ai4)
+            for s in ("two-sided", "left", "right")] == [538, 627, 627]
 
 
 def test_all_congruences_size_guard():
