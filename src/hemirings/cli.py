@@ -15,7 +15,7 @@ from pathlib import Path
 from .core import SizeGuardExceeded, check_hemiring_axioms, fingerprint
 from .lattices import FiniteSemilattice, build_E_M, build_F_M, is_distributive, \
     semilattice_violation, try_lattice
-from .simpleness import CONGRUENCE_LATTICE_BOUND, all_congruences, all_ideals
+from .simpleness import all_congruences, all_ideals
 from .constructions import corner, enumerate_hemirings, enumerate_semilattices, \
     is_full_idempotent, matrix_semiring
 from .io import ParseError, _read_tables, format_algebra, parse_algebra_file, write_algebra
@@ -101,7 +101,7 @@ def cmd_endo(args) -> int:
 
 def cmd_congruences(args) -> int:
     alg = _hemiring_file(args, "congruences")
-    congs = all_congruences(alg, max_order=args.max_order)
+    congs = all_congruences(alg)
     sys.stdout.write(f"count: {len(congs)}\n")
     for c in congs:
         blocks = " ".join("{" + ",".join(map(str, b)) + "}" for b in c.blocks())
@@ -111,7 +111,7 @@ def cmd_congruences(args) -> int:
 
 def cmd_ideals(args) -> int:
     alg = _hemiring_file(args, "ideals")
-    ideals = all_ideals(alg, args.sidedness, max_order=args.max_order)
+    ideals = all_ideals(alg, args.sidedness)
     sys.stdout.write(f"count: {len(ideals)}\n")
     for I in ideals:
         sys.stdout.write("ideal: {" + ",".join(map(str, sorted(I.members))) + "}\n")
@@ -227,14 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("congruences", help="dump the congruence lattice")
     sp.add_argument("file")
-    sp.add_argument("--max-order", type=int, default=CONGRUENCE_LATTICE_BOUND)
     sp.set_defaults(fn=cmd_congruences)
 
     sp = sub.add_parser("ideals", help="dump all ideals")
     sp.add_argument("file")
     sp.add_argument("--sidedness", choices=("left", "right", "two-sided"),
                     default="two-sided")
-    sp.add_argument("--max-order", type=int, default=CONGRUENCE_LATTICE_BOUND)
     sp.set_defaults(fn=cmd_ideals)
 
     sp = sub.add_parser("enumerate", help="write a catalog to disk")

@@ -1,35 +1,26 @@
 """Congruence and ideal machinery for finite hemirings.
 
 Congruences are partitions stored as least-element labels: labels[x] is
-the least element rep(x) of x's block.  The principal congruence closure
-is the dominant cost of the package.  The partition is generated by the
-pairs x ~ rep(x), so a pass compares the table rows of the
-non-representatives only with the rows of their representatives, through
-addition and both sides of multiplication, and merges every mismatch at
-once with one vectorized union-find; passes repeat until no merge fires.
-Deciding congruence-simpleness needs only principal congruences, since any
-congruence above the diagonal contains a principal one; pairs are visited
-in lexicographic order of a sweep order (zero first, then by descending
-count of distinct sums x + c), so every earlier pair is already known to
-generate the universal congruence.  Any total order keeps that sound; this
-one, an isomorphism invariant, leaves far fewer pairs to close.  Cg(a, b)
-contains Cg(p, q) for every image {p, q} of {a, b} under a translation
-x -> x + c, x * c or c * x, so an earlier-witness pre-pass settles in one
-numpy pass per row every pair with a non-diagonal earlier image; only the
-remaining pairs run a closure, and it stops as soon as it identifies an
-earlier pair.  The ideal-simpleness decider does the same over elements in
-the sweep order: x is settled when some r * x or x * r is a nonzero
-element before x.  Both lattices are enumerated by one walk from the
-bottom element: one pass over the principal congruences or ideals, in the
-order the lattice is returned in, joins each with every element found so
-far, and stops with ``SizeGuardExceeded`` past ``LATTICE_BOUND`` elements.
+the least element of x's block.  The principal congruence closure
+(``_compat_closure``) is the dominant cost of the package; the simpleness
+deciders visit elements in ``_sweep_order`` and close only what an
+earlier element does not settle.
+
+Both lattices are one walk from the bottom element over the principal
+congruences or ideals (``_join_closure``).  On additively idempotent R,
+with x <= y iff x + y = y, Cg(a, b) = Cg(a, a + b) v Cg(b, a + b), and
+Cg(x, z) = Cg(x, y) v Cg(y, z) for x <= y <= z, so the congruence walk
+needs only the covering pairs of that order; on other R, every pair.
+``CLOSURE_BUDGET`` bounds (closures to run) x n^2 table cells before any
+closure runs, and ``LATTICE_BOUND`` the elements found.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteHemiring, SizeGuardExceeded, _subset_closure, is_aic
+from .core import FiniteHemiring, SizeGuardExceeded, _subset_closure, is_aic, \
+    is_additively_idempotent, natural_order
 from .lattices import EndoSemiring
 
 __all__ = [
@@ -51,9 +42,8 @@ __all__ = [
     "tau_congruence",
 ]
 
-CONGRUENCE_LATTICE_BOUND = 40
+CLOSURE_BUDGET = 10**8      # table cells: closures to run x n^2
 LATTICE_BOUND = 200000
-RADICAL_BOUND = 24
 
 
 class Congruence:
@@ -72,6 +62,13 @@ class Congruence:
             raise ValueError(f"congruence labels must be a 1-D integer sequence, not {arr!r}")
         least: dict[int, int] = {}
         self.labels = tuple(least.setdefault(v, x) for x, v in enumerate(arr.tolist()))
+
+    @classmethod
+    def _least(cls, labels: np.ndarray) -> "Congruence":
+        """From least-element labels, such as ``_merge``'s, without the rename."""
+        cong = cls.__new__(cls)
+        cong.labels = tuple(labels.tolist())
+        return cong
 
     @classmethod
     def diagonal(cls, n: int) -> "Congruence":
@@ -113,8 +110,8 @@ class Congruence:
 
     def join(self, other: "Congruence") -> "Congruence":
         """Smallest partition containing both (transitive closure of union)."""
-        return Congruence(_merge(np.array(self.labels), np.arange(self.order),
-                                 np.array(other.labels)))
+        return Congruence._least(_merge(np.array(self.labels), np.arange(self.order),
+                                        np.array(other.labels)))
 
     def __eq__(self, other):
         return isinstance(other, Congruence) and self.labels == other.labels
@@ -186,7 +183,7 @@ def _closure(tables, xs, ys) -> Congruence:
     labels = _merge(np.arange(tables[0].shape[0]), xs, ys)
     for labels in _compat_closure(tables, labels):
         pass
-    return Congruence(labels)
+    return Congruence._least(labels)
 
 
 def principal_congruence(R: FiniteHemiring, a: int, b: int) -> Congruence:
@@ -271,17 +268,24 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
     return True
 
 
-def _join_closure(bottom, principals, join, key, kind: str) -> list:
-    """Every join of ``bottom`` with a subset of ``principals``, sorted by
-    ``key``: the whole lattice when each element is a join of principal ones.
+def _join_closure(bottom, principal, seeds, join, key, kind: str) -> list:
+    """Every join of ``bottom`` with a subset of the principal elements
+    ``principal(s)``, s in ``seeds``, sorted by ``key``: the whole lattice
+    when each element is a join of principal ones.
 
-    One pass over the principals in ``key`` order: after the k-th, ``found``
-    holds the joins of ``bottom`` with subsets of the first k (Freese 2008).
-    The bound is checked after each principal, so one union can take
-    ``found`` to twice ``LATTICE_BOUND`` before ``SizeGuardExceeded``.
+    No ``principal`` call (a closure over n x n tables) runs when
+    len(seeds) x n^2 exceeds ``CLOSURE_BUDGET``.  After the k-th principal
+    in ``key`` order, ``found`` holds the joins of ``bottom`` with subsets
+    of the first k (Freese 2008); one union can take it to twice
+    ``LATTICE_BOUND`` before ``SizeGuardExceeded``.
     """
+    n = bottom.order
+    if (cells := len(seeds) * n * n) > CLOSURE_BUDGET:
+        raise SizeGuardExceeded(f"{kind} lattice enumeration is bounded at CLOSURE_BUDGET = "
+                                 f"{CLOSURE_BUDGET} table cells; asked for {cells} "
+                                 f"({len(seeds)} closures at order {n})")
     found = {bottom}
-    for p in sorted(principals, key=key):
+    for p in sorted({principal(s) for s in seeds}, key=key):
         found |= {join(c, p) for c in found}
         if len(found) > LATTICE_BOUND:
             raise SizeGuardExceeded(f"{kind} lattice enumeration bounded at "
@@ -289,15 +293,17 @@ def _join_closure(bottom, principals, join, key, kind: str) -> list:
     return sorted(found, key=key)
 
 
-def all_congruences(R: FiniteHemiring, max_order: int = CONGRUENCE_LATTICE_BOUND) -> list[Congruence]:
-    """The full congruence lattice, as joins of principal congruences."""
+def all_congruences(R: FiniteHemiring) -> list[Congruence]:
+    """The congruence lattice, from the covering pairs on additively idempotent R."""
     n = R.order
-    if n > max_order:
-        raise SizeGuardExceeded(f"congruence lattice enumeration is bounded at order "
-                                 f"{max_order}; asked for {n}")
+    pairs = np.triu(np.ones((n, n), dtype=bool), 1)
+    if is_additively_idempotent(R):
+        pairs = natural_order(R).leq & ~np.eye(n, dtype=bool)
+        m = pairs.astype(np.float32)    # so the product runs in BLAS; counts stay exact
+        pairs &= (m @ m) == 0
     tables = _tables(R)
-    principals = {_closure(tables, [a], [b]) for a in range(n) for b in range(a + 1, n)}
-    return _join_closure(Congruence.diagonal(n), principals, Congruence.join,
+    return _join_closure(Congruence.diagonal(n), lambda ab: _closure(tables, ab[:1], ab[1:]),
+                         np.argwhere(pairs).tolist(), Congruence.join,
                          lambda c: c.labels, "congruence")
 
 
@@ -379,8 +385,7 @@ def generated_ideal(R: FiniteHemiring, seed, sidedness: str = "two-sided") -> Id
     return IdealSubset(np.flatnonzero(mask), sidedness, n)
 
 
-def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided",
-               max_order: int = CONGRUENCE_LATTICE_BOUND) -> list[IdealSubset]:
+def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided") -> list[IdealSubset]:
     """Every ideal, as sums I + J = {i + j} of {0} and principal ideals <x>.
 
     Every ideal I is the sum of {0} and the <x> with x nonzero in I.  I + J
@@ -388,9 +393,6 @@ def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided",
     I + J = I when J is inside I.
     """
     n = R.order
-    if n > max_order:
-        raise SizeGuardExceeded(f"ideal enumeration is bounded at order {max_order}; "
-                                 f"asked for {n}")
 
     def plus(I: IdealSubset, J: IdealSubset) -> IdealSubset:
         if J <= I:
@@ -398,8 +400,9 @@ def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided",
         sums = R.add[sorted(I.members)][:, sorted(J.members)]
         return IdealSubset(sums.ravel().tolist(), sidedness, n)
 
-    principals = {generated_ideal(R, [x], sidedness) for x in range(n) if x != R.zero}
-    return _join_closure(IdealSubset([R.zero], sidedness, n), principals, plus,
+    return _join_closure(IdealSubset([R.zero], sidedness, n),
+                         lambda x: generated_ideal(R, [x], sidedness),
+                         [x for x in range(n) if x != R.zero], plus,
                          lambda I: (len(I.members), sorted(I.members)), "ideal")
 
 
@@ -444,7 +447,7 @@ def bourne_congruence(R: FiniteHemiring, I: IdealSubset) -> Congruence:
     n = R.order
     idx = sorted(I.members)
     ids = np.arange(n)
-    cong = Congruence(_merge(ids, np.repeat(ids, len(idx)), R.add[:, idx].ravel()))
+    cong = Congruence._least(_merge(ids, np.repeat(ids, len(idx)), R.add[:, idx].ravel()))
     if not is_congruence(R, cong):
         raise ValueError("Bourne relation did not close to a congruence")
     return cong
@@ -474,26 +477,24 @@ def tau_congruence(E: EndoSemiring) -> Congruence:
                                     return_inverse=True)
         firsts.append(first[group.ravel()])
     ids = np.arange(k)
-    cong = Congruence(_merge(ids, np.tile(ids, M.order), np.concatenate(firsts)))
+    cong = Congruence._least(_merge(ids, np.tile(ids, M.order), np.concatenate(firsts)))
     if not is_congruence(E.hemiring, cong):
         raise ValueError("tau relation is not a congruence")
     return cong
 
 
-def radical_left(R: FiniteHemiring, max_order: int = RADICAL_BOUND) -> IdealSubset:
+def radical_left(R: FiniteHemiring) -> IdealSubset:
     """Intersection of the maximal proper left subsemimodules of _R R.
 
-    Brute-force over the left ideals; if no proper one exists the radical
-    is all of R.
+    Visited largest first, a proper left ideal in no maximal one kept so
+    far is maximal; if no proper one exists the radical is all of R.
     """
     n = R.order
-    subs = [I.members for I in all_ideals(R, "left", max_order) if not I.is_full]
-    maximal = [S for S in subs
-               if not any(S < T for T in subs)]
-    if not maximal:
-        return IdealSubset(range(n), "left", n)
-    members = frozenset.intersection(*maximal)
-    return IdealSubset(members, "left", n)
+    maximal = []
+    for I in reversed(all_ideals(R, "left")[:-1]):     # the last one is R
+        if not any(I.members <= S for S in maximal):
+            maximal.append(I.members)
+    return IdealSubset(frozenset(range(n)).intersection(*maximal), "left", n)
 
 
 def aic_max_ideal(R: FiniteHemiring) -> IdealSubset:

@@ -262,13 +262,16 @@ def test_cli_reader_closing_the_pipe_is_not_an_error(tmp_path, plain_hemirings_u
 
 
 def test_cli_size_guard_exit(tmp_path):
-    E = None
-    from hemirings import build_E_M
-    E = build_E_M(chain_semilattice(5)).hemiring   # order 70 > default 40
+    from hemirings import finite_field, matrix_semiring
+    R = matrix_semiring(finite_field(4), 2).hemiring   # order 256, not idempotent
     f = tmp_path / "big.alg"
-    write_algebra(E, f)
+    write_algebra(R, f)
     r = run_cli("congruences", str(f))
     assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == ("size guard: congruence lattice enumeration is bounded at "
+                        "CLOSURE_BUDGET = 100000000 table cells; asked for 2139095040 "
+                        "(32640 closures at order 256)\n")
 
 
 def test_cli_enumerate_deterministic(tmp_path):
@@ -358,12 +361,9 @@ def test_cli_verify_rejects_non_positive_max_order(max_order):
 
 def test_cli_max_order_defaults_are_the_library_bounds():
     from hemirings.cli import build_parser
-    from hemirings.simpleness import CONGRUENCE_LATTICE_BOUND
     from hemirings.verify import DECIDER_ORDER_CAP
     parser = build_parser()
     assert parser.parse_args(["classify", "f"]).max_order == DECIDER_ORDER_CAP
-    for cmd in ("congruences", "ideals"):
-        assert parser.parse_args([cmd, "f"]).max_order == CONGRUENCE_LATTICE_BOUND
 
 
 def test_cli_verify_report_file(tmp_path):

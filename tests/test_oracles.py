@@ -37,6 +37,7 @@ from hemirings import (
     minimal_left_ideals,
     natural_order,
     principal_congruence,
+    radical_left,
     regular_semimodule,
     tau_congruence,
     try_lattice,
@@ -46,7 +47,6 @@ from hemirings.constructions import HEMIRING_IDEMPOTENT_BOUND, SEMILATTICE_ORDER
 from hemirings.core import SizeGuardExceeded, _lex_least_relabeling, _map_search, canonical_form
 from hemirings.lattices import _pack_maps, endo_enumerate, generator_maps, semilattice_violation
 from hemirings.simpleness import (
-    CONGRUENCE_LATTICE_BOUND,
     Congruence,
     IdealSubset,
     _compat_closure,
@@ -1181,11 +1181,33 @@ def test_minimal_left_ideals_against_lattice_filter(plain_hemirings_upto3,
                                                     idem_hemirings_upto4, m2b):
     rings = plain_hemirings_upto3 + idem_hemirings_upto4 + [m2b.hemiring]
     for M in _semilattices(SEMILATTICE_ORDER_BOUND):
-        rings += [E.hemiring for E in (build_E_M(M), build_F_M(M))
-                  if E.order <= CONGRUENCE_LATTICE_BOUND]
+        rings += [E.hemiring for E in (build_E_M(M), build_F_M(M)) if E.order <= 40]
     assert len(rings) > 150
     for R in rings:
         assert minimal_left_ideals(R) == lattice_minimal_left_ideals(R), R.name
+
+
+def quadratic_radical_left(R):
+    """Pairwise-filter reference for ``radical_left``: the intersection of
+    the proper left ideals that lie strictly inside no other proper one."""
+    n = R.order
+    subs = [I.members for I in all_ideals(R, "left") if not I.is_full]
+    maximal = [S for S in subs if not any(S < T for T in subs)]
+    if not maximal:
+        return IdealSubset(range(n), "left", n)
+    return IdealSubset(frozenset.intersection(*maximal), "left", n)
+
+
+def test_radical_left_against_quadratic_filter(plain_hemirings_upto3, idem_hemirings_upto4):
+    catalog = {R.name: R for R in plain_hemirings_upto3}
+    P = direct_product(*(catalog[name] for name in ("hr2_000", "hr2_000", "hr3_000", "hr3_000")))
+    radicals = set()
+    for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4) + [P]:
+        rad = radical_left(R)
+        assert rad == quadratic_radical_left(R), R.name
+        radicals.add((rad.is_zero, rad.is_full))
+    assert {(True, False), (False, False)} <= radicals      # zero and proper nonzero radicals
+    assert sorted(radical_left(P).members) == [0, 8, 17, 26, 35]
 
 
 def frontier_join_closure(bottom, principals, join, kind: str) -> set:
@@ -1231,23 +1253,25 @@ def frontier_ideals(R, sidedness):
 
 
 def test_lattice_walks_against_frontier_walk(plain_hemirings_upto3, idem_hemirings_upto4,
-                                             monkeypatch):
+                                             e_c3, B, monkeypatch):
     """The one pass over the principals gives the frontier walk's lattices,
-    list for list, on both catalogs, on E_M and F_M of order <= 40 and on
-    seeded products of catalog members of order <= 40.  The reference is
-    slow, so the sample is small and a product whose lattices pass 3000
-    elements is skipped."""
+    list for list, on both catalogs, on E_M and F_M of order <= 70, on
+    E_C3 x E_C3 x B (order 72) and on seeded products of catalog members of
+    order <= 40.  The congruence reference closes every pair, so it also
+    checks that the covering pairs of an idempotent algebra suffice.  The
+    reference is slow, so the sample is small and a product whose lattices
+    pass 3000 elements is skipped."""
     catalog = list(plain_hemirings_upto3) + list(idem_hemirings_upto4)
     algebras = list(catalog)
     for M in _semilattices(SEMILATTICE_ORDER_BOUND):
-        algebras += [E.hemiring for E in (build_E_M(M), build_F_M(M))
-                     if E.order <= CONGRUENCE_LATTICE_BOUND]
+        algebras += [E.hemiring for E in (build_E_M(M), build_F_M(M)) if E.order <= 70]
+    algebras.append(direct_product(e_c3.hemiring, e_c3.hemiring, B))
     factors = [R for R in catalog if R.order > 1]
     rng = random.Random(5)
     products = []
     while len(products) < 12:
         P = direct_product(*rng.sample(factors, rng.choice((2, 3, 4))))
-        if P.order <= CONGRUENCE_LATTICE_BOUND:
+        if P.order <= 40:
             products.append(P)
     monkeypatch.setattr(simpleness, "LATTICE_BOUND", 3000)
     sidednesses = ("two-sided", "left", "right")

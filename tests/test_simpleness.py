@@ -23,6 +23,7 @@ from hemirings import (
     tau_congruence,
 )
 from hemirings import simpleness
+from hemirings.constructions import integers_mod
 from hemirings.core import SizeGuardExceeded
 from hemirings.lattices import build_E_M, FiniteSemilattice
 from hemirings.simpleness import ideal_violation, is_congruence
@@ -209,23 +210,56 @@ def test_ai4_lattice_totals(idem_hemirings_upto4):
             for s in ("two-sided", "left", "right")] == [538, 627, 627]
 
 
-def test_all_congruences_size_guard():
-    M = chain_semilattice(5)
-    E = build_E_M(M).hemiring   # order 70
+def test_idempotent_congruences_close_only_the_covering_pairs(monkeypatch):
+    """E_C5 (order 70) has 140 covering pairs in its natural order and
+    2415 pairs in all; only the covers are closed, and a budget of exactly
+    140 x 70^2 cells admits them."""
+    E = build_E_M(chain_semilattice(5)).hemiring
+    closure = simpleness._closure
+    calls = []
+
+    def counted(tables, xs, ys):
+        calls.append((xs, ys))
+        return closure(tables, xs, ys)
+
+    monkeypatch.setattr(simpleness, "_closure", counted)
+    monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 140 * 70 * 70)
+    assert E.order == 70 and len(all_congruences(E)) == 2
+    assert len(calls) == 140
+
+
+def test_all_congruences_size_guard(monkeypatch):
+    """The budget is checked before any closure runs: 140 covers on E_C5
+    (order 70) and 120 pairs on the non-idempotent Z_16."""
+    def no_closure(*args):
+        raise AssertionError("a closure ran past the budget")
+
+    monkeypatch.setattr(simpleness, "_closure", no_closure)
+    monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 140 * 70 * 70 - 1)
+    E = build_E_M(chain_semilattice(5)).hemiring
     with pytest.raises(SizeGuardExceeded,
-                       match=r"^congruence lattice enumeration is bounded at order 40; "
-                             r"asked for 70$"):
+                       match=r"^congruence lattice enumeration is bounded at CLOSURE_BUDGET = "
+                             r"685999 table cells; asked for 686000 \(140 closures at order 70\)$"):
         all_congruences(E)
+    monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 120 * 16 * 16 - 1)
+    with pytest.raises(SizeGuardExceeded, match=r"asked for 30720 \(120 closures at order 16\)$"):
+        all_congruences(integers_mod(16))
 
 
-def test_all_ideals_size_guard():
+def test_all_ideals_size_guard(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("an ideal was generated past the budget")
+
+    monkeypatch.setattr(simpleness, "generated_ideal", no_closure)
+    monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 69 * 70 * 70 - 1)
     E = build_E_M(chain_semilattice(5)).hemiring   # order 70
-    with pytest.raises(SizeGuardExceeded,
-                       match=r"^ideal enumeration is bounded at order 40; asked for 70$"):
-        all_ideals(E)
-    with pytest.raises(SizeGuardExceeded,
-                       match=r"^ideal enumeration is bounded at order 69; asked for 70$"):
-        all_ideals(E, "left", max_order=69)
+    for sidedness in ("two-sided", "left", "right"):
+        with pytest.raises(SizeGuardExceeded,
+                           match=r"^ideal lattice enumeration is bounded at CLOSURE_BUDGET = "
+                                 r"338099 table cells; asked for 338100 "
+                                 r"\(69 closures at order 70\)$"):
+            all_ideals(E, sidedness)
+
 
 
 def test_generated_ideal_examples(B, e_c3, e_m3):
