@@ -204,10 +204,12 @@ def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
     composition, so the tables need no axiom scan.  A set failing a check
     raises ``ValueError`` naming it.
 
-    Each map gets an exact int64 code in lexicographic order: its images as
-    base-n digits in chunks of w, each chunk after the rank of the digits
-    before it among the maps (one chunk whenever k * n^n fits).  A slab of
-    table rows is one gather and one ``searchsorted`` of the codes.
+    A map is found by its images through a prefix trie of the sorted maps:
+    ``trie[c][p * n + v]`` is the rank of prefix p extended by v among the
+    maps' distinct prefixes of length c + 1, and a rank past the last one
+    marks an absent prefix, which every later level keeps absent.  After n
+    levels a found map's rank is its index, so a slab of table rows is n
+    gathers.
     """
     maps = sorted(set(maps))
     if not maps:
@@ -224,28 +226,15 @@ def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
         f, x, y = bad
         raise ValueError(f"map {maps[f]} does not preserve addition at ({x}, {y})")
     k = len(maps)
-    w = 1
-    while w < n and k * n ** (w + 1) < 1 << 63:
-        w += 1
-    ranks: list[np.ndarray] = []      # the maps' distinct codes at each chunk end
-
-    def encode(rows):                 # (codes, whether each prefix was found)
-        code = np.zeros(rows.shape[:-1], dtype=np.int64)
-        found = np.ones(code.shape, dtype=bool)
-        for c, s in enumerate(range(0, n, w)):
-            if s:
-                if len(ranks) < c:        # encoding the sorted maps themselves
-                    ranks.append(code[np.r_[True, code[1:] != code[:-1]]])
-                key = ranks[c - 1]
-                rank = np.minimum(np.searchsorted(key, code), len(key) - 1)
-                found &= key[rank] == code
-                code = rank
-            for x in range(s, min(s + w, n)):
-                code *= n
-                code += rows[..., x]
-        return code, found
-
-    codes, _ = encode(arr)
+    trie = []
+    rank = np.zeros(k, dtype=np.intp)          # each map's prefix rank so far
+    for c in range(n):
+        width = (rank[-1] + 2) * n               # a row per prefix, then one for absent
+        key = rank * n + arr[:, c]               # nondecreasing: the maps are sorted
+        rank = np.r_[0, np.cumsum(key[1:] != key[:-1])]
+        level = np.full(width, rank[-1] + 1)
+        level[key] = rank
+        trie.append(level)
     sums = np.empty((k, k), dtype=np.int32)
     comp = np.empty((k, k), dtype=np.int32)
     step = max(1, _LAW_SLAB_CELLS // (k * n))
@@ -253,9 +242,10 @@ def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
         f = arr[s:s + step]
         for table, rows in ((sums, add[f[:, None, :], arr]),   # f(x) + g(x)
                             (comp, f[:, arr])):                 # f(g(x))
-            code, found = encode(rows)
-            at = np.minimum(np.searchsorted(codes, code), k - 1)
-            if not (found & (codes[at] == code)).all():
+            at = np.zeros(rows.shape[:-1], dtype=np.intp)
+            for c, level in enumerate(trie):
+                at = level.take(at * n + rows[..., c])
+            if (at == k).any():
                 raise ValueError("carrier is not closed under join/composition")
             table[s:s + step] = at
     index = {f: i for i, f in enumerate(maps)}
@@ -313,12 +303,17 @@ def build_F_M(M: FiniteSemilattice) -> EndoSemiring:
     """The additive submonoid of E_M generated by all e_{a,b}: their
     ``_subset_closure`` under the pointwise join of ``build_E_M(M)``.
     Packaging re-checks closure under composition (F_M is an ideal of E_M).
+    Memoised in M like ``build_E_M``: rename a copy, never this one.
     """
-    E = build_E_M(M)
-    mask = np.zeros(E.order, dtype=bool)
-    mask[[E.index[g] for g in generator_maps(M)]] = True
-    closed = np.flatnonzero(_subset_closure(mask, E.hemiring.add))
-    return EndoSemiring(M, [E.maps[i] for i in closed], name=f"F_{M.name or M.order}")
+    memo = M._memo.get("F_M")
+    if memo is None:
+        E = build_E_M(M)
+        mask = np.zeros(E.order, dtype=bool)
+        mask[[E.index[g] for g in generator_maps(M)]] = True
+        closed = np.flatnonzero(_subset_closure(mask, E.hemiring.add))
+        memo = EndoSemiring(M, [E.maps[i] for i in closed], name=f"F_{M.name or M.order}")
+        M._memo["F_M"] = memo
+    return memo
 
 
 def e_ab_absorb(M: FiniteSemilattice, a: int, f: Endo) -> int:

@@ -29,7 +29,7 @@ from .core import (
     as_op_table,
 )
 from .lattices import _pack_maps
-from .simpleness import IdealSubset, generated_ideal, ideal_violation
+from .simpleness import IdealSubset, generated_ideal, ideal_violation, is_simple
 
 __all__ = [
     "DoubleCentralizerReport",
@@ -193,8 +193,6 @@ def double_centralizer_check(R: FiniteHemiring, I: IdealSubset,
     still runs in exploratory mode and reports simple_checked=False (or
     raises if ``require_simple``).
     """
-    from .simpleness import is_simple
-
     if len(I.members) <= 1:
         raise ValueError("need a nonzero left ideal")
     module = left_ideal_semimodule(R, I)

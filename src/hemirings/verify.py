@@ -12,16 +12,16 @@ default max-order, its size bound and any fixed report parameter in
 ``skipped(size)`` report past the bound, and sorts the records by name.
 Instances come from one cached source: ``_semilattices`` and ``_hemirings``
 (each order enumerated once), ``_catalog`` (both hemiring catalogs,
-deduplicated), ``build_E_M`` and ``_generated_endo`` (E_M and F_M per
-semilattice) and ``_boolean_matrices``.  A witness search walks candidates
-from these sources through one ``_isomorphic_candidate``.
+deduplicated), ``build_E_M`` and ``build_F_M`` (E_M and F_M, memoised in
+each semilattice) and ``_boolean_matrices``.  A witness search walks
+candidates from these sources through one ``_isomorphic_candidate``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 
 from .core import (
     FiniteHemiring,
@@ -161,11 +161,6 @@ def _hemirings(max_order: int, idempotent: bool) -> tuple[FiniteHemiring, ...]:
 
 
 @lru_cache(maxsize=None)
-def _generated_endo(M: FiniteSemilattice):
-    return build_F_M(M)
-
-
-@lru_cache(maxsize=None)
 def _distributive(M: FiniteSemilattice) -> bool:
     lat = try_lattice(M)
     return lat is not None and is_distributive(lat)
@@ -188,9 +183,15 @@ def _catalog_semirings(max_order: int) -> list[FiniteHemiring]:
 
 
 def _record(name: str, ok: bool, *fields, algebra: FiniteHemiring | None = None) -> InstanceRecord:
+    """A record; with ``algebra``, its fingerprint leads the fields and, on
+    failure, its tables close them (as ``tables`` when a ``witness`` field
+    already names something else)."""
     if algebra is not None:
-        fields = (("fingerprint", fingerprint(algebra)),) + tuple(fields)
-    return InstanceRecord(name, tuple(fields), ok)
+        fields = (("fingerprint", fingerprint(algebra)),) + fields
+        if not ok:
+            key = "tables" if any(k == "witness" for k, _ in fields) else "witness"
+            fields += ((key, _tables_inline(algebra)),)
+    return InstanceRecord(name, fields, ok)
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +231,6 @@ def suite_thm3_3(max_order: int) -> list[InstanceRecord]:
         fields = [("order", str(M.order)), ("endo-order", str(E.order)),
                   ("distributive", _b(dist)), ("ideal-simple", _b(ideal_simple)),
                   ("simple", _b(simple))]
-        if not ok:
-            fields.append(("witness", _tables_inline(E.hemiring)))
         records.append(_record(M.name, ok, *fields, algebra=E.hemiring))
     return records
 
@@ -256,8 +255,6 @@ def suite_cor3_8(max_order: int) -> list[InstanceRecord]:
         fields = [("order", str(M.order)), ("distributive", _b(dist)),
                   ("congruence-simple", _b(cs)), ("ideal-simple", _b(isim)),
                   ("simple", _b(simple)), ("tau-universal", _b(tau_universal))]
-        if not ok:
-            fields.append(("witness", _tables_inline(E.hemiring)))
         records.append(_record(M.name, ok, *fields, algebra=E.hemiring))
     return records
 
@@ -302,8 +299,6 @@ def suite_thm2_2(max_order: int) -> list[InstanceRecord]:
         fields = [("order", str(R.order)),
                   ("branch", "dense-embedding"),
                   ("embedding", found[0] if found else "none")]
-        if found is None:
-            fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, found is not None, *fields, algebra=R))
     return records
 
@@ -326,8 +321,6 @@ def suite_cor5_8(max_order: int) -> list[InstanceRecord]:
                 witness = f"endo:{lattice}"
         fields = [("order", str(R.order)), ("ring", _b(R.is_ring)),
                   ("witness", witness or "none")]
-        if witness is None:
-            fields.append(("tables", _tables_inline(R)))
         records.append(_record(R.name, witness is not None, *fields, algebra=R))
     return records
 
@@ -345,8 +338,6 @@ def suite_prop5_5(max_order: int) -> list[InstanceRecord]:
                   ("congruence-simple", f"{_b(cs_r)}/{_b(cs_m)}"),
                   ("ideal-simple", f"{_b(is_r)}/{_b(is_m)}"),
                   ("simple", f"{_b(cs_r and is_r)}/{_b(cs_m and is_m)}")]
-        if not ok:
-            fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, ok, *fields, algebra=R))
     return records
 
@@ -359,7 +350,7 @@ def _ring_side(R: FiniteHemiring) -> tuple[set, set, bool, bool]:
             is_ideal_simple(R), is_congruence_simple(R))
 
 
-def _corner_correspondence(R: FiniteHemiring, e: int, ring_side: Callable[[], tuple]
+def _corner_correspondence(R: FiniteHemiring, e: int, ring_side: tuple
                            ) -> tuple[bool, list[tuple[str, str]]]:
     c = corner(R, e)
     full = is_full_idempotent(R, e)
@@ -378,7 +369,7 @@ def _corner_correspondence(R: FiniteHemiring, e: int, ring_side: Callable[[], tu
               ("corner-ideals", str(len(ideals_c))),
               ("corner-congruences", str(len(congs_c)))]
     if full:
-        ideals_r, congs_r, ideal_simple, congruence_simple = ring_side()
+        ideals_r, congs_r, ideal_simple, congruence_simple = ring_side
         surj_i = lifted_ideals == ideals_r
         surj_c = lifted_congs == congs_r
         transfer = (ideal_simple == is_ideal_simple(c.hemiring)
@@ -395,14 +386,12 @@ def suite_prop5_3(max_order: int) -> list[InstanceRecord]:
     and of M_2(B); bijective (and simpleness-preserving) for full ones."""
     records = []
     for R in _catalog_semirings(max_order) + [_boolean_matrices(2)]:
-        ring_side = cache(partial(_ring_side, R))   # at R's first full idempotent
+        ring_side = _ring_side(R)
         for e in R.idempotents():
             try:
                 ok, fields = _corner_correspondence(R, e, ring_side)
             except InvariantViolation as exc:
                 ok, fields = False, [("error", str(exc))]
-            if not ok:
-                fields.append(("witness", _tables_inline(R)))
             records.append(_record(f"{R.name}/e={e}", ok,
                                    ("order", str(R.order)), *fields, algebra=R))
     return records
@@ -413,7 +402,6 @@ def suite_thm5_10(max_order: int) -> list[InstanceRecord]:
     generated by an idempotent, R -> End(I_D) is an isomorphism."""
     C3 = FiniteSemilattice([[0, 1, 2], [1, 1, 2], [2, 2, 2]], name="C3")
     EC3 = build_E_M(C3).hemiring
-    EC3.name = "E_C3"
     instances = [R for R in _catalog_semirings(max_order) if is_simple(R)]
     records = []
     for R in instances + [_boolean_matrices(2), EC3]:
@@ -429,8 +417,6 @@ def suite_thm5_10(max_order: int) -> list[InstanceRecord]:
                       ("bicommutant", str(rep.bicommutant_count)),
                       ("injective", _b(rep.injective)),
                       ("surjective", _b(rep.surjective))]
-            if not rep.isomorphism:
-                fields.append(("witness", _tables_inline(R)))
             records.append(_record(
                 f"{R.name}/I={min(x for x in I.members if x != R.zero)}",
                 rep.isomorphism, *fields, algebra=R))
@@ -454,8 +440,6 @@ def suite_thm5_7(max_order: int) -> list[InstanceRecord]:
             morita = _isomorphic_candidate(R, _full_corners())
             fields.append(("corner-witness", morita or "none"))
             ok = ok and morita is not None
-        if not ok:
-            fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, ok, *fields, algebra=R))
     # F_M reporting for proper simple hemirings (nonzero multiplication)
     lattices = _semilattices(SEMILATTICE_ORDER_BOUND - 1)
@@ -469,7 +453,7 @@ def suite_thm5_7(max_order: int) -> list[InstanceRecord]:
                 ("fm-witness", "skipped"), algebra=R))
             continue
         fm = _isomorphic_candidate(
-            R, ((M.name, _generated_endo(M).hemiring) for M in lattices))
+            R, ((M.name, build_F_M(M).hemiring) for M in lattices))
         records.append(_record(
             R.name + "/fm", fm is not None,
             ("order", str(R.order)), ("zero-multiplication", "false"),
@@ -507,8 +491,6 @@ def suite_thm6_4_6_5(max_order: int) -> list[InstanceRecord]:
                   ("iso-to-B", _b(iso_b)),
                   ("max-ideal", str(sorted(J.members))),
                   ("radical", str(sorted(rad.members)))]
-        if not ok:
-            fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, ok, *fields, algebra=R))
     return records
 
@@ -527,8 +509,6 @@ def suite_thm6_7(max_order: int) -> list[InstanceRecord]:
         ok = cs == simple == iso_b
         fields = [("order", str(R.order)), ("congruence-simple", _b(cs)),
                   ("simple", _b(simple)), ("iso-to-B", _b(iso_b))]
-        if not ok:
-            fields.append(("witness", _tables_inline(R)))
         records.append(_record(R.name, ok, *fields, algebra=R))
     return records
 

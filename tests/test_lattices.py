@@ -190,6 +190,16 @@ def test_build_E_M_is_memoised_and_shared_with_F_M(m3):
     assert build_E_M(m3) is E
     F = build_F_M(m3)
     assert set(F.maps) < set(E.maps) and build_E_M(m3) is E
+    assert build_F_M(m3) is F
+
+
+def test_memos_are_named_after_their_own_semilattice(m3):
+    # equal tables, another name: the memo lives in the object, not the table
+    X = FiniteSemilattice(m3.join, m3.zero, name="X")
+    assert X == m3
+    build_F_M(m3)
+    assert build_E_M(X).hemiring.name == "E_X"
+    assert build_F_M(X).hemiring.name == "F_X"
 
 
 def test_diamond_generated_submonoid_is_proper(m3, e_m3):

@@ -1076,13 +1076,13 @@ def test_pack_maps_against_loop_reference(B, m2b):
         [[0, 1, 2], [1, 1, 2], [2, 2, 2]])).hemiring]
     modules = [left_ideal_semimodule(R, I) for R in rings for I in minimal_left_ideals(R)]
     assert len(modules) == 8
-    # an order-16 module: base-16 codes of 16 images overflow int64, so the
-    # packer's codes take two chunks
+    # an order-16 module: a trie of 16 levels, whose 16 images as base-16
+    # digits would overflow an int64 code
     big = regular_semimodule(m2b.hemiring)
     assert big.order ** big.order >= 2 ** 63
     for M in modules + [big]:
         assert_same_packing(M.add, M.zero, hom_semimodules(M, M))
-    # the same errors on bad sets, also through the two-chunk codes
+    # the same errors on bad sets of the order-16 module
     maps = hom_semimodules(big, big)
     rng = random.Random(14)
     bad_sets = [maps[:i] + maps[i + 1:] for i in rng.sample(range(len(maps)), 6)]
@@ -1101,6 +1101,14 @@ def test_pack_maps_against_loop_reference(B, m2b):
 @pytest.mark.parametrize("maps", [
     [], [(0, 1, 2)], [(0, 0, 0), (2, 2, 2)], [(0, 0, 0), (0, 2, 1)],
     [(0, 0, 0), (0, 1, 1), (0, 0, 2)], [(0, 0, 0), (0, 1, 3)], [(0, 0), (0, 1)],
+    # the only miss agrees with a member on every image but the last, so the
+    # prefix trie loses it at its last level: the sum (0, 1, 2), then the
+    # composition (0, 0, 1)
+    [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 1)],
+    [(0, 0, 0), (0, 0, 2), (0, 1, 1), (0, 1, 2)],
+    # ... or on every image but the first nonzero one, lost at the first
+    # level past the fixed zero: the composition (0, 1, 1)
+    [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 2, 2)],
 ])
 def test_pack_maps_rejects_bad_maps_like_loop_reference(c3, maps):
     want = packing_outcome(c3.join, c3.zero, maps)

@@ -136,6 +136,25 @@ def test_cor5_8_finds_every_supported_field(monkeypatch):
     assert [dict(r.fields)["witness"] for r in rep.records] == ["matrix:n=1,GF(4)"]
 
 
+def test_failed_records_carry_their_tables(monkeypatch):
+    import hemirings.verify as verify
+    from hemirings.verify import parse_tables_inline
+    monkeypatch.setattr(verify, "_isomorphic_candidate", lambda R, candidates: None)
+    catalog = {R.name: R for R in verify._hemirings(4, True)}
+    fm = [r for r in run_suite("thm5_7").records if r.name.endswith("/fm") and not r.ok]
+    assert fm
+    for r in fm:
+        assert parse_tables_inline(dict(r.fields)["witness"]) == catalog[r.name[:-len("/fm")]]
+    # cor5_8's witness field names the match, so the tables go under their own key
+    failed = [r for r in run_suite("cor5_8").records if not r.ok]
+    assert failed
+    for r in failed:
+        keys = [k for k, _ in r.fields]
+        assert keys.count("witness") == keys.count("tables") == 1
+        assert dict(r.fields)["witness"] == "none"
+        assert parse_tables_inline(dict(r.fields)["tables"]).order == int(dict(r.fields)["order"])
+
+
 def test_classify_boolean(B):
     got = dict(classify(B))
     assert got["simple"] == "true"
