@@ -509,29 +509,31 @@ def infinite_element(R: FiniteHemiring) -> int | None:
 
 
 def is_zerosumfree(R: FiniteHemiring) -> bool:
-    """x + y = 0 only for x = y = 0."""
-    zeros = np.argwhere(R.add == R.zero)
-    return all(int(a) == R.zero and int(b) == R.zero for a, b in zeros)
+    """x + y = 0 only for x = y = 0: the zero occurs in the addition table
+    at (zero, zero) alone."""
+    zeros = R.add == R.zero
+    zeros[R.zero, R.zero] = False
+    return not zeros.any()
 
 
 def is_dedekind_finite(R: FiniteHemiring) -> bool:
-    """ab = 1 implies ba = 1 (vacuously true without a one)."""
+    """ab = 1 implies ba = 1 (vacuously true without a one): the cells of
+    the multiplication table that hold the one are symmetric."""
     if R.one is None:
         return True
-    units = np.argwhere(R.mul == R.one)
-    return all(R.mul[int(b), int(a)] == R.one for a, b in units)
+    units = R.mul == R.one
+    return not (units & ~units.T).any()
 
 
 def is_division_semiring(R: FiniteHemiring) -> bool:
-    """Every nonzero element has a two-sided multiplicative inverse."""
+    """Every nonzero element has a two-sided multiplicative inverse: each
+    row other than zero's has a cell (x, y) with xy = yx = 1."""
     if R.one is None:
         raise ValueError("division test requires a multiplicative identity")
-    for x in R.elements():
-        if x == R.zero:
-            continue
-        if not any(R.mul[x, y] == R.one and R.mul[y, x] == R.one for y in R.elements()):
-            return False
-    return True
+    units = R.mul == R.one
+    inverted = (units & units.T).any(axis=1)
+    inverted[R.zero] = True
+    return bool(inverted.all())
 
 
 def is_aic(R: FiniteHemiring) -> bool:

@@ -44,6 +44,8 @@ __all__ = [
 
 CLOSURE_BUDGET = 10**8      # table cells: closures to run x n^2
 LATTICE_BOUND = 200000
+_PHASE1_WIDTH = 8           # sweep-order columns c the first pre-pass reads
+_SLAB_CELLS = 1 << 16       # cells (pairs x 3 x width) in a first-pass slab
 
 
 class Congruence:
@@ -208,8 +210,12 @@ def _sweep_order(R: FiniteHemiring) -> tuple[np.ndarray, np.ndarray]:
     sums |{x + c : c in R}|, ties by index.  For additively idempotent R
     the count is |up-set of x|, so the lowest elements come first.  The key
     is an isomorphism invariant, so relabelled copies of an input are swept
-    alike up to ties, and it costs one sort of the addition table.
+    alike up to ties, and it costs one sort of the addition table, memoised
+    on R with both arrays read-only.
     """
+    memo = R._memo.get("sweep_order")
+    if memo is not None:
+        return memo
     n = R.order
     ids = np.arange(n)
     sums = np.sort(R.add, axis=1)
@@ -217,7 +223,58 @@ def _sweep_order(R: FiniteHemiring) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((ids, -distinct, ids != R.zero))
     rank = np.empty(n, dtype=np.intp)
     rank[order] = ids
+    order.flags.writeable = rank.flags.writeable = False
+    R._memo["sweep_order"] = order, rank
     return order, rank
+
+
+def _settled(lo, hi, a, b):
+    """Whether some image {lo[i], hi[i]} (lo <= hi, images on the first
+    axis) of the pair (a, b) is a pair of distinct elements before (a, b)
+    in lexicographic order; one answer per pair on the other axis."""
+    return ((lo != hi) & ((lo < a) | ((lo == a) & (hi < b)))).any(axis=0)
+
+
+def _unsettled_pairs(tables):
+    """The pairs (a, b), a < b, in lexicographic order, that no image
+    {a + c, b + c}, {a * c, b * c} or {c * a, c * b} maps onto an earlier
+    pair of distinct elements; lazily, so an early exit stops the scan.
+
+    The tables are relabelled so that 0 is the zero, whose images x + 0 = x
+    and x * 0 = 0 * x = 0 settle nothing.  The first pass reads the images
+    under c = 1 .. k, k = ``_PHASE1_WIDTH``, for slabs of pairs at a time:
+    one row's worth of cells (n - 1 pairs times 3n images) first, then
+    doubling, all up to ``_SLAB_CELLS``.  It settles almost every pair.  The
+    second reads the images under the other c, one pair at a time, of the
+    pairs the first leaves.
+    """
+    n = tables[0].shape[0]
+    if n < 2:
+        return
+    yield 0, 1      # no pair comes before the first
+    narrow = np.min_scalar_type(n)      # the scans read O(n^3) cells
+    k = min(n - 1, _PHASE1_WIDTH)
+    # x + c, x * c, c * x: for c <= k in column x, for c > k in row x
+    cols = np.concatenate([T[:, 1:k + 1].T for T in tables]).astype(narrow)
+    rows = np.concatenate([T[:, k + 1:] for T in tables], axis=1).astype(narrow)
+    ids = np.arange(n)
+    starts = ids * (2 * n - 1 - ids) // 2                    # pairs before row a
+    pairs, done = n * (n - 1) // 2, 1
+    cap = _SLAB_CELLS // (3 * k)
+    size = min(n * (n - 1) // k, cap)
+    while done < pairs:
+        slab = np.arange(done, min(done + size, pairs))
+        done, size = done + size, min(2 * size, cap)
+        firsts = np.searchsorted(starts, slab, side="right") - 1
+        seconds = slab - starts[firsts] + firsts + 1
+        x, y = cols.take(firsts, axis=1), cols.take(seconds, axis=1)
+        settled = _settled(np.minimum(x, y), np.maximum(x, y),
+                           firsts.astype(narrow), seconds.astype(narrow))
+        for a, b in zip(firsts[~settled].tolist(), seconds[~settled].tolist()):
+            x, y = rows[a], rows[b]
+            # below order k + 2 the first pass read every image
+            if k == n - 1 or not _settled(np.minimum(x, y), np.maximum(x, y), a, b):
+                yield a, b
 
 
 def is_congruence_simple(R: FiniteHemiring) -> bool:
@@ -234,38 +291,40 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
     induction sound; the sweep order only decides how many closures run
     (777 in index order, 93 in sweep order, over one round of the
     ``classify`` benchmark).  Cg(a, b) contains Cg(p, q) for every image
-    {p, q} of {a, b} under x -> x + c, x * c and c * x, so before any
-    closure runs, one numpy pass per row a settles every pair (a, b) with
-    a non-diagonal image that comes earlier.  Only the unsettled pairs run
-    a closure, and it stops as soon as it identifies an earlier pair, that
-    is, as soon as a non-representative x has (rep(x), x) before (a, b).
+    {p, q} of {a, b} under x -> x + c, x * c and c * x, so a pair with a
+    non-diagonal image that comes earlier is settled without a closure.
+    That test runs in two passes (``_unsettled_pairs``): the first reads
+    the images under the first few elements c of the sweep order, for a
+    slab of pairs at a time, and settles almost every pair; the second
+    reads the other images of each pair the first leaves.  Only the pairs
+    both leave run a closure, and it stops as soon as its labels are
+    universal or it identifies an earlier pair, that is, a
+    non-representative x with (rep(x), x) before (a, b).
     """
     n = R.order
     ids = np.arange(n)
     order, rank = _sweep_order(R)
-    cells = np.ix_(order, order)
-    tables = tuple(rank[T[cells]] for T in _tables(R))
-    # row x: x + c, x * c, c * x; the pre-pass scans O(n^3) cells, so it
-    # runs in the narrowest dtype that holds n
-    narrow = np.min_scalar_type(n)
-    rows = np.concatenate(tables, axis=1).astype(narrow)
-    later = ids.astype(narrow)[:, None]
-    for a in range(n - 1):
-        bs = ids[a + 1:]
-        lo = np.minimum(rows[a], rows[a + 1:])
-        hi = np.maximum(rows[a], rows[a + 1:])
-        earlier = (lo < a) | ((lo == a) & (hi < later[a + 1:]))
-        settled = ((lo != hi) & earlier).any(axis=1)
-        for b in bs[~settled]:
-            labels = ids.copy()
-            labels[b] = a
-            for labels in _compat_closure(tables, labels):
-                if ((labels * n + ids < a * n + b) & (labels != ids)).any():
-                    break
-            else:
-                if labels.any():
-                    return False
+    add, mul = (rank.take(T.take(order, 0).take(order, 1)) for T in (R.add, R.mul))
+    tables = add, mul, np.ascontiguousarray(mul.T)      # as _tables, relabelled
+    for a, b in _unsettled_pairs(tables):
+        labels = ids.copy()
+        labels[b] = a
+        for labels in _compat_closure(tables, labels):
+            if not labels.any() or ((labels * n + ids < a * n + b) & (labels != ids)).any():
+                break
+        else:
+            if labels.any():
+                return False
     return True
+
+
+def _check_closure_budget(closures: int, n: int, kind: str) -> None:
+    """Refuse a lattice walk whose closures would read more than
+    ``CLOSURE_BUDGET`` table cells."""
+    if (cells := closures * n * n) > CLOSURE_BUDGET:
+        raise SizeGuardExceeded(f"{kind} lattice enumeration is bounded at CLOSURE_BUDGET = "
+                                 f"{CLOSURE_BUDGET} table cells; asked for {cells} "
+                                 f"({closures} closures at order {n})")
 
 
 def _join_closure(bottom, principal, seeds, join, key, kind: str) -> list:
@@ -273,17 +332,12 @@ def _join_closure(bottom, principal, seeds, join, key, kind: str) -> list:
     ``principal(s)``, s in ``seeds``, sorted by ``key``: the whole lattice
     when each element is a join of principal ones.
 
-    No ``principal`` call (a closure over n x n tables) runs when
-    len(seeds) x n^2 exceeds ``CLOSURE_BUDGET``.  After the k-th principal
+    Callers check ``_check_closure_budget`` for the ``principal`` calls
+    (closures over n x n tables) first.  After the k-th principal
     in ``key`` order, ``found`` holds the joins of ``bottom`` with subsets
     of the first k (Freese 2008); one union can take it to twice
     ``LATTICE_BOUND`` before ``SizeGuardExceeded``.
     """
-    n = bottom.order
-    if (cells := len(seeds) * n * n) > CLOSURE_BUDGET:
-        raise SizeGuardExceeded(f"{kind} lattice enumeration is bounded at CLOSURE_BUDGET = "
-                                 f"{CLOSURE_BUDGET} table cells; asked for {cells} "
-                                 f"({len(seeds)} closures at order {n})")
     found = {bottom}
     for p in sorted({principal(s) for s in seeds}, key=key):
         found |= {join(c, p) for c in found}
@@ -294,7 +348,10 @@ def _join_closure(bottom, principal, seeds, join, key, kind: str) -> list:
 
 
 def all_congruences(R: FiniteHemiring) -> list[Congruence]:
-    """The congruence lattice, from the covering pairs on additively idempotent R."""
+    """The congruence lattice, from the covering pairs on additively idempotent R.
+
+    Within ``CLOSURE_BUDGET``, a congruence-simple R returns its two
+    congruences without a walk."""
     n = R.order
     pairs = np.triu(np.ones((n, n), dtype=bool), 1)
     if is_additively_idempotent(R):
@@ -302,9 +359,12 @@ def all_congruences(R: FiniteHemiring) -> list[Congruence]:
         m = pairs.astype(np.float32)    # so the product runs in BLAS; counts stay exact
         pairs &= (m @ m) == 0
     tables = _tables(R)
+    seeds = np.argwhere(pairs).tolist()
+    _check_closure_budget(len(seeds), n, "congruence")
+    if is_congruence_simple(R):
+        return sorted({Congruence.diagonal(n), Congruence.universal(n)}, key=lambda c: c.labels)
     return _join_closure(Congruence.diagonal(n), lambda ab: _closure(tables, ab[:1], ab[1:]),
-                         np.argwhere(pairs).tolist(), Congruence.join,
-                         lambda c: c.labels, "congruence")
+                         seeds, Congruence.join, lambda c: c.labels, "congruence")
 
 
 class IdealSubset:
@@ -400,6 +460,7 @@ def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided") -> list[IdealSub
         sums = R.add[sorted(I.members)][:, sorted(J.members)]
         return IdealSubset(sums.ravel().tolist(), sidedness, n)
 
+    _check_closure_budget(n - 1, n, "ideal")
     return _join_closure(IdealSubset([R.zero], sidedness, n),
                          lambda x: generated_ideal(R, [x], sidedness),
                          [x for x in range(n) if x != R.zero], plus,

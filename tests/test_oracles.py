@@ -8,6 +8,7 @@ import pytest
 
 from hemirings import (
     EndoSemiring,
+    FiniteHemiring,
     FiniteSemilattice,
     PartialOrder,
     all_congruences,
@@ -28,10 +29,13 @@ from hemirings import (
     integers_mod,
     is_additively_idempotent,
     is_congruence_simple,
+    is_dedekind_finite,
     is_distributive,
+    is_division_semiring,
     is_ideal_simple,
     is_lattice_ordered,
     is_simple,
+    is_zerosumfree,
     left_ideal_semimodule,
     matrix_semiring,
     minimal_left_ideals,
@@ -159,6 +163,52 @@ def test_axiom_checker_accepts_catalog(plain_hemirings_upto3):
     for R in plain_hemirings_upto3:
         naive = naive_axiom_witnesses(R.add.tolist(), R.mul.tolist(), R.zero, R.one)
         assert all(w is None for _, w in naive)
+
+
+def literal_zerosumfree(R):
+    return all(R.add[x, y] != R.zero or x == y == R.zero
+               for x in R.elements() for y in R.elements())
+
+
+def literal_dedekind_finite(R):
+    return R.one is None or all(R.mul[a, b] != R.one or R.mul[b, a] == R.one
+                                for a in R.elements() for b in R.elements())
+
+
+def literal_division(R):
+    if R.one is None:
+        raise ValueError("no one")
+    return all(x == R.zero or any(R.mul[x, y] == R.one and R.mul[y, x] == R.one
+                                  for y in R.elements())
+               for x in R.elements())
+
+
+def test_element_predicates_against_definitions(plain_hemirings_upto3, idem_hemirings_upto4,
+                                                B, m2b):
+    """The vectorised zerosumfree, Dedekind-finite and division tests
+    against loops over their definitions.  A finite monoid is always
+    Dedekind-finite, so multiplications with one cell changed (outside the
+    axioms) supply the other verdict."""
+    algebras = list(plain_hemirings_upto3) + list(idem_hemirings_upto4)
+    algebras += [finite_field(q) for q in (2, 3, 4, 5)] + [integers_mod(n) for n in range(2, 9)]
+    algebras += [m2b.hemiring] + [matrix_semiring(finite_field(q), 2).hemiring for q in (2, 3)]
+    algebras += [direct_product(R, boolean_B()) for R in algebras if R.order <= 16]
+    rng = random.Random(31)
+    algebras += [FiniteHemiring(R.add, perturbed(R.mul.tolist(), rng), zero=R.zero, one=R.one,
+                                validate=False)
+                 for R in algebras if R.one is not None for _ in range(3)]
+    seen = set()
+    for R in algebras:
+        verdicts = is_zerosumfree(R), is_dedekind_finite(R)
+        assert verdicts == (literal_zerosumfree(R), literal_dedekind_finite(R))
+        if R.one is None:
+            with pytest.raises(ValueError, match="requires a multiplicative identity"):
+                is_division_semiring(R)
+        else:
+            verdicts += (is_division_semiring(R),)
+            assert verdicts[2] == literal_division(R)
+        seen |= set(enumerate(verdicts))
+    assert seen == {(i, v) for i in range(3) for v in (True, False)}
 
 
 def full_scan_witnesses(add, mul, zero, one=None):
@@ -496,6 +546,99 @@ def test_sweep_order_deciders_against_index_order(sweep_order_inputs):
         assert len(set(cs)) == 1 and len(set(isim)) == 1
         seen.add((cs[0], isim[0]))
     assert {(True, True), (False, False)} <= seen
+
+
+def per_row_congruence_simple(R):
+    """``is_congruence_simple`` with a one-pass pre-pass: the tables
+    relabelled through the sweep order, then one numpy pass per row a over
+    all 3n images of the pairs (a, b), and the same early-stopping closure
+    on the pairs it leaves."""
+    n = R.order
+    ids = np.arange(n)
+    order, rank = _sweep_order(R)
+    cells = np.ix_(order, order)
+    tables = tuple(rank[T[cells]] for T in _tables(R))
+    narrow = np.min_scalar_type(n)
+    rows = np.concatenate(tables, axis=1).astype(narrow)
+    later = ids.astype(narrow)[:, None]
+    for a in range(n - 1):
+        bs = ids[a + 1:]
+        lo = np.minimum(rows[a], rows[a + 1:])
+        hi = np.maximum(rows[a], rows[a + 1:])
+        earlier = (lo < a) | ((lo == a) & (hi < later[a + 1:]))
+        settled = ((lo != hi) & earlier).any(axis=1)
+        for b in bs[~settled]:
+            labels = ids.copy()
+            labels[b] = a
+            for labels in simpleness._compat_closure(tables, labels):
+                if ((labels * n + ids < a * n + b) & (labels != ids)).any():
+                    break
+            else:
+                if labels.any():
+                    return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def order6_endos():
+    """E_M and F_M of the order-6 semilattices with |E_M| <= 128 (orders
+    98-120), each with two seeded relabellings."""
+    base = []
+    for M in _semilattices(6):
+        if M.order == 6 and (E := build_E_M(M).hemiring).order <= 128:
+            F = build_F_M(M).hemiring
+            base += [E] if F.order == E.order else [E, F]
+    rng = random.Random(23)
+    return [[relabeled(R, rng.sample(range(R.order), R.order)) for _ in range(2)] for R in base]
+
+
+def unsettled_by_definition(tables):
+    """The pairs (a, b), a < b, in lexicographic order, with no image under
+    a column of ``tables`` that is a pair of distinct elements before
+    (a, b), one row a at a time."""
+    rows = np.concatenate(tables, axis=1)
+    out = []
+    for a in range(len(rows) - 1):
+        bs = np.arange(a + 1, len(rows))
+        lo, hi = np.minimum(rows[a], rows[a + 1:]), np.maximum(rows[a], rows[a + 1:])
+        earlier = (lo < a) | ((lo == a) & (hi < bs[:, None]))
+        out += [(a, int(b)) for b in bs[~((lo != hi) & earlier).any(axis=1)]]
+    return out
+
+
+def test_two_pass_pre_pass_against_per_row(sweep_order_inputs, order6_endos, order4_catalogs,
+                                           m2b, monkeypatch):
+    """Both pre-passes settle the same pairs: the same verdicts, and the
+    same pairs (a, b) reach a closure in the same order.  Below order 10
+    the first pass reads every image; M_2(B) and the order-4 catalogs have
+    pairs that only its tie case (an image (a, h), a < h < b) settles.
+    Slabs of 16 pairs past the first put many pairs on a slab boundary."""
+    closed = []
+    compat_closure = simpleness._compat_closure
+
+    def recording(tables, labels):
+        b = int(np.flatnonzero(labels != np.arange(labels.size))[0])
+        closed.append((int(labels[b]), b))
+        return compat_closure(tables, labels)
+
+    monkeypatch.setattr(simpleness, "_compat_closure", recording)
+    rng = random.Random(29)
+    small = [m2b.hemiring] + [relabeled(m2b.hemiring, rng.sample(range(16), 16)) for _ in range(2)]
+    verdicts = set()
+    for R in [R for copies in sweep_order_inputs + order6_endos + [small, order4_catalogs]
+              for R in copies]:
+        closed.clear()
+        want = per_row_congruence_simple(R), list(closed)
+        order, rank = _sweep_order(R)
+        tables = tuple(rank[T[np.ix_(order, order)]] for T in _tables(R))
+        unsettled = unsettled_by_definition(tables)
+        for cells in (simpleness._SLAB_CELLS, 3 * simpleness._PHASE1_WIDTH * 16):
+            monkeypatch.setattr(simpleness, "_SLAB_CELLS", cells)
+            closed.clear()
+            assert (is_congruence_simple(R), closed) == want
+            assert list(simpleness._unsettled_pairs(tables)) == unsettled
+        verdicts.add(want[0])
+    assert verdicts == {True, False}
 
 
 def naive_merge(labels, xs, ys):

@@ -138,6 +138,13 @@ def test_congruence_simple_examples(B, z4, e_c3, e_m3, semilattices_upto5,
         assert is_congruence_simple(endo_cache(M).hemiring)
 
 
+def test_sweep_order_is_memoised_and_read_only(e_c3):
+    R = e_c3.hemiring
+    sweep = simpleness._sweep_order(R)
+    assert simpleness._sweep_order(R) is sweep
+    assert not any(a.flags.writeable for a in sweep)
+
+
 def test_z4_mod2_partition_is_a_congruence(z4):
     parity = Congruence([0, 1, 0, 1])
     assert is_congruence(z4, parity)
@@ -213,7 +220,8 @@ def test_ai4_lattice_totals(idem_hemirings_upto4):
 def test_idempotent_congruences_close_only_the_covering_pairs(monkeypatch):
     """E_C5 (order 70) has 140 covering pairs in its natural order and
     2415 pairs in all; only the covers are closed, and a budget of exactly
-    140 x 70^2 cells admits them."""
+    140 x 70^2 cells admits them.  E_C5 is congruence-simple, so the walk
+    runs only with the simple shortcut turned off."""
     E = build_E_M(chain_semilattice(5)).hemiring
     closure = simpleness._closure
     calls = []
@@ -225,7 +233,33 @@ def test_idempotent_congruences_close_only_the_covering_pairs(monkeypatch):
     monkeypatch.setattr(simpleness, "_closure", counted)
     monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 140 * 70 * 70)
     assert E.order == 70 and len(all_congruences(E)) == 2
+    assert calls == []
+    monkeypatch.setattr(simpleness, "is_congruence_simple", lambda R: False)
+    assert len(all_congruences(E)) == 2
     assert len(calls) == 140
+
+
+def test_congruence_simple_lattice_without_a_walk(monkeypatch, B):
+    """The order-114 F_M of sl6_000, the star with four atoms (384 covering
+    pairs), and B are
+    congruence-simple: their two congruences come back, universal first,
+    without a closure; the trivial algebra has one."""
+    def no_closure(*args):
+        raise AssertionError("a closure ran on a congruence-simple input")
+
+    star = FiniteSemilattice([[0, 1, 2, 3, 4, 5],     # four atoms 2..5 below the top 1
+                              [1, 1, 1, 1, 1, 1],
+                              [2, 1, 2, 1, 1, 1],
+                              [3, 1, 1, 3, 1, 1],
+                              [4, 1, 1, 1, 4, 1],
+                              [5, 1, 1, 1, 1, 5]])
+    F = build_F_M(star).hemiring
+    trivial = FiniteHemiring([[0]], [[0]])
+    monkeypatch.setattr(simpleness, "_closure", no_closure)
+    for R in (F, B):
+        assert all_congruences(R) == [Congruence.universal(R.order), Congruence.diagonal(R.order)]
+    assert F.order == 114
+    assert all_congruences(trivial) == [Congruence.diagonal(1)]
 
 
 def test_all_congruences_size_guard(monkeypatch):
