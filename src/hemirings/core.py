@@ -5,20 +5,22 @@ lookup tables (numpy arrays), so every structural question reduces to
 exhaustive table scans.  All values are immutable after construction and
 every operation here is a pure function.
 
-Every three-variable law of the package (associativity, distributivity,
-and the laws of a semimodule action) is checked by one kernel,
-``_law_witness``: a law is given as its two sides over a slab of first
-arguments, and the kernel scans slabs of bounded size in order and returns
-the lexicographically first failing (a, b, c).  The hemiring, semilattice,
-lattice-distributivity and semimodule validators are ordered lists of such
-laws next to one-line table masks.
+Every witness of a failing three-variable law (associativity,
+distributivity, and the laws of a semimodule action) comes from one
+kernel, ``_law_witness``: a law is given as its two sides over a slab of
+first arguments, and the kernel scans slabs of bounded size in order and
+returns the lexicographically first failing (a, b, c).  The hemiring,
+semilattice, lattice-distributivity and semimodule validators are ordered
+lists of such laws next to one-line table masks.
 
-The hemiring validator decides its four three-variable laws with their
-arguments restricted to a generating set G of (S, +), which costs
-O(n^2 |G|) instead of O(n^3), and scans the whole cube only when that
-reduced test fails, so the witnesses are still the lexicographically
-first; ``check_hemiring_axioms`` gives the closure arguments that make each
-restriction sound.
+The hemiring validator first decides its four three-variable laws, yes or
+no, with their arguments restricted to a generating set G of (S, +),
+which costs O(n^2 |G|) instead of O(n^3); these reduced tests read the
+tables, mostly by row gathers, in slabs of the same bound (``_holds``),
+not through ``_law_witness``.  Only when one fails does it scan the whole
+cube with ``_law_witness``, so the witnesses are still the
+lexicographically first; ``check_hemiring_axioms`` gives the closure
+arguments that make each restriction sound.
 """
 
 from __future__ import annotations
@@ -135,11 +137,14 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-# Cells one numpy step of _law_witness touches, unless one first argument
-# alone has more: each step's arrays stay O(n^2), never n^3.  The hemiring
-# laws on E_M of order 43-120 ran equally fast with 2^12 to 2^16 cells
-# (numpy 2.4, 2-vCPU x86-64 host), as did the row slabs of ``_pack_maps``
-# and ``matrix_semiring`` within 15% at 2^14 to 2^18.
+# Cells one numpy step of _law_witness or _holds touches, unless one first
+# argument alone has more: each step's arrays stay O(n^2), never n^3.  The
+# hemiring laws on E_M of order 43-120 ran equally fast with 2^12 to 2^16
+# cells (numpy 2.4, 2-vCPU x86-64 host), as did the row slabs of
+# ``_pack_maps`` and ``matrix_semiring`` within 15% at 2^14 to 2^18.  The
+# reduced hemiring tests, run once each over 70 distinct tables of order
+# 16-128 in a fresh process, took 41-56 ms at 2^14 cells against 44-76 ms
+# at 2^12 and 62-87 ms at 2^16 (same host).
 _LAW_SLAB_CELLS = 1 << 14
 
 
@@ -150,76 +155,78 @@ def _first(bad: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bad.shape))
 
 
-def _law_witness(sides, shape: tuple[int, int, int],
-                 mid: np.ndarray | None = None) -> tuple[int, int, int] | None:
+def _law_witness(sides, shape: tuple[int, int, int]) -> tuple[int, int, int] | None:
     """The lexicographically first (a, b, c) at which a three-variable law
     fails, or None.
 
     ``sides(s)`` gives the law's two sides for the first arguments in the
-    slice ``s``, as two arrays indexed [a - s.start, j, c] of shape
-    (len, len(mid), shape[2]); ``shape[0]`` is the number of first
-    arguments, and the middle argument of index j is ``mid[j]`` (every
-    b < shape[1] when ``mid`` is None).  Each slab takes as many first
-    arguments as fit in ``_LAW_SLAB_CELLS`` cells, and at least one, so a
-    step's arrays hold max(_LAW_SLAB_CELLS, len(mid) * shape[2]) cells.
+    slice ``s``, as two arrays indexed [a - s.start, b, c] of shape
+    (len, shape[1], shape[2]); ``shape[0]`` is the number of first
+    arguments.  Each slab takes as many first arguments as fit in
+    ``_LAW_SLAB_CELLS`` cells, and at least one.
     """
     na, nb, nc = shape
-    if mid is not None:
-        nb = len(mid)
     step = max(1, _LAW_SLAB_CELLS // (nb * nc))
     for a0 in range(0, na, step):
         lhs, rhs = sides(slice(a0, a0 + step))
         w = _first(lhs != rhs)
         if w is not None:
-            return (a0 + w[0], w[1] if mid is None else int(mid[w[1]]), w[2])
+            return (a0 + w[0], w[1], w[2])
     return None
+
+
+def _holds(sides, count: int, cells: int) -> bool:
+    """Whether a law holds: ``sides(s)`` gives its two sides for the first
+    arguments in the slice ``s`` of range(count), ``cells`` cells per first
+    argument, in slabs as ``_law_witness`` takes them; yes or no only."""
+    step = max(1, _LAW_SLAB_CELLS // cells)
+    return all(np.array_equal(*sides(slice(a0, a0 + step))) for a0 in range(0, count, step))
 
 
 # The sides below use np.take rather than fancy indexing: on int32 tables
 # of order 43-120 it ran the four hemiring laws about 1.7 times as fast
-# (same host).  A ``mid`` array restricts the middle argument b to its
-# entries, as ``_law_witness`` expects; None means every b.
+# (same host).
 
-def _associative(T: np.ndarray, mid: np.ndarray | None = None,
-                 outer: np.ndarray | None = None):
-    """(ab)c = a(bc) in the table T, as sides for ``_law_witness``; an
-    ``outer`` array also restricts a and c to its entries, which the sides
-    then index by position."""
-    rows = T if outer is None else T[outer]       # T[a, x]
-    cols = T if outer is None else T[:, outer]    # T[x, c]
-    ab = rows if mid is None else rows[:, mid]
-    bc = cols if mid is None else cols[mid]
-    return lambda s: (cols[ab[s]], np.take(rows[s], bc, axis=1))
+def _associative(T: np.ndarray):
+    """(ab)c = a(bc) in the table T, as sides for ``_law_witness``."""
+    return lambda s: (T[T[s]], np.take(T[s], T, axis=1))
 
 
-def _distributive(mul: np.ndarray, inner: np.ndarray, outer: np.ndarray,
-                  mid: np.ndarray | None = None):
+def _distributive(mul: np.ndarray, inner: np.ndarray, outer: np.ndarray):
     """a(b + c) = ab + ac, as sides for ``_law_witness``, where b + c is
     ``inner`` and ab + ac is ``outer``; ``mul`` has a row per first argument
     a (pass mul.T for the right law (b + c)a = ba + ca)."""
     n = outer.shape[1]
-    plus = inner if mid is None else inner[mid]
 
     def sides(s):
         m = mul[s]
-        mb = m if mid is None else m[:, mid]
-        return np.take(m, plus, axis=1), np.take(outer, mb[:, :, None] * n + m[:, None, :])
+        return np.take(m, inner, axis=1), np.take(outer, m[:, :, None] * n + m[:, None, :])
     return sides
 
 
-def _subset_closure(mask: np.ndarray, T: np.ndarray, actions=()) -> np.ndarray:
+def _subset_closure(mask: np.ndarray, T: np.ndarray, actions=(),
+                    done: np.ndarray | None = None) -> np.ndarray:
     """The least superset of the boolean ``mask`` closed under the table T
     (T[x, y] for marked x, y) and each action A in ``actions`` (A[r, x] for
-    every r and marked x), as a new mask: each round applies them to the
-    elements marked at its start.  It assumes no law of T."""
+    every r and marked x), as a new mask.  It assumes no law of T.
+
+    Semi-naive rounds: a round applies T only to the pairs with an element
+    marked since the last round began (T[new, marked] and T[old, new]) and
+    the actions only to those new elements, so no pair is read twice.  A
+    ``done`` mask names marked elements already applied, a subset of
+    ``mask`` closed under T and the actions (a closure being resumed);
+    by default none.
+    """
     mask = mask.copy()
-    while True:
-        idx = np.flatnonzero(mask)
-        mask[T[np.ix_(idx, idx)]] = True
+    done = np.zeros_like(mask) if done is None else done.copy()
+    while (new := np.flatnonzero(mask & ~done)).size:
+        marked, old = np.flatnonzero(mask), np.flatnonzero(done)
+        done = mask.copy()
+        mask[T.take(new, 0).take(marked, 1)] = True
+        mask[T.take(old, 0).take(new, 1)] = True
         for A in actions:
-            mask[A[:, idx]] = True
-        if np.count_nonzero(mask) == idx.size:
-            return mask
+            mask[A.take(new, 1)] = True
+    return mask
 
 
 def _generating_set(T: np.ndarray) -> np.ndarray:
@@ -235,15 +242,15 @@ def _generating_set(T: np.ndarray) -> np.ndarray:
     idx = np.arange(n)
     reps = np.bincount(T[(T != idx[:, None]) & (T != idx[None, :])], minlength=n)
     gens = np.flatnonzero(reps == 0)
-    marked = np.zeros(n, dtype=bool)
-    marked[gens] = True
+    closed = np.zeros(n, dtype=bool)
     while True:
-        marked = _subset_closure(marked, T)
-        if marked.all():
+        seeded = closed.copy()
+        seeded[gens] = True
+        closed = _subset_closure(seeded, T, done=closed)
+        if closed.all():
             return gens
-        missing = np.flatnonzero(~marked)
+        missing = np.flatnonzero(~closed)
         gens = np.append(gens, missing[reps[missing].argmin()])
-        marked[gens[-1]] = True
 
 
 def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomReport:
@@ -261,7 +268,10 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
 
     - add-associative, b in G: Light's associativity test (Clifford &
       Preston, *The Algebraic Theory of Semigroups* I, section 1.2): the g
-      with (x + g) + y = x + (g + y) for all x, y are closed under +;
+      with (x + g) + y = x + (g + y) for all x, y are closed under +.  As
+      + is commutative, both sides are (g + x) + y and (g + y) + x, so the
+      test asks that each plane P_g[x, y] = (g + x) + y, a gather of rows
+      of the table, equal its transpose;
     - right distributive, b in G: once + is associative, the b with
       (b + c)a = ba + ca for all a, c are closed under +;
     - left distributive, a and b in G (n |G|^2 instead of n^2 |G|
@@ -275,10 +285,12 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
       argument, so with two arguments fixed, the third ones where it
       holds are closed under +.
 
-    So all four hold on S iff every reduced test passes.  If + is not
-    commutative, the cube fits in one ``_LAW_SLAB_CELLS`` slab (n <= 25 at
-    the default) or a reduced test fails, the laws are scanned over the
-    whole cube, which alone gives the first witnesses.
+    So all four hold on S iff every reduced test passes.  The reduced
+    tests answer yes or no (``_holds``), each in slabs of generators of at
+    most ``_LAW_SLAB_CELLS`` cells (one plane when a plane is larger).  If
+    + is not commutative, the cube fits in one slab (n <= 25 at the
+    default) or a reduced test fails, the laws are scanned over the whole
+    cube by ``_law_witness``, which alone gives the first witnesses.
     """
     add = as_op_table(add)
     n = add.shape[0]
@@ -297,11 +309,22 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
     commutative = _first(add != add.T)
 
     def reduced_hold(G):    # the four laws, decided with arguments in G
-        g = len(G)
-        tests = [(_associative(add, G), cube), (_distributive(mul.T, add, add, G), cube),
-                 (_distributive(mul[G], add, add, G), (g, n, n)),
-                 (_associative(mul, G, G), (g, g, g))]
-        return all(_law_witness(sides, shape, G) is None for sides, shape in tests)
+        g, flat = len(G), add.reshape(-1)
+        mg, mcols = mul[np.ix_(G, G)], mul[:, G]
+
+        def plane(s):       # P_b[x, y] = (b + x) + y for b in G[s]
+            P = add.take(add.take(G[s], 0), 0)
+            return P, P.transpose(0, 2, 1)
+
+        def distributes(rows):      # (b + c) * a = b * a + c * a, b in G[s],
+            return lambda s: (      # with x * a_j read as rows[x, j]
+                rows.take(add.take(G[s], 0), 0),
+                flat.take(rows.take(G[s], 0)[:, None, :] * n + rows))
+
+        tests = [(plane, n * n), (distributes(mul), n * n),
+                 (distributes(np.ascontiguousarray(mul[G].T)), n * g),    # a_j x = mul[G_j, x]
+                 (lambda s: (mcols.take(mg[s], 0), mul.take(G[s], 0).take(mg, 1)), g * g)]
+        return all(_holds(sides, g, cells) for sides, cells in tests)
 
     if commutative is None and n ** 3 > _LAW_SLAB_CELLS and reduced_hold(_generating_set(add)):
         witnesses = (None,) * 4

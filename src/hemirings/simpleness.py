@@ -156,27 +156,38 @@ def _merge(labels: np.ndarray, xs, ys) -> np.ndarray:
 def _compat_closure(tables, labels: np.ndarray):
     """Climb from the least-element ``labels`` to the smallest partition
     above it compatible with ``tables`` (those of ``_tables``), yielding the
-    labels after every merge.
+    labels after every round's merge.
 
     The partition is generated by the pairs x ~ rep(x), so compatibility
     needs only the rows of non-representatives: T[x, c] ~ T[rep(x), c].
-    The last labels yielded are the closure; a caller that can decide
-    early stops iterating.
+    Each round reads, in all three tables, only the rows of the elements
+    that stopped being representatives in the last merge (at first, of
+    every non-representative), and merges every bad pair it finds at
+    once.  A row once read stays compatible: coarsening keeps T[x, c] ~
+    T[r, c], and if x's representative r is later replaced by r', then r
+    has itself become a non-representative, and its row gives T[r, c] ~
+    T[r', c].  The last labels yielded are the closure; a caller that can
+    decide early stops iterating, and one whose test only turns true as the
+    partition coarsens gets the same answer as from the closure alone.
     """
     ids = np.arange(labels.size)
-    while True:
-        changed = False
+    rows = np.flatnonzero(labels != ids)
+    while rows.size:
+        reps = labels[rows]
+        xs, ys = [], []
         for T in tables:
-            rows = np.flatnonzero(labels != ids)
-            a = labels[T[rows]]
-            b = labels[T[labels[rows]]]
+            a = labels[T.take(rows, 0)]
+            b = labels[T.take(reps, 0)]
             bad = a != b
-            if bad.any():
-                labels = _merge(labels, a[bad], b[bad])
-                changed = True
-                yield labels
-        if not changed:
+            xs.append(a[bad])
+            ys.append(b[bad])
+        xs, ys = np.concatenate(xs), np.concatenate(ys)
+        if not xs.size:
             return
+        merged = _merge(labels, xs, ys)
+        rows = np.flatnonzero((merged != ids) & (labels == ids))
+        labels = merged
+        yield labels
 
 
 def _closure(tables, xs, ys) -> Congruence:
@@ -347,6 +358,13 @@ def _join_closure(bottom, principal, seeds, join, key, kind: str) -> list:
     return sorted(found, key=key)
 
 
+def _covers(lt: np.ndarray) -> np.ndarray:
+    """The covering pairs of the strict order ``lt`` (lt[x, y] iff x < y):
+    the x < y with no z such that x < z < y, one row x at a time, without a
+    matrix product (whose BLAS threads cost more than the product here)."""
+    return np.array([row & ~lt[row].any(axis=0) for row in lt])
+
+
 def all_congruences(R: FiniteHemiring) -> list[Congruence]:
     """The congruence lattice, from the covering pairs on additively idempotent R.
 
@@ -355,9 +373,7 @@ def all_congruences(R: FiniteHemiring) -> list[Congruence]:
     n = R.order
     pairs = np.triu(np.ones((n, n), dtype=bool), 1)
     if is_additively_idempotent(R):
-        pairs = natural_order(R).leq & ~np.eye(n, dtype=bool)
-        m = pairs.astype(np.float32)    # so the product runs in BLAS; counts stay exact
-        pairs &= (m @ m) == 0
+        pairs = _covers(natural_order(R).leq & ~np.eye(n, dtype=bool))
     tables = _tables(R)
     seeds = np.argwhere(pairs).tolist()
     _check_closure_budget(len(seeds), n, "congruence")

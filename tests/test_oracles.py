@@ -213,15 +213,14 @@ def test_element_predicates_against_definitions(plain_hemirings_upto3, idem_hemi
 
 def full_scan_witnesses(add, mul, zero, one=None):
     """The checker's (axiom, witness) list with its four three-variable laws
-    taken from the kernel's scan over every middle argument, mid = 0..n-1."""
+    taken from the kernel's scan over the whole cube."""
     add, mul = np.asarray(add, dtype=np.int32), np.asarray(mul, dtype=np.int32)
     n = len(add)
-    mid = np.arange(n)
-    laws = {"add-associative": core._associative(add, mid),
-            "mul-associative": core._associative(mul, mid),
-            "left-distributive": core._distributive(mul, add, add, mid),
-            "right-distributive": core._distributive(mul.T, add, add, mid)}
-    return [(c.axiom, core._law_witness(laws[c.axiom], (n, n, n), mid)
+    laws = {"add-associative": core._associative(add),
+            "mul-associative": core._associative(mul),
+            "left-distributive": core._distributive(mul, add, add),
+            "right-distributive": core._distributive(mul.T, add, add)}
+    return [(c.axiom, core._law_witness(laws[c.axiom], (n, n, n))
              if c.axiom in laws else c.witness)
             for c in check_hemiring_axioms(add, mul, zero, one).checks]
 
@@ -273,9 +272,15 @@ def fails_with_arguments_in(mul, add, gens):
     return bool(left.any()), bool(assoc.any())
 
 
-def test_reduced_axiom_decision_on_large_perturbations(large_hemirings):
+def test_reduced_axiom_decision_on_large_perturbations(large_hemirings, monkeypatch):
+    for slab in (1, 1 << 14):   # slabs of one generator plane and of many
+        monkeypatch.setattr(core, "_LAW_SLAB_CELLS", slab)
+        assert_reduced_decision_is_exact(large_hemirings)
+
+
+def assert_reduced_decision_is_exact(large_hemirings):
     """Valid hemirings of order > 25 and changed copies of them get exactly
-    the witnesses of the scan over every middle argument.  The copies:
+    the witnesses of the scan over the whole cube.  The copies:
     one-cell perturbations of add and of mul; mul cells (x, y) with x and
     y outside the additive generating set G, which break left
     distributivity only at first arguments outside G and mul-associativity
@@ -373,6 +378,59 @@ def test_generating_set_generates_and_holds_the_irreducibles(
             assert set(gens) == irreducible
         greedy += set(gens) != irreducible
     assert greedy >= 50
+
+
+def round_subset_closure(mask, T, actions=()):
+    """Round-loop reference for ``core._subset_closure``: each round applies
+    T to every pair of elements marked at its start, and the actions to
+    every such element, until a round marks nothing new."""
+    mask = mask.copy()
+    while True:
+        idx = np.flatnonzero(mask)
+        mask[T[np.ix_(idx, idx)]] = True
+        for A in actions:
+            mask[A[:, idx]] = True
+        if np.count_nonzero(mask) == idx.size:
+            return mask
+
+
+def test_subset_closure_against_round_reference(plain_hemirings_upto3, idem_hemirings_upto4,
+                                                large_hemirings):
+    """The semi-naive closure marks what the round loop marks: under + and
+    * of both catalogs and of the large hemirings (so under many
+    non-commutative tables), with no action, the left products and both;
+    under the non-commutative + and * of ``left_regular_band``; and under
+    random tables with random actions.  Each starts from a few random
+    elements, and is then resumed (``done``) from its closure plus one more
+    element."""
+    rng = random.Random(31)
+    cases = []
+    for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4) + large_hemirings:
+        for T in (R.add, R.mul):
+            cases += [(T, actions) for actions in ((), (R.mul,), (R.mul, R.mul.T))]
+    add, mul = (np.array(T, dtype=np.int32) for T in left_regular_band("abcd"))
+    cases += [(add, ()), (mul, ()), (add, (mul,))]
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        T = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)], dtype=np.int32)
+        actions = tuple(np.array([[rng.randrange(n) for _ in range(n)]
+                                  for _ in range(rng.randint(1, 4))], dtype=np.int32)
+                        for _ in range(rng.randint(0, 2)))
+        cases.append((T, actions))
+    asymmetric, grown = 0, []
+    for T, actions in cases:
+        n = len(T)
+        asymmetric += not (T == T.T).all()
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.sample(range(n), rng.randint(1, min(n, 3)))] = True
+        want = round_subset_closure(mask, T, actions)
+        assert (core._subset_closure(mask, T, actions) == want).all()
+        resumed = want.copy()
+        resumed[rng.randrange(n)] = True
+        assert (core._subset_closure(resumed, T, actions, done=want)
+                == round_subset_closure(resumed, T, actions)).all()
+        grown.append(want.sum() - mask.sum())
+    assert asymmetric > 300 and max(grown) > 50
 
 
 def naive_semilattice_violation(join, zero):
@@ -668,6 +726,63 @@ def test_merge_against_naive_union_find():
         ys = np.array([p[1] for p in pairs], dtype=np.intp)
         assert _merge(labels, xs, ys).tolist() == naive_merge(labels, xs, ys)
         assert (labels == before).all()
+
+
+def table_pass_compat_closure(tables, labels):
+    """Pass-loop reference for ``simpleness._compat_closure``: each pass
+    reads the rows of every non-representative in one table and merges its
+    bad pairs before the next table, until a pass over all three changes
+    nothing; the final labels."""
+    ids = np.arange(labels.size)
+    while True:
+        changed = False
+        for T in tables:
+            rows = np.flatnonzero(labels != ids)
+            a = labels[T[rows]]
+            b = labels[T[labels[rows]]]
+            bad = a != b
+            if bad.any():
+                labels = _merge(labels, a[bad], b[bad])
+                changed = True
+        if not changed:
+            return labels
+
+
+def test_compat_closure_against_table_pass_reference(plain_hemirings_upto3,
+                                                     idem_hemirings_upto4, sweep_order_inputs,
+                                                     order6_endos, B):
+    """The incremental closure ends at the pass loop's labels, from every
+    pair of every member of both catalogs and from seeded pairs, and
+    seeded sets of three pairs, on E_M and F_M of order 42-120, their
+    products with B (order 84-140), M_2(GF(3)) and seeded products of
+    catalog members.  Every labels it yields is a congruence-coarsening
+    of the last in least-element form, and the last is a congruence."""
+    catalog = list(plain_hemirings_upto3) + list(idem_hemirings_upto4)
+    rng = random.Random(37)
+    factors = [R for R in catalog if R.order > 1]
+    products = [direct_product(*rng.sample(factors, rng.choice((2, 3)))) for _ in range(10)]
+    large = [R for copies in sweep_order_inputs + order6_endos for R in copies[:1]]
+    seeds = []
+    for R in catalog:
+        seeds += [(R, [a], [b]) for a, b in itertools.combinations(range(R.order), 2)]
+    for R in large + products:
+        pairs = [rng.sample(range(R.order), 2) for _ in range(12)]
+        seeds += [(R, [a], [b]) for a, b in pairs[:9]]
+        seeds.append((R, [a for a, _ in pairs[9:]], [b for _, b in pairs[9:]]))
+    proper = 0
+    for R, xs, ys in seeds:
+        tables = _tables(R)
+        start = _merge(np.arange(R.order), xs, ys)
+        want = table_pass_compat_closure(tables, start)
+        labels = start
+        for step in _compat_closure(tables, labels):
+            assert (step[labels] == step).all() and (step[step] == step).all()
+            assert (step <= np.arange(R.order)).all() and (step != labels).any()
+            labels = step
+        assert (labels == want).all()
+        assert simpleness.is_congruence(R, Congruence._least(labels))
+        proper += 1 < len(set(labels.tolist())) < R.order
+    assert len(seeds) > 1000 and proper > 100
 
 
 def transitive_partition(related):
@@ -1438,3 +1553,22 @@ def test_lattice_walks_against_frontier_walk(plain_hemirings_upto3, idem_hemirin
             assert ideals == frontier_ideals(R, s), (R.name, s)
         sizes.append(max(map(len, lattices)))
     assert len(sizes) > 180 and max(sizes) > 500
+
+
+def test_covers_against_matrix_product(plain_hemirings_upto3, idem_hemirings_upto4):
+    """``_covers`` keeps the x < y with no element strictly between, the
+    pairs where the float32 product formerly used counted none, on the
+    natural orders of the additively idempotent members of both catalogs
+    and of E_M and F_M of order <= 140, and on random partial orders."""
+    rng = random.Random(41)
+    algebras = [R for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4)
+                if is_additively_idempotent(R)]
+    for M in _semilattices(6):
+        algebras += [E.hemiring for E in (build_E_M(M), build_F_M(M)) if E.order <= 140]
+    orders = [natural_order(R).leq for R in algebras]
+    orders += [random_poset(rng, rng.randint(1, 30), rng.random()).leq for _ in range(100)]
+    for leq in orders:
+        lt = leq & ~np.eye(len(leq), dtype=bool)
+        m = lt.astype(np.float32)
+        assert (simpleness._covers(lt) == (lt & ((m @ m) == 0))).all()
+    assert max(map(len, orders)) > 130 and len(orders) > 250
