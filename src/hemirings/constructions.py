@@ -32,9 +32,9 @@ from .core import (
     FiniteHemiring,
     InvariantViolation,
     SizeGuardExceeded,
-    _LAW_SLAB_CELLS,
     _least_bounds,
     _lex_least_relabeling,
+    _slab,
 )
 from .lattices import FiniteSemilattice
 from .simpleness import (
@@ -191,21 +191,22 @@ class MatrixSemiring:
         return self.encode(m)
 
 
-def matrix_semiring(R: FiniteHemiring, n: int,
-                    max_order: int = MATRIX_ORDER_BOUND) -> MatrixSemiring:
-    """The matrix hemiring M_n(R) with packed tables.
+def matrix_semiring(R: FiniteHemiring, n: int) -> MatrixSemiring:
+    """The matrix hemiring M_n(R) with packed tables, for a carrier of at
+    most ``MATRIX_ORDER_BOUND`` elements (SizeGuardExceeded otherwise).
 
     Tables are computed from entrywise digit arithmetic over the base
-    tables, for as many rows x at once as keep their products within
-    ``_LAW_SLAB_CELLS`` cells.  M_n of a hemiring is a hemiring, so the
-    result is not re-validated.
+    tables, in slabs of rows x from ``core._slab``: a row's products take
+    N * n^3 cells.  M_n of a hemiring is a hemiring, so the result is not
+    re-validated.
     """
     if n < 1:
         raise ValueError("n must be positive")
     b = R.order
     N = b ** (n * n)
-    if N > max_order:
-        raise SizeGuardExceeded(f"matrix carrier {b}^{n * n} = {N} exceeds bound {max_order}")
+    if N > MATRIX_ORDER_BOUND:
+        raise SizeGuardExceeded(
+            f"matrix carrier {b}^{n * n} = {N} exceeds bound {MATRIX_ORDER_BOUND}")
 
     cells = n * n
     weights = (b ** np.arange(cells, dtype=np.int64))
@@ -219,7 +220,7 @@ def matrix_semiring(R: FiniteHemiring, n: int,
     add = np.empty((N, N), dtype=np.int32)
     mul = np.empty((N, N), dtype=np.int32)
     ys = np.ascontiguousarray(digits.T)            # [cell, y]
-    step = max(1, _LAW_SLAB_CELLS // (N * cells * n))
+    step = _slab(N * cells * n)
     for s in range(0, N, step):
         xb = digits[s:s + step] * b
         add[s:s + step] = weights @ np.take(plus, xb[:, :, None] + ys)
@@ -380,12 +381,6 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     return [seen[key] for key in sorted(seen)]
 
 
-# Cells of the law instances one slab of ``_table_search`` checks: a slab
-# expands as many partial tables as keep its arrays within this bound, and
-# at least one.
-_SEARCH_SLAB_CELLS = 1 << 13
-
-
 def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
                   symmetric: bool = False) -> np.ndarray:
     """Every completion of ``table`` over ``cells`` that is associative and,
@@ -397,9 +392,10 @@ def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
     each cell, every row is expanded by the values 0..n-1 (parent-major,
     value-minor; mirrored to (j, i) when ``symmetric``) and the children in
     which some law instance with all lookups assigned fails are dropped,
-    all in one numpy pass per slab of rows.  Completions therefore come out
-    in lexicographic order of their cell values.  Cells outside ``cells``
-    count as assigned.
+    all in one numpy pass per slab of rows (``core._slab(n ** 4)`` rows:
+    a row's n children check n^3 instances each).  Completions therefore
+    come out in lexicographic order of their cell values.  Cells outside
+    ``cells`` count as assigned.
 
     Tables are padded to (n + 1) x (n + 1) and an unassigned cell holds n,
     as do the padding row and column, so a lookup through an unassigned
@@ -447,7 +443,7 @@ def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
 
     front = pad.reshape(1, m * m)
     vals = np.arange(n, dtype=np.int8)
-    step = max(1, _SEARCH_SLAB_CELLS // (n ** 4))
+    step = _slab(n ** 4)
     for p, q in zip(flat, mirror):
         if not len(front):
             break

@@ -137,15 +137,27 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-# Cells one numpy step of _law_witness or _holds touches, unless one first
-# argument alone has more: each step's arrays stay O(n^2), never n^3.  The
-# hemiring laws on E_M of order 43-120 ran equally fast with 2^12 to 2^16
-# cells (numpy 2.4, 2-vCPU x86-64 host), as did the row slabs of
-# ``_pack_maps`` and ``matrix_semiring`` within 15% at 2^14 to 2^18.  The
-# reduced hemiring tests, run once each over 70 distinct tables of order
-# 16-128 in a fresh process, took 41-56 ms at 2^14 cells against 44-76 ms
-# at 2^12 and 62-87 ms at 2^16 (same host).
-_LAW_SLAB_CELLS = 1 << 14
+# Cells one numpy step of a slab loop touches, unless one item alone has
+# more: each step's arrays stay O(n^2), never n^3.  Every slab loop in the
+# package (the law scans here, the relabeling scans, ``_pack_maps``,
+# ``matrix_semiring``, ``_table_search`` and the congruence pre-pass) sizes
+# its slabs through ``_slab``.  The hemiring laws on E_M of order 43-120
+# ran equally fast with 2^12 to 2^16 cells (numpy 2.4, 2-vCPU x86-64
+# host), as did the row slabs of ``_pack_maps`` and ``matrix_semiring``
+# within 15% at 2^14 to 2^18.  The reduced hemiring tests, run once each
+# over 70 distinct tables of order 16-128 in a fresh process, took 41-56 ms
+# at 2^14 cells against 44-76 ms at 2^12 and 62-87 ms at 2^16 (same host).
+# Moving the relabeling and table-search slabs from 2^13 and the
+# congruence pre-pass from 2^16 to 2^14 kept every end-to-end median of
+# `perfbench` within 3.5% (10 alternated pairs of 25 s runs per workload,
+# same host; ``BENCH_26.json``).
+_SLAB_CELLS = 1 << 14
+
+
+def _slab(cells_per_item: int) -> int:
+    """Items per slab: as many as fit in ``_SLAB_CELLS`` cells, at least one.
+    Reads the bound when called, so patching it reaches every loop."""
+    return max(1, _SLAB_CELLS // cells_per_item)
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -162,11 +174,11 @@ def _law_witness(sides, shape: tuple[int, int, int]) -> tuple[int, int, int] | N
     ``sides(s)`` gives the law's two sides for the first arguments in the
     slice ``s``, as two arrays indexed [a - s.start, b, c] of shape
     (len, shape[1], shape[2]); ``shape[0]`` is the number of first
-    arguments.  Each slab takes as many first arguments as fit in
-    ``_LAW_SLAB_CELLS`` cells, and at least one.
+    arguments.  Each slab takes ``_slab(shape[1] * shape[2])`` first
+    arguments.
     """
     na, nb, nc = shape
-    step = max(1, _LAW_SLAB_CELLS // (nb * nc))
+    step = _slab(nb * nc)
     for a0 in range(0, na, step):
         lhs, rhs = sides(slice(a0, a0 + step))
         w = _first(lhs != rhs)
@@ -179,7 +191,7 @@ def _holds(sides, count: int, cells: int) -> bool:
     """Whether a law holds: ``sides(s)`` gives its two sides for the first
     arguments in the slice ``s`` of range(count), ``cells`` cells per first
     argument, in slabs as ``_law_witness`` takes them; yes or no only."""
-    step = max(1, _LAW_SLAB_CELLS // cells)
+    step = _slab(cells)
     return all(np.array_equal(*sides(slice(a0, a0 + step))) for a0 in range(0, count, step))
 
 
@@ -287,7 +299,7 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
 
     So all four hold on S iff every reduced test passes.  The reduced
     tests answer yes or no (``_holds``), each in slabs of generators of at
-    most ``_LAW_SLAB_CELLS`` cells (one plane when a plane is larger).  If
+    most ``_SLAB_CELLS`` cells (one plane when a plane is larger).  If
     + is not commutative, the cube fits in one slab (n <= 25 at the
     default) or a reduced test fails, the laws are scanned over the whole
     cube by ``_law_witness``, which alone gives the first witnesses.
@@ -326,7 +338,7 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
                  (lambda s: (mcols.take(mg[s], 0), mul.take(G[s], 0).take(mg, 1)), g * g)]
         return all(_holds(sides, g, cells) for sides, cells in tests)
 
-    if commutative is None and n ** 3 > _LAW_SLAB_CELLS and reduced_hold(_generating_set(add)):
+    if commutative is None and n ** 3 > _SLAB_CELLS and reduced_hold(_generating_set(add)):
         witnesses = (None,) * 4
     else:
         witnesses = tuple(_law_witness(sides, cube) for sides in (
@@ -622,7 +634,7 @@ HOM_SEARCH_BOUND = 2_000_000   # node budget of every map search
 
 
 def _map_search(n: int, order: list[int], domains, tables=(), actions=(),
-                injective: bool = False, node_budget: int = HOM_SEARCH_BOUND):
+                injective: bool = False):
     """Lazily yield every map f: 0..n-1 -> targets, as a tuple, that preserves
 
     - each binary table pair (S, T) in ``tables``: f(S[x, y]) = T[f(x), f(y)];
@@ -635,7 +647,8 @@ def _map_search(n: int, order: list[int], domains, tables=(), actions=(),
     Every constraint is checked as soon as all its elements are placed, and
     an element that is S[x, y] or A[r, x] of elements placed before it gets
     the single candidate the constraint forces.  Each partial map visited
-    counts against ``node_budget``; exceeding it raises SizeGuardExceeded.
+    counts against ``HOM_SEARCH_BOUND``, read when the search is made;
+    exceeding it raises SizeGuardExceeded.
     """
     pos = [0] * n
     for k, z in enumerate(order):
@@ -668,7 +681,7 @@ def _map_search(n: int, order: list[int], domains, tables=(), actions=(),
     domain_sets = [frozenset(d) for d in domains]
     f = [-1] * n + list(range(consts))
     used: set[int] = set()
-    nodes = 0
+    nodes, node_budget = 0, HOM_SEARCH_BOUND
 
     def extend(k: int):
         nonlocal nodes
@@ -705,7 +718,7 @@ def _map_search(n: int, order: list[int], domains, tables=(), actions=(),
 
 def hom_search(R: FiniteHemiring, S: FiniteHemiring, *,
                surjective: bool = False, unital: bool = False,
-               injective: bool = False, limit: int | None = None) -> list[HomMap]:
+               injective: bool = False) -> list[HomMap]:
     """All maps R -> S preserving add, mul and zero (and one when asked),
     in lexicographic order of their values on zero, one, then the rest.
     """
@@ -726,8 +739,6 @@ def hom_search(R: FiniteHemiring, S: FiniteHemiring, *,
         if surjective and len(set(f)) != m:
             continue
         results.append(HomMap(R, S, f))
-        if limit is not None and len(results) >= limit:
-            break
     return results
 
 
@@ -781,11 +792,6 @@ def is_isomorphic(R: FiniteHemiring, S: FiniteHemiring) -> HomMap | None:
     if not _is_hom(R, S, f):
         raise RuntimeError(f"isomorphism search returned a non-homomorphism {f}")
     return HomMap(R, S, f)
-
-
-# Cells one numpy step of _lex_least_relabeling gathers: a slab of tied
-# (tuple, relabeling) pairs holds as many pairs as fit, and at least one.
-_RELABEL_SLAB_CELLS = 1 << 13
 
 
 def _permutations(m: int) -> np.ndarray:
@@ -855,7 +861,7 @@ def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], l
     k = np.tile(np.arange(len(q)), nb)
     starts = np.arange(0, len(b), len(q))
     weights = n ** np.arange(n - 1, -1, -1)
-    step = max(1, _RELABEL_SLAB_CELLS // n)
+    step = _slab(n)
     # zero's row (column) is neutral or absorbing in every tuple
     ids = np.arange(n)
     fixed_row, fixed_col = (((lines == ids).all(axis=2) | (lines == 0).all(axis=2)).all(axis=0)
@@ -903,7 +909,7 @@ def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], l
             keep_least(row_keys(T, i))
     # the winners' relabelled tables, slab by slab of tuples
     qw, pw = q[k[starts]], p[k[starts]]
-    per_slab = max(1, _RELABEL_SLAB_CELLS // (nt * n * n))
+    per_slab = _slab(nt * n * n)
     forms = []
     for s in range(0, nb, per_slab):
         qs = qw[s:s + per_slab]

@@ -16,13 +16,13 @@ from .core import (
     FiniteHemiring,
     InvariantViolation,
     PartialOrder,
-    _LAW_SLAB_CELLS,
     _associative,
     _distributive,
     _first,
     _index_array,
     _law_witness,
     _map_search,
+    _slab,
     _subset_closure,
     as_op_table,
 )
@@ -208,8 +208,8 @@ def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
     ``trie[c][p * n + v]`` is the rank of prefix p extended by v among the
     maps' distinct prefixes of length c + 1, and a rank past the last one
     marks an absent prefix, which every later level keeps absent.  After n
-    levels a found map's rank is its index, so a slab of table rows is n
-    gathers.
+    levels a found map's rank is its index, so a slab of
+    ``_slab(k * n)`` table rows is n gathers.
     """
     maps = sorted(set(maps))
     if not maps:
@@ -237,7 +237,7 @@ def _pack_maps(add: np.ndarray, zero: int, maps) -> tuple:
         trie.append(level)
     sums = np.empty((k, k), dtype=np.int32)
     comp = np.empty((k, k), dtype=np.int32)
-    step = max(1, _LAW_SLAB_CELLS // (k * n))
+    step = _slab(k * n)
     for s in range(0, k, step):
         f = arr[s:s + step]
         for table, rows in ((sums, add[f[:, None, :], arr]),   # f(x) + g(x)

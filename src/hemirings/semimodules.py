@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    HOM_SEARCH_BOUND,
     FiniteHemiring,
     InvariantViolation,
     _associative,
@@ -29,7 +28,7 @@ from .core import (
     as_op_table,
 )
 from .lattices import _pack_maps
-from .simpleness import IdealSubset, generated_ideal, ideal_violation, is_simple
+from .simpleness import IdealSubset, generated_ideal, ideal_violation
 
 __all__ = [
     "DoubleCentralizerReport",
@@ -121,26 +120,26 @@ def left_ideal_semimodule(R: FiniteHemiring, I: IdealSubset) -> FiniteLeftSemimo
                                 name=f"ideal{members}", members=tuple(members))
 
 
-def hom_semimodules(M: FiniteLeftSemimodule, N: FiniteLeftSemimodule,
-                    node_budget: int = HOM_SEARCH_BOUND) -> list[tuple[int, ...]]:
+def hom_semimodules(M: FiniteLeftSemimodule, N: FiniteLeftSemimodule) -> list[tuple[int, ...]]:
     """All additive, zero-preserving, R-equivariant maps M -> N, sorted.
 
-    A node budget guards against genuinely intractable |N|^|M| spaces.
+    The node budget ``core.HOM_SEARCH_BOUND`` guards against genuinely
+    intractable |N|^|M| spaces.
     """
     if M.ring is not N.ring and M.ring != N.ring:
         raise ValueError("semimodules over different rings")
-    return _additive_maps(M, N, ((M.action, N.action),), node_budget)
+    return _additive_maps(M, N, ((M.action, N.action),))
 
 
-def _additive_maps(M: FiniteLeftSemimodule, N: FiniteLeftSemimodule, actions,
-                   node_budget: int = HOM_SEARCH_BOUND) -> list[tuple[int, ...]]:
+def _additive_maps(M: FiniteLeftSemimodule, N: FiniteLeftSemimodule,
+                   actions) -> list[tuple[int, ...]]:
     """Sorted additive, zero-preserving maps M -> N that preserve each
     action pair (A, B) in ``actions``: f(A[r, x]) = B[r, f(x)]."""
     domains = [range(N.order)] * M.order
     domains[M.zero] = (N.zero,)
     order = [M.zero] + [x for x in range(M.order) if x != M.zero]
     return sorted(_map_search(M.order, order, domains, tables=((M.add, N.add),),
-                              actions=actions, node_budget=node_budget))
+                              actions=actions))
 
 
 class ModuleEndoSemiring:
@@ -178,27 +177,21 @@ class DoubleCentralizerReport:
     natural_map: tuple[int, ...]  # r -> index into the bicommutant map list
     injective: bool
     surjective: bool
-    simple_checked: bool
 
     @property
     def isomorphism(self) -> bool:
         return self.injective and self.surjective
 
 
-def double_centralizer_check(R: FiniteHemiring, I: IdealSubset,
-                             require_simple: bool = False) -> DoubleCentralizerReport:
+def double_centralizer_check(R: FiniteHemiring, I: IdealSubset) -> DoubleCentralizerReport:
     """Compute D = End(_R I) and the natural map R -> End(I_D).
 
-    For simple R the map is an isomorphism.  When R is not simple the check
-    still runs in exploratory mode and reports simple_checked=False (or
-    raises if ``require_simple``).
+    For simple R the map is an isomorphism; the check does not test
+    whether R is simple.
     """
     if len(I.members) <= 1:
         raise ValueError("need a nonzero left ideal")
     module = left_ideal_semimodule(R, I)
-    simple = is_simple(R)
-    if require_simple and not simple:
-        raise ValueError("ring is not simple")
 
     d_maps = hom_semimodules(module, module)
     # End(I_D): additive zero-preserving g with g(i * d) = g(i) * d, i.e.
@@ -215,7 +208,7 @@ def double_centralizer_check(R: FiniteHemiring, I: IdealSubset,
     injective = len(set(nat)) == R.order
     surjective = len(set(nat)) == len(bicom)
     return DoubleCentralizerReport(R, module.members, len(d_maps), len(bicom),
-                                   tuple(nat), injective, surjective, simple)
+                                   tuple(nat), injective, surjective)
 
 
 def trace_ideal(R: FiniteHemiring, P: FiniteLeftSemimodule) -> IdealSubset:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteHemiring, SizeGuardExceeded, _subset_closure, is_aic, \
+from .core import FiniteHemiring, SizeGuardExceeded, _slab, _subset_closure, is_aic, \
     is_additively_idempotent, natural_order
 from .lattices import EndoSemiring
 
@@ -45,7 +45,6 @@ __all__ = [
 CLOSURE_BUDGET = 10**8      # table cells: closures to run x n^2
 LATTICE_BOUND = 200000
 _PHASE1_WIDTH = 8           # sweep-order columns c the first pre-pass reads
-_SLAB_CELLS = 1 << 16       # cells (pairs x 3 x width) in a first-pass slab
 
 
 class Congruence:
@@ -253,11 +252,10 @@ def _unsettled_pairs(tables):
 
     The tables are relabelled so that 0 is the zero, whose images x + 0 = x
     and x * 0 = 0 * x = 0 settle nothing.  The first pass reads the images
-    under c = 1 .. k, k = ``_PHASE1_WIDTH``, for slabs of pairs at a time:
-    one row's worth of cells (n - 1 pairs times 3n images) first, then
-    doubling, all up to ``_SLAB_CELLS``.  It settles almost every pair.  The
-    second reads the images under the other c, one pair at a time, of the
-    pairs the first leaves.
+    under c = 1 .. k, k = ``_PHASE1_WIDTH``, for a slab of ``_slab(3 * k)``
+    pairs at a time.  It settles almost every pair.  The second reads the
+    images under the other c, one pair at a time, of the pairs the first
+    leaves.
     """
     n = tables[0].shape[0]
     if n < 2:
@@ -270,12 +268,9 @@ def _unsettled_pairs(tables):
     rows = np.concatenate([T[:, k + 1:] for T in tables], axis=1).astype(narrow)
     ids = np.arange(n)
     starts = ids * (2 * n - 1 - ids) // 2                    # pairs before row a
-    pairs, done = n * (n - 1) // 2, 1
-    cap = _SLAB_CELLS // (3 * k)
-    size = min(n * (n - 1) // k, cap)
-    while done < pairs:
+    pairs, size = n * (n - 1) // 2, _slab(3 * k)
+    for done in range(1, pairs, size):
         slab = np.arange(done, min(done + size, pairs))
-        done, size = done + size, min(2 * size, cap)
         firsts = np.searchsorted(starts, slab, side="right") - 1
         seconds = slab - starts[firsts] + firsts + 1
         x, y = cols.take(firsts, axis=1), cols.take(seconds, axis=1)

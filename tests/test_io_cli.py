@@ -116,11 +116,11 @@ def test_cli_check_large_endo_table(tmp_path, monkeypatch):
     assert run_cli("endo", str(f), "--out", str(tmp_path)).returncode == 0
     em = tmp_path / "c5_EM.alg"
     E = parse_algebra(em.read_text())
-    assert E.order ** 3 > core._LAW_SLAB_CELLS
+    assert E.order ** 3 > core._SLAB_CELLS
     r = run_cli("check", str(em))
     assert r.returncode == 0 and "FAIL" not in r.stdout
     text, mul = perturbed_text(E, E.order // 2, E.order // 3)
-    monkeypatch.setattr(core, "_LAW_SLAB_CELLS", E.order ** 3)
+    monkeypatch.setattr(core, "_SLAB_CELLS", E.order ** 3)
     report = check_hemiring_axioms(E.add, mul, E.zero, E.one)
     assert not report.ok
     bad = tmp_path / "bad.alg"

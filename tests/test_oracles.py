@@ -60,7 +60,13 @@ from hemirings.simpleness import (
 )
 from hemirings.verify import _catalog_semirings, _semilattices
 
-from conftest import chain_semilattice, direct_product, naive_lex_least, relabeled
+from conftest import (
+    chain3_min_semiring,
+    chain_semilattice,
+    direct_product,
+    naive_lex_least,
+    relabeled,
+)
 
 
 def first_failure(law, *ranges):
@@ -149,8 +155,8 @@ def test_axiom_checker_against_naive_on_random_tables(plain_hemirings_upto3,
         cases += [(perturbed(add, rng), mul, R.zero, R.one),
                   (add, perturbed(mul, rng), R.zero, R.one)]
     wants = [naive_axiom_witnesses(*case) for case in cases]
-    for slab in (core._LAW_SLAB_CELLS, 1, 20):
-        monkeypatch.setattr(core, "_LAW_SLAB_CELLS", slab)
+    for slab in (core._SLAB_CELLS, 1, 20):
+        monkeypatch.setattr(core, "_SLAB_CELLS", slab)
         for case, want in zip(cases, wants):
             report = check_hemiring_axioms(*case)
             assert [(c.axiom, c.witness) for c in report.checks] == want
@@ -238,7 +244,7 @@ def large_hemirings(semilattices_upto5, endo_cache):
     E = next(R for R in out if R.order == 43)
     out += [matrix_semiring(finite_field(3), 2).hemiring,
             direct_product(E, boolean_B()), direct_product(E, finite_field(2))]
-    assert all(R.order ** 3 > core._LAW_SLAB_CELLS for R in out)
+    assert all(R.order ** 3 > core._SLAB_CELLS for R in out)
     return out
 
 
@@ -274,7 +280,7 @@ def fails_with_arguments_in(mul, add, gens):
 
 def test_reduced_axiom_decision_on_large_perturbations(large_hemirings, monkeypatch):
     for slab in (1, 1 << 14):   # slabs of one generator plane and of many
-        monkeypatch.setattr(core, "_LAW_SLAB_CELLS", slab)
+        monkeypatch.setattr(core, "_SLAB_CELLS", slab)
         assert_reduced_decision_is_exact(large_hemirings)
 
 
@@ -332,7 +338,7 @@ def assert_reduced_decision_is_exact(large_hemirings):
 
     add, mul = left_regular_band("abcd")
     n = len(add)
-    assert n ** 3 > core._LAW_SLAB_CELLS
+    assert n ** 3 > core._SLAB_CELLS
     assert core._generating_set(np.array(add)).tolist() == [0, 1, 2, 3, 4]
     assert fails_with_arguments_in(mul, add, [0, 1, 2, 3, 4]) == (False, False)
     want = full_scan_witnesses(add, mul, 0)
@@ -464,8 +470,8 @@ def test_semilattice_laws_against_naive(monkeypatch):
                 lambda a, b, c: meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]],
                 r, r, r) is None))
     wants = [naive_semilattice_violation(*t) for t in tables]
-    for slab in (core._LAW_SLAB_CELLS, 1, 20):
-        monkeypatch.setattr(core, "_LAW_SLAB_CELLS", slab)
+    for slab in (core._SLAB_CELLS, 1, 20):
+        monkeypatch.setattr(core, "_SLAB_CELLS", slab)
         assert [semilattice_violation(*t) for t in tables] == wants
         assert [is_distributive(L) for L, _ in lattices] == [d for _, d in lattices]
     assert {w and w[0] for w in wants} == {
@@ -670,7 +676,7 @@ def test_two_pass_pre_pass_against_per_row(sweep_order_inputs, order6_endos, ord
     same pairs (a, b) reach a closure in the same order.  Below order 10
     the first pass reads every image; M_2(B) and the order-4 catalogs have
     pairs that only its tie case (an image (a, h), a < h < b) settles.
-    Slabs of 16 pairs past the first put many pairs on a slab boundary."""
+    Slabs of 16 pairs put many pairs on a slab boundary."""
     closed = []
     compat_closure = simpleness._compat_closure
 
@@ -690,8 +696,8 @@ def test_two_pass_pre_pass_against_per_row(sweep_order_inputs, order6_endos, ord
         order, rank = _sweep_order(R)
         tables = tuple(rank[T[np.ix_(order, order)]] for T in _tables(R))
         unsettled = unsettled_by_definition(tables)
-        for cells in (simpleness._SLAB_CELLS, 3 * simpleness._PHASE1_WIDTH * 16):
-            monkeypatch.setattr(simpleness, "_SLAB_CELLS", cells)
+        for cells in (core._SLAB_CELLS, 3 * simpleness._PHASE1_WIDTH * 16):
+            monkeypatch.setattr(core, "_SLAB_CELLS", cells)
             closed.clear()
             assert (is_congruence_simple(R), closed) == want
             assert list(simpleness._unsettled_pairs(tables)) == unsettled
@@ -1066,8 +1072,8 @@ def test_lex_least_relabeling_against_naive(plain_hemirings_upto3, idem_hemiring
         copy = relabeled(R, rng.sample(range(R.order), R.order))
         cases.append(([(copy.add, copy.mul)], copy.zero))
         want.append([form])
-    for slab in (core._RELABEL_SLAB_CELLS, 1, 20):
-        monkeypatch.setattr(core, "_RELABEL_SLAB_CELLS", slab)
+    for slab in (core._SLAB_CELLS, 1, 20):
+        monkeypatch.setattr(core, "_SLAB_CELLS", slab)
         for (batch, zero), forms in zip(cases, want):
             got = list(_lex_least_relabeling(batch, zero))
             assert [flat for flat, _ in got] == forms
@@ -1144,8 +1150,11 @@ def recursive_table_search(table, cells, add=None, symmetric=False):
     return out
 
 
-def test_table_search_against_recursive_oracle(monkeypatch):
-    """Ordered lists of completions, under several slab sizes."""
+def test_table_search_against_recursive_oracle(m3, monkeypatch):
+    """Ordered lists of completions, under several slab sizes; under the
+    same sizes, the row slabs of ``matrix_semiring`` (M_2 of GF(3) and of
+    an order-3 semiring) and of ``_pack_maps`` (E_M of the diamond
+    lattice) against their loop references."""
     monoid_searches = []
     for n in range(1, 5):
         neutral = np.zeros((n, n), dtype=np.int32)
@@ -1160,13 +1169,22 @@ def test_table_search_against_recursive_oracle(monkeypatch):
         cells = [(i, j) for i in range(1, n) for j in range(1, n)]
         mul_searches.append(
             (add, recursive_table_search(np.zeros((n, n), dtype=np.int32), cells, add=add)))
-    for slab in (constructions._SEARCH_SLAB_CELLS, 1, 300):
-        monkeypatch.setattr(constructions, "_SEARCH_SLAB_CELLS", slab)
+    matrices = []
+    for R in (finite_field(3), chain3_min_semiring()):
+        add, mul, zero, one = naive_matrix_tables(R, 2)
+        matrices.append((R, (add.tolist(), mul.tolist(), zero, one)))
+    endo_maps = endo_enumerate(m3)
+    for slab in (core._SLAB_CELLS, 1, 300):
+        monkeypatch.setattr(core, "_SLAB_CELLS", slab)
         for neutral, cells, want in monoid_searches:
             got = constructions._table_search(neutral, cells, symmetric=True)
             assert got.tolist() == want
         for add, want in mul_searches:
             assert constructions._multiplications(add).tolist() == want
+        for R, want in matrices:
+            H = matrix_semiring(R, 2).hemiring
+            assert (H.add.tolist(), H.mul.tolist(), H.zero, H.one) == want
+        assert_same_packing(m3.join, m3.zero, endo_maps)
 
 
 def brute_force_homs(R, S, unital=False):
@@ -1196,7 +1214,7 @@ def test_hom_search_against_brute_force(plain_hemirings_upto3, B):
                 surj = [f for f in homs if len(set(f)) == S.order]
                 inj = [f for f in homs if len(set(f)) == R.order]
                 for kwargs, want in (({}, homs), ({"surjective": True}, surj),
-                                     ({"injective": True}, inj), ({"limit": 2}, homs[:2])):
+                                     ({"injective": True}, inj)):
                     got = [h.map for h in hom_search(R, S, unital=unital, **kwargs)]
                     assert got == want, (R.name, S.name, unital, kwargs)
 
