@@ -11,8 +11,9 @@ congruences or ideals (``_join_closure``).  On additively idempotent R,
 with x <= y iff x + y = y, Cg(a, b) = Cg(a, a + b) v Cg(b, a + b), and
 Cg(x, z) = Cg(x, y) v Cg(y, z) for x <= y <= z, so the congruence walk
 needs only the covering pairs of that order; on other R, every pair.
-``CLOSURE_BUDGET`` bounds (closures to run) x n^2 table cells before any
-closure runs, and ``LATTICE_BOUND`` the elements found.
+``CLOSURE_BUDGET`` bounds (closures) x n^2 table cells, checked by the lattice
+walks before any closure runs and by the simpleness deciders before each
+one; ``LATTICE_BOUND`` bounds the elements found.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ def _sweep_order(R: FiniteHemiring) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty(n, dtype=np.intp)
     rank[order] = ids
     order.flags.writeable = rank.flags.writeable = False
-    R._memo["sweep_order"] = order, rank
-    return order, rank
+    R._memo["sweep_order"] = memo = order, rank
+    return memo
 
 
 def _settled(lo, hi, a, b):
@@ -305,14 +306,17 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
     reads the other images of each pair the first leaves.  Only the pairs
     both leave run a closure, and it stops as soon as its labels are
     universal or it identifies an earlier pair, that is, a
-    non-representative x with (rep(x), x) before (a, b).
+    non-representative x with (rep(x), x) before (a, b).  The k-th closure
+    is charged k x n^2 cells against ``CLOSURE_BUDGET`` before it starts.
     """
     n = R.order
+    _check_closure_budget(1, n, "congruence-simple decision")
     ids = np.arange(n)
     order, rank = _sweep_order(R)
     add, mul = (rank.take(T.take(order, 0).take(order, 1)) for T in (R.add, R.mul))
     tables = add, mul, np.ascontiguousarray(mul.T)      # as _tables, relabelled
-    for a, b in _unsettled_pairs(tables):
+    for k, (a, b) in enumerate(_unsettled_pairs(tables), 1):
+        _check_closure_budget(k, n, "congruence-simple decision")
         labels = ids.copy()
         labels[b] = a
         for labels in _compat_closure(tables, labels):
@@ -324,11 +328,11 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
     return True
 
 
-def _check_closure_budget(closures: int, n: int, kind: str) -> None:
-    """Refuse a lattice walk whose closures would read more than
-    ``CLOSURE_BUDGET`` table cells."""
+def _check_closure_budget(closures: int, n: int, work: str) -> None:
+    """Refuse ``work`` (a noun phrase for the message) once its closures
+    would read more than ``CLOSURE_BUDGET`` table cells."""
     if (cells := closures * n * n) > CLOSURE_BUDGET:
-        raise SizeGuardExceeded(f"{kind} lattice enumeration is bounded at CLOSURE_BUDGET = "
+        raise SizeGuardExceeded(f"{work} is bounded at CLOSURE_BUDGET = "
                                  f"{CLOSURE_BUDGET} table cells; asked for {cells} "
                                  f"({closures} closures at order {n})")
 
@@ -371,7 +375,7 @@ def all_congruences(R: FiniteHemiring) -> list[Congruence]:
         pairs = _covers(natural_order(R).leq & ~np.eye(n, dtype=bool))
     tables = _tables(R)
     seeds = np.argwhere(pairs).tolist()
-    _check_closure_budget(len(seeds), n, "congruence")
+    _check_closure_budget(len(seeds), n, "congruence lattice enumeration")
     if is_congruence_simple(R):
         return sorted({Congruence.diagonal(n), Congruence.universal(n)}, key=lambda c: c.labels)
     return _join_closure(Congruence.diagonal(n), lambda ab: _closure(tables, ab[:1], ab[1:]),
@@ -471,7 +475,7 @@ def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided") -> list[IdealSub
         sums = R.add[sorted(I.members)][:, sorted(J.members)]
         return IdealSubset(sums.ravel().tolist(), sidedness, n)
 
-    _check_closure_budget(n - 1, n, "ideal")
+    _check_closure_budget(n - 1, n, "ideal lattice enumeration")
     return _join_closure(IdealSubset([R.zero], sidedness, n),
                          lambda x: generated_ideal(R, [x], sidedness),
                          [x for x in range(n) if x != R.zero], plus,
@@ -490,13 +494,17 @@ def is_ideal_simple(R: FiniteHemiring) -> bool:
     and this one builds 86 generated ideals over one round of the
     ``classify`` benchmark where index order builds 160.  <x> contains
     r * x and x * r, so one numpy pass settles every x with such a product
-    nonzero and before x; only the other x build their generated ideal.
+    nonzero and before x; only the other x build their generated ideal,
+    the k-th charged k x n^2 cells against ``CLOSURE_BUDGET`` first.
     """
+    _check_closure_budget(1, R.order, "ideal-simple decision")
     order, rank = _sweep_order(R)
     rows = rank[np.concatenate([R.mul.T, R.mul], axis=1)]   # row x: r * x, x * r
     settled = ((rows != 0) & (rows < rank[:, None])).any(axis=1)
-    for x in order[1:]:
-        if not settled[x] and not generated_ideal(R, [x], "two-sided").is_full:
+    pending = [x for x in order[1:].tolist() if not settled[x]]
+    for k, x in enumerate(pending, 1):
+        _check_closure_budget(k, R.order, "ideal-simple decision")
+        if not generated_ideal(R, [x], "two-sided").is_full:
             return False
     return True
 

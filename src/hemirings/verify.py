@@ -26,6 +26,7 @@ from functools import lru_cache
 from .core import (
     FiniteHemiring,
     InvariantViolation,
+    SizeGuardExceeded,
     fingerprint,
     infinite_element,
     is_additively_idempotent,
@@ -559,11 +560,9 @@ def run_suite(name: str, max_order: int | None = None) -> VerificationReport:
 
 # ---------------------------------------------------------- classification
 
-DECIDER_ORDER_CAP = 128
-
-
-def classify(alg, max_order: int = DECIDER_ORDER_CAP) -> list[tuple[str, str]]:
-    """Structural summary of a parsed algebra, as ordered key/value pairs."""
+def classify(alg) -> list[tuple[str, str]]:
+    """Structural summary of a parsed algebra, as ordered key/value pairs; the
+    simpleness fields read ``skipped(size)`` when a decider exceeds ``CLOSURE_BUDGET``."""
     if isinstance(alg, FiniteSemilattice):
         lat = try_lattice(alg)
         fields = [("kind", "semilattice"), ("order", str(alg.order)),
@@ -592,17 +591,15 @@ def classify(alg, max_order: int = DECIDER_ORDER_CAP) -> list[tuple[str, str]]:
         fields.append(("division", _b(is_division_semiring(R))))
     else:
         fields.append(("division", "n/a"))
-    if R.order <= max_order:
+    try:
         cs = is_congruence_simple(R)
         isim = is_ideal_simple(R)
-        fields.append(("congruence-simple", _b(cs)))
-        fields.append(("ideal-simple", _b(isim)))
-        fields.append(("simple", _b(cs and isim)))
-        if lo and R.is_semiring and cs:
-            fields.append(
-                ("iso-to-B", _b(is_isomorphic(R, boolean_B()) is not None)))
-    else:
-        fields.append(("congruence-simple", "skipped(size)"))
-        fields.append(("ideal-simple", "skipped(size)"))
-        fields.append(("simple", "skipped(size)"))
+    except SizeGuardExceeded:
+        return fields + [(key, "skipped(size)")
+                         for key in ("congruence-simple", "ideal-simple", "simple")]
+    fields.append(("congruence-simple", _b(cs)))
+    fields.append(("ideal-simple", _b(isim)))
+    fields.append(("simple", _b(cs and isim)))
+    if lo and R.is_semiring and cs:
+        fields.append(("iso-to-B", _b(is_isomorphic(R, boolean_B()) is not None)))
     return fields

@@ -359,11 +359,24 @@ def test_cli_verify_rejects_non_positive_max_order(max_order):
     assert "max-order must be at least 1" in r.stderr
 
 
-def test_cli_max_order_defaults_are_the_library_bounds():
-    from hemirings.cli import build_parser
-    from hemirings.verify import DECIDER_ORDER_CAP
-    parser = build_parser()
-    assert parser.parse_args(["classify", "f"]).max_order == DECIDER_ORDER_CAP
+def test_cli_classify_has_no_max_order():
+    from hemirings.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "f", "--max-order", "5"])
+    assert exc.value.code == 2
+
+
+def test_cli_verify_lets_program_faults_propagate(monkeypatch):
+    """A KeyError inside a suite is a bug in the program, not an input error."""
+    import hemirings.verify as verify
+    from hemirings.cli import main
+
+    def raising(*args):
+        raise KeyError(3)
+
+    monkeypatch.setattr(verify, "corner_ideal_to_ring", raising)
+    with pytest.raises(KeyError):
+        main(["verify", "prop5_3", "--max-order", "2"])
 
 
 def test_cli_verify_report_file(tmp_path):

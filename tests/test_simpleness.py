@@ -295,6 +295,29 @@ def test_all_ideals_size_guard(monkeypatch):
             all_ideals(E, sidedness)
 
 
+def test_simpleness_deciders_charge_the_closure_budget(monkeypatch):
+    """Z_127 with zero multiplication is simple after 63 closures and 126
+    generated ideals.  Each decider charges k x n^2 cells before its k-th,
+    so under a budget of ten both refuse the eleventh."""
+    idx = np.arange(127)
+    R = FiniteHemiring((idx[:, None] + idx) % 127, np.zeros((127, 127), dtype=int), zero=0)
+    closures, ideals = [], []
+    compat_closure, generated = simpleness._compat_closure, simpleness.generated_ideal
+    monkeypatch.setattr(simpleness, "_compat_closure",
+                        lambda *args: closures.append(1) or compat_closure(*args))
+    monkeypatch.setattr(simpleness, "generated_ideal",
+                        lambda *args: ideals.append(1) or generated(*args))
+    assert is_congruence_simple(R) and is_ideal_simple(R)
+    assert (len(closures), len(ideals)) == (63, 126)
+    monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 10 * 127 * 127)
+    for decider, work in ((is_congruence_simple, "congruence-simple decision"),
+                          (is_ideal_simple, "ideal-simple decision")):
+        with pytest.raises(SizeGuardExceeded,
+                           match=rf"^{work} is bounded at CLOSURE_BUDGET = 161290 table "
+                                 r"cells; asked for 177419 \(11 closures at order 127\)$"):
+            decider(R)
+    assert (len(closures), len(ideals)) == (73, 136)
+
 
 def test_generated_ideal_examples(B, e_c3, e_m3):
     assert generated_ideal(B, []).members == frozenset({0})

@@ -5,10 +5,14 @@ import sys
 import pytest
 
 from hemirings import (
+    FiniteSemilattice,
     InvariantViolation,
+    boolean_B,
     build_E_M,
     finite_field,
     integers_mod,
+    matrix_semiring,
+    simpleness,
     two_zero_mult,
 )
 from hemirings.verify import (
@@ -162,12 +166,38 @@ def test_classify_boolean(B):
     assert got["iso-to-B"] == "true"
 
 
-def test_classify_skips_on_large_order():
+def test_classify_skips_on_large_order(monkeypatch):
+    """Past ``CLOSURE_BUDGET`` the three simpleness fields are skipped and
+    every other field is still decided."""
     E = build_E_M(chain_semilattice(4)).hemiring   # order 20
-    got = dict(classify(E, max_order=10))
-    assert got["congruence-simple"] == "skipped(size)"
-    got_full = dict(classify(E))
-    assert got_full["simple"] == "true"
+    full = classify(E)
+    assert dict(full)["simple"] == "true"
+    monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 20 * 20 - 1)
+    got = classify(E)
+    skipped = ("congruence-simple", "ideal-simple", "simple")
+    assert got == ([f for f in full if f[0] not in skipped + ("iso-to-B",)]
+                   + [(key, "skipped(size)") for key in skipped])
+
+
+def test_classify_decides_above_order_128():
+    """Thm 3.3 (E_M is simple iff M is a distributive lattice), Cor 3.8
+    (E_M is congruence-simple for every M) and Monico's simple M_n(F_q),
+    at orders 234-512."""
+    sl6_000 = FiniteSemilattice([[0, 1, 2, 3, 4, 5],     # top 1 over four atoms
+                                 [1, 1, 1, 1, 1, 1],
+                                 [2, 1, 2, 1, 1, 1],
+                                 [3, 1, 1, 3, 1, 1],
+                                 [4, 1, 1, 1, 4, 1],
+                                 [5, 1, 1, 1, 1, 5]])
+    instances = {"E_sl6_000": (build_E_M(sl6_000).hemiring, "false"),
+                 "E_C6": (build_E_M(chain_semilattice(6)).hemiring, "true"),
+                 "M_2(GF(4))": (matrix_semiring(finite_field(4), 2).hemiring, "true"),
+                 "M_3(B)": (matrix_semiring(boolean_B(), 3).hemiring, "true")}
+    for name, (R, ideal_simple) in instances.items():
+        got = dict(classify(R))
+        assert (got["congruence-simple"], got["ideal-simple"], got["simple"]) \
+            == ("true", ideal_simple, ideal_simple), name
+    assert [R.order for R, _ in instances.values()] == [234, 252, 256, 512]
 
 
 def test_classify_semilattice(c3, m3):
