@@ -14,13 +14,12 @@ semilattice, lattice-distributivity and semimodule validators are ordered
 lists of such laws next to one-line table masks.
 
 The hemiring validator first decides its four three-variable laws, yes or
-no, with their arguments restricted to a generating set G of (S, +),
-which costs O(n^2 |G|) instead of O(n^3); these reduced tests read the
-tables, mostly by row gathers, in slabs of the same bound (``_holds``),
-not through ``_law_witness``.  Only when one fails does it scan the whole
-cube with ``_law_witness``, so the witnesses are still the
-lexicographically first; ``check_hemiring_axioms`` gives the closure
-arguments that make each restriction sound.
+no, with their arguments restricted to a generating set G of (S, +), in
+O(n^2 |G|) instead of O(n^3), asking ``_law_witness`` only whether a
+witness exists.  Only when one fails does it scan the whole cube, so the
+witnesses are still the lexicographically first; ``check_hemiring_axioms``
+gives the closure arguments that make each restriction sound.  One kernel,
+``_classes``, numbers the rows of an array by class.
 """
 
 from __future__ import annotations
@@ -108,6 +107,14 @@ def _index_array(raw: np.ndarray, bound: int, what: str) -> np.ndarray:
     return table
 
 
+def _element(x, bound: int, what: str) -> int:
+    """``x`` as an int if it is an element index in [0, bound): an integer,
+    as ``_index_array`` asks; a float or bool is rejected, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < bound:
+        raise ValueError(f"{what} {x!r} is not an element index in [0, {bound})")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class AxiomCheck:
     axiom: str
@@ -167,6 +174,18 @@ def _first(bad: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bad.shape))
 
 
+def _classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of a 2-D integer array, its rank among the distinct rows in
+    lexicographic order and the least index of an equal row, by a stable lexsort."""
+    order = np.lexsort(rows.T[::-1])        # column 0 is the primary key
+    ordered = rows[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(starts) - 1
+    return rank, order[starts][rank]
+
+
 def _law_witness(sides, shape: tuple[int, int, int]) -> tuple[int, int, int] | None:
     """The lexicographically first (a, b, c) at which a three-variable law
     fails, or None.
@@ -185,14 +204,6 @@ def _law_witness(sides, shape: tuple[int, int, int]) -> tuple[int, int, int] | N
         if w is not None:
             return (a0 + w[0], w[1], w[2])
     return None
-
-
-def _holds(sides, count: int, cells: int) -> bool:
-    """Whether a law holds: ``sides(s)`` gives its two sides for the first
-    arguments in the slice ``s`` of range(count), ``cells`` cells per first
-    argument, in slabs as ``_law_witness`` takes them; yes or no only."""
-    step = _slab(cells)
-    return all(np.array_equal(*sides(slice(a0, a0 + step))) for a0 in range(0, count, step))
 
 
 # The sides below use np.take rather than fancy indexing: on int32 tables
@@ -298,8 +309,8 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
       holds are closed under +.
 
     So all four hold on S iff every reduced test passes.  The reduced
-    tests answer yes or no (``_holds``), each in slabs of generators of at
-    most ``_SLAB_CELLS`` cells (one plane when a plane is larger).  If
+    tests ask ``_law_witness`` whether a witness exists, each in slabs of
+    generators of at most ``_SLAB_CELLS`` cells (one plane when larger).  If
     + is not commutative, the cube fits in one slab (n <= 25 at the
     default) or a reduced test fails, the laws are scanned over the whole
     cube by ``_law_witness``, which alone gives the first witnesses.
@@ -307,10 +318,9 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
     add = as_op_table(add)
     n = add.shape[0]
     mul = as_op_table(mul, order=n)
-    if not 0 <= zero < n:
-        raise ValueError(f"zero index {zero} out of range")
-    if one is not None and not 0 <= one < n:
-        raise ValueError(f"one index {one} out of range")
+    _element(zero, n, "zero")
+    if one is not None:
+        _element(one, n, "one")
 
     def at(e, bad):    # (e, first x with bad[x])
         w = _first(bad)
@@ -333,10 +343,10 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
                 rows.take(add.take(G[s], 0), 0),
                 flat.take(rows.take(G[s], 0)[:, None, :] * n + rows))
 
-        tests = [(plane, n * n), (distributes(mul), n * n),
-                 (distributes(np.ascontiguousarray(mul[G].T)), n * g),    # a_j x = mul[G_j, x]
-                 (lambda s: (mcols.take(mg[s], 0), mul.take(G[s], 0).take(mg, 1)), g * g)]
-        return all(_holds(sides, g, cells) for sides, cells in tests)
+        tests = [(plane, (n, n)), (distributes(mul), (n, n)),
+                 (distributes(np.ascontiguousarray(mul[G].T)), (n, g)),    # a_j x = mul[G_j, x]
+                 (lambda s: (mcols.take(mg[s], 0), mul.take(G[s], 0).take(mg, 1)), (g, g))]
+        return all(_law_witness(sides, (g, *shape)) is None for sides, shape in tests)
 
     if commutative is None and n ** 3 > _SLAB_CELLS and reduced_hold(_generating_set(add)):
         witnesses = (None,) * 4
@@ -376,8 +386,8 @@ class FiniteHemiring:
                  name: str = "", validate: bool = True):
         self.add = as_op_table(add)
         self.mul = as_op_table(mul, order=self.add.shape[0])
-        self.zero = int(zero)
-        self.one = None if one is None else int(one)
+        self.zero = _element(zero, self.order, "zero")
+        self.one = None if one is None else _element(one, self.order, "one")
         self.name = name
         self._memo: dict = {}
         if validate:
@@ -743,23 +753,19 @@ def hom_search(R: FiniteHemiring, S: FiniteHemiring, *,
 
 
 def _wl_colors(R: FiniteHemiring) -> tuple[int, ...]:
-    """Stable color refinement over both tables; isomorphism-invariant."""
-    n = R.order
-    idx = np.arange(n)
-    colors = [ (int(x == R.zero), int(R.one is not None and x == R.one),
-                int(R.add[x, x] == x), int(R.mul[x, x] == x)) for x in idx ]
-    key = {c: i for i, c in enumerate(sorted(set(colors)))}
-    col = [key[c] for c in colors]
+    """Stable color refinement over both tables; isomorphism-invariant.  A
+    round ranks col[x] followed by the sorted base-k codes, k colours, of
+    (col[y], col[x + y], col[xy], col[yx]) over all y, ordered as the tuples."""
+    idx = np.arange(R.order)
+    flags = np.stack([idx == R.zero, idx == (-1 if R.one is None else R.one),
+                      R.add[idx, idx] == idx, R.mul[idx, idx] == idx], axis=1)
+    col = _classes(flags)[0]
     while True:
-        sigs = []
-        for x in range(n):
-            neigh = sorted((col[y], col[R.add[x, y]], col[R.mul[x, y]], col[R.mul[y, x]])
-                           for y in range(n))
-            sigs.append((col[x], tuple(neigh)))
-        key = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [key[s] for s in sigs]
-        if new == col:
-            return tuple(col)
+        k = int(col.max()) + 1      # k^4 < 2^63 at any order whose n^2 codes fit in memory
+        codes = ((col * k + col[R.add]) * k + col[R.mul]) * k + col[R.mul.T]
+        new = _classes(np.concatenate([col[:, None], np.sort(codes, axis=1)], axis=1))[0]
+        if (new == col).all():
+            return tuple(col.tolist())
         col = new
 
 

@@ -18,6 +18,7 @@ from .core import (
     PartialOrder,
     _associative,
     _distributive,
+    _element,
     _first,
     _index_array,
     _law_witness,
@@ -52,8 +53,7 @@ def semilattice_violation(join, zero: int):
     """None if (join, zero) is a semilattice; else (law, witness)."""
     join = as_op_table(join)
     n = join.shape[0]
-    if not 0 <= zero < n:
-        raise ValueError("zero index out of range")
+    _element(zero, n, "zero")
     idx = np.arange(n)
     laws = (("idempotent", _first(join[idx, idx] != idx)),
             ("commutative", _first(join != join.T)),
@@ -73,7 +73,7 @@ class FiniteSemilattice:
 
     def __init__(self, join, zero: int = 0, name: str = "", validate: bool = True):
         self.join = as_op_table(join)
-        self.zero = int(zero)
+        self.zero = _element(zero, self.order, "zero")
         self.name = name
         self._memo: dict = {}
         if validate:

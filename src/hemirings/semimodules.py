@@ -100,9 +100,9 @@ class FiniteLeftSemimodule:
 
 
 def regular_semimodule(R: FiniteHemiring) -> FiniteLeftSemimodule:
-    """R acting on itself by left multiplication."""
+    """R acting on itself by left multiplication (not re-validated)."""
     return FiniteLeftSemimodule(R, R.add, R.zero, R.mul, name="regular",
-                                members=tuple(range(R.order)))
+                                members=tuple(range(R.order)), validate=False)
 
 
 def left_ideal_semimodule(R: FiniteHemiring, I: IdealSubset) -> FiniteLeftSemimodule:
@@ -117,7 +117,7 @@ def left_ideal_semimodule(R: FiniteHemiring, I: IdealSubset) -> FiniteLeftSemimo
     pos[members] = np.arange(len(members))
     add = pos[R.add[np.ix_(members, members)]]
     return FiniteLeftSemimodule(R, add, pos[R.zero], pos[R.mul[:, members]],
-                                name=f"ideal{members}", members=tuple(members))
+                                name=f"ideal{members}", members=tuple(members), validate=False)
 
 
 def hom_semimodules(M: FiniteLeftSemimodule, N: FiniteLeftSemimodule) -> list[tuple[int, ...]]:

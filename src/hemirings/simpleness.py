@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteHemiring, SizeGuardExceeded, _slab, _subset_closure, is_aic, \
-    is_additively_idempotent, natural_order
+from .core import FiniteHemiring, SizeGuardExceeded, _classes, _element, _slab, \
+    _subset_closure, is_aic, is_additively_idempotent, natural_order
 from .lattices import EndoSemiring
 
 __all__ = [
@@ -62,8 +62,7 @@ class Congruence:
         arr = np.asarray(labels)
         if arr.ndim != 1 or arr.dtype.kind not in "iu":
             raise ValueError(f"congruence labels must be a 1-D integer sequence, not {arr!r}")
-        least: dict[int, int] = {}
-        self.labels = tuple(least.setdefault(v, x) for x, v in enumerate(arr.tolist()))
+        self.labels = tuple(_classes(arr[:, None])[1].tolist())
 
     @classmethod
     def _least(cls, labels: np.ndarray) -> "Congruence":
@@ -390,9 +389,10 @@ class IdealSubset:
     def __init__(self, members, sidedness: str, order: int):
         if sidedness not in ("left", "right", "two-sided"):
             raise ValueError(f"bad sidedness {sidedness!r}")
-        self.members = frozenset(int(x) for x in members)
-        self.sidedness = sidedness
-        self.order = order
+        # in-range ints skip the call, which would cost all_ideals about 40%
+        self.members = frozenset(x if type(x) is int and 0 <= x < order
+                                 else _element(x, order, "ideal member") for x in members)
+        self.sidedness, self.order = sidedness, order
 
     @property
     def is_zero(self) -> bool:
@@ -452,12 +452,10 @@ def generated_ideal(R: FiniteHemiring, seed, sidedness: str = "two-sided") -> Id
     mask = np.zeros(n, dtype=bool)
     mask[R.zero] = True
     for x in seed:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n:
-            raise ValueError(f"seed entry {x!r} is not an element index in [0, {n})")
-        mask[x] = True
+        mask[_element(x, n, "seed entry")] = True
     outer = {"left": (R.mul,), "right": (R.mul.T,), "two-sided": (R.mul, R.mul.T)}
     mask = _subset_closure(mask, R.add, outer.get(sidedness, ()))
-    return IdealSubset(np.flatnonzero(mask), sidedness, n)
+    return IdealSubset(np.flatnonzero(mask).tolist(), sidedness, n)
 
 
 def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided") -> list[IdealSubset]:
@@ -549,14 +547,8 @@ def tau_congruence(E: EndoSemiring) -> Congruence:
     """
     M = E.lattice
     arr = np.array(E.maps, dtype=np.int32)
-    k = arr.shape[0]
-    firsts = []
-    for a in range(M.order):
-        shifted = M.join[arr, a]             # [i, x] -> f_i(x) v a
-        _, first, group = np.unique(shifted, axis=0, return_index=True,
-                                    return_inverse=True)
-        firsts.append(first[group.ravel()])
-    ids = np.arange(k)
+    firsts = [_classes(M.join[arr, a])[1] for a in range(M.order)]   # [i, x] -> f_i(x) v a
+    ids = np.arange(len(arr))
     cong = Congruence._least(_merge(ids, np.tile(ids, M.order), np.concatenate(firsts)))
     if not is_congruence(E.hemiring, cong):
         raise ValueError("tau relation is not a congruence")

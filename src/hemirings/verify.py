@@ -23,6 +23,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .core import (
     FiniteHemiring,
     InvariantViolation,
@@ -134,13 +136,13 @@ def parse_tables_inline(text: str) -> FiniteHemiring:
     """Rebuild an algebra from a report's inline witness string, so a
     counterexample record can be re-fed to the deciders directly."""
     parts = dict(p.split("=", 1) for p in text.split(";"))
+    for key in sorted(parts.keys() ^ {"order", "zero", "one", "add", "mul"}):
+        raise ValueError(f"inline tables: {'unknown' if key in parts else 'missing'} key {key!r}")
     n = int(parts["order"])
     add = [int(v) for v in parts["add"].split(",")]
     mul = [int(v) for v in parts["mul"].split(",")]
     one = None if parts["one"] == "-" else int(parts["one"])
-    import numpy as _np
-    return FiniteHemiring(_np.array(add).reshape(n, n),
-                          _np.array(mul).reshape(n, n),
+    return FiniteHemiring(np.array(add).reshape(n, n), np.array(mul).reshape(n, n),
                           zero=int(parts["zero"]), one=one)
 
 
@@ -269,7 +271,7 @@ def dense_embedding_search(R: FiniteHemiring, max_lattice_order: int
     semilattices up to the given order for injective homs with dense image.
     """
     if is_additively_idempotent(R):
-        M0 = FiniteSemilattice(R.add, zero=R.zero)
+        M0 = FiniteSemilattice(R.add, zero=R.zero, validate=False)
         maps = [tuple(int(v) for v in R.mul[r]) for r in range(R.order)]
         if len(set(maps)) == R.order and is_dense(maps, M0):
             return ("left-regular", M0)

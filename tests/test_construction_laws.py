@@ -5,9 +5,10 @@ Tables from outside the package are validated where they enter
 package builds are hemirings by construction and skip that scan, so this
 file runs ``check_hemiring_axioms`` on every kind of construction output:
 the catalogs, M_2(R) and its corners, E_M and F_M, module endomorphism
-semirings and the small named algebras.  The orders and lattices the
-package builds skip validation too, and are re-built here with the
-validating ``PartialOrder`` and ``FiniteLattice``.
+semirings and the small named algebras.  The orders, lattices and
+semimodules the package builds skip validation too, and are re-built here
+with the validating ``PartialOrder``, ``FiniteLattice`` and
+``FiniteLeftSemimodule``.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from hemirings import (
     AxiomError,
     FiniteHemiring,
     FiniteLattice,
+    FiniteLeftSemimodule,
     FiniteSemilattice,
     PartialOrder,
     boolean_B,
@@ -122,6 +124,8 @@ def test_module_endomorphism_semirings_satisfy_the_laws():
     for R in thm5_10_instances():
         ideals = [left_ideal_semimodule(R, I) for I in minimal_left_ideals(R)]
         for module in [regular_semimodule(R)] + ideals:
+            # the validating constructor raises ValueError on a failed law
+            FiniteLeftSemimodule(R, module.add, module.zero, module.action)
             assert_hemiring(end_semiring(module).hemiring)
             modules += 1
     assert modules > len(thm5_10_instances())

@@ -63,6 +63,33 @@ def test_non_integer_tables_rejected():
     assert as_op_table(np.array([[0, 1], [1, 1]], dtype=np.uint8)).dtype == np.int32
 
 
+NOT_ELEMENTS = [0.9, 1.2, np.float64(0.0), True, np.bool_(False), -1, 2, np.int64(5), "0"]
+
+
+@pytest.mark.parametrize("slot", ["zero", "one"])
+@pytest.mark.parametrize("value", NOT_ELEMENTS)
+def test_hemiring_constructor_rejects_non_elements(B, slot, value):
+    # zero=0.9 and one=1.2 used to build B with zero 0 and one 1
+    args = {"zero": 0, "one": 1, slot: value}
+    with pytest.raises(ValueError, match=rf"^{slot} .* is not an element index in \[0, 2\)$"):
+        FiniteHemiring(B.add, B.mul, **args)
+
+
+@pytest.mark.parametrize("slot", ["zero", "one"])
+@pytest.mark.parametrize("value", NOT_ELEMENTS)
+def test_axiom_check_rejects_non_elements(B, slot, value):
+    # a float zero used to pass the range check and fail with IndexError
+    args = {"zero": 0, "one": 1, slot: value}
+    with pytest.raises(ValueError, match=rf"^{slot} .* is not an element index in \[0, 2\)$"):
+        check_hemiring_axioms(B.add, B.mul, **args)
+
+
+def test_numpy_integer_elements_are_accepted(B):
+    R = FiniteHemiring(B.add, B.mul, zero=np.int64(0), one=np.uint8(1))
+    assert R == B and type(R.zero) is int and type(R.one) is int
+    assert check_hemiring_axioms(B.add, B.mul, np.int32(0), np.int8(1)).ok
+
+
 def test_constructor_validator_agreement(plain_hemirings_upto3, idem_hemirings_upto4):
     for R in plain_hemirings_upto3 + idem_hemirings_upto4:
         report = check_hemiring_axioms(R.add, R.mul, R.zero, R.one)

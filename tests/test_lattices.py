@@ -20,9 +20,18 @@ from hemirings import (
     try_lattice,
 )
 from hemirings.core import PartialOrder, check_hemiring_axioms
-from hemirings.lattices import generator_maps
+from hemirings.lattices import generator_maps, semilattice_violation
 
 from conftest import chain_semilattice, diamond_semilattice
+
+
+@pytest.mark.parametrize("check", [FiniteSemilattice, semilattice_violation])
+@pytest.mark.parametrize("zero", [0.4, True, -1, 3, np.float32(0)])
+def test_semilattice_rejects_non_element_zero(check, zero):
+    # FiniteSemilattice(..., zero=0.4) used to get zero 0
+    with pytest.raises(ValueError, match=r"^zero .* is not an element index in \[0, 3\)$"):
+        check(chain_semilattice(3).join, zero)
+    assert FiniteSemilattice(chain_semilattice(3).join, np.int8(0)).zero == 0
 
 
 def test_top_of_malformed_join_table_is_an_error():

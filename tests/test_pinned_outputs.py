@@ -7,7 +7,9 @@ numpy scalars leaking into ``canonical_form`` (under numpy 2 they print as
 in which the catalog discovers its classes (``hrN_XXX`` and ``aiN_XXX`` are
 numbered in discovery order).  The catalogs one order past the shipped
 enumeration bounds are pinned too, with the bounds raised for the test, and
-so is the largest opt-in suite report, ``thm3_3 --max-order 6``.  Every
+so are the largest opt-in suite reports, ``thm3_3`` and ``cor3_8`` at
+``--max-order 6``.  Above order 8 a fingerprint hashes the colour
+refinement instead of the canonical form; five such are pinned.  Every
 default suite report is pinned in its text render (the CLI's default
 format), and every suite's report one order past its bound in both renders.
 """
@@ -18,12 +20,21 @@ from pathlib import Path
 
 import pytest
 
-from hemirings import FiniteSemilattice, boolean_B, build_E_M, enumerate_hemirings
+from hemirings import (
+    FiniteSemilattice,
+    boolean_B,
+    build_E_M,
+    build_F_M,
+    enumerate_hemirings,
+    enumerate_semilattices,
+    finite_field,
+    matrix_semiring,
+)
 from hemirings import constructions
 from hemirings.core import canonical_form, fingerprint
 from hemirings.verify import SUITES, run_suite, suite_names
 
-from conftest import direct_product
+from conftest import chain_semilattice, direct_product
 
 PINNED = json.loads((Path(__file__).parent / "data" / "pinned_outputs.json").read_text())
 
@@ -53,6 +64,20 @@ def test_canonical_forms_and_fingerprints_pinned(pinned_algebras):
         assert fingerprint(R) == PINNED["fingerprint"][name], name
 
 
+def test_colour_path_fingerprints_pinned():
+    # recorded with the Python-loop refinement that tests/test_oracles.py keeps
+    sl6 = enumerate_semilattices(6)[0]
+    algebras = {
+        "E_C7": build_E_M(chain_semilattice(7)).hemiring,
+        "E_sl6_000": build_E_M(sl6).hemiring,
+        "F_sl6_000": build_F_M(sl6).hemiring,
+        "M_2(GF(4))": matrix_semiring(finite_field(4), 2).hemiring,
+        "M_3(B)": matrix_semiring(boolean_B(), 3).hemiring,
+    }
+    assert sl6.name == "sl6_000" and min(R.order for R in algebras.values()) > 8
+    assert {name: fingerprint(R) for name, R in algebras.items()} == PINNED["colour_fingerprint"]
+
+
 def test_catalog_names_and_fingerprints_pinned(plain_hemirings_upto3,
                                                idem_hemirings_upto4):
     hr3 = [[R.name, fingerprint(R)] for R in plain_hemirings_upto3 if R.order == 3]
@@ -79,6 +104,12 @@ def test_thm3_3_at_order_6_pinned():
     report = run_suite("thm3_3", 6).render("structured")
     digest = hashlib.sha256(report.encode()).hexdigest()
     assert digest == PINNED["opt_in_suite_sha256"]["thm3_3 --max-order 6"]
+
+
+def test_cor3_8_at_order_6_pinned():
+    report = run_suite("cor3_8", 6).render("structured")
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == PINNED["opt_in_suite_sha256"]["cor3_8 --max-order 6"]
 
 
 def test_text_renders_and_skipped_reports_pinned():

@@ -370,6 +370,26 @@ def test_ideal_simple_examples(B, e_c3, e_m3):
     assert not is_simple(e_m3.hemiring)
 
 
+BAD_MEMBERS = [([0, 1.7], 3), ([0, True], 3), ([0, 5], 3), ([-1], 3), ([0, 1.2], 2)]
+
+
+@pytest.mark.parametrize("members, order", BAD_MEMBERS)
+def test_ideal_subset_rejects_non_element_members(members, order):
+    # [0, 1.7] and [0, True] used to hold {0, 1}; [0, 5] at order 3 made
+    # mask() raise IndexError
+    with pytest.raises(ValueError, match=r"^ideal member .* is not an element index in \[0, \d\)$"):
+        IdealSubset(members, "left", order)
+    I = IdealSubset(np.array([0, 1], dtype=np.uint8), "left", order)
+    assert I.members == {0, 1} and all(type(x) is int for x in I.members)
+
+
+@pytest.mark.parametrize("members", [[0, 1.2], [0, True], [0, 2]])
+def test_bourne_congruence_gets_no_coerced_ideal(B, members):
+    # bourne_congruence(B, IdealSubset([0, 1.2], ...)) used to return a congruence
+    with pytest.raises(ValueError, match=r"^ideal member .* is not an element index in \[0, 2\)$"):
+        bourne_congruence(B, IdealSubset(members, "two-sided", 2))
+
+
 def test_bourne_congruence_examples(B, e_m3):
     zero_ideal = IdealSubset([0], "two-sided", 2)
     assert is_zerosumfree(B)

@@ -109,6 +109,18 @@ def test_inline_witness_round_trips_to_the_deciders(B):
         assert is_simple(back)
 
 
+@pytest.mark.parametrize("text, state, key", [
+    ("order=1;zero=0;add=0;mul=0", "missing", "one"),
+    ("order=1;zero=0;one=-;add=0;mul=0;junk=3", "unknown", "junk"),
+])
+def test_parse_tables_inline_names_a_missing_or_unknown_key(text, state, key):
+    # a missing key used to raise a bare KeyError, an unknown one was ignored
+    from hemirings.verify import parse_tables_inline
+    with pytest.raises(ValueError, match=rf"^inline tables: {state} key '{key}'$"):
+        parse_tables_inline(text)
+    assert parse_tables_inline("order=1;zero=0;one=-;add=0;mul=0").order == 1
+
+
 def _raising(exc):
     def corner_ideal_to_ring(*args):
         raise exc
