@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from .core import SizeGuardExceeded, check_hemiring_axioms, fingerprint
-from .lattices import FiniteSemilattice, build_E_M, build_F_M, is_distributive, \
-    semilattice_violation, try_lattice
+from .lattices import FiniteSemilattice, _distributive_lattice, build_E_M, build_F_M, \
+    semilattice_violation
 from .simpleness import all_congruences, all_ideals
 from .constructions import corner, enumerate_hemirings, enumerate_semilattices, \
     is_full_idempotent, matrix_semiring
@@ -89,11 +89,9 @@ def cmd_endo(args) -> int:
     f_path = out / f"{stem}_FM.alg"
     write_algebra(E.hemiring, e_path)
     write_algebra(F.hemiring, f_path)
-    lat = try_lattice(alg)
-    dist = lat is not None and is_distributive(lat)
     fields = [("endo-order", str(E.order)), ("generated-order", str(F.order)),
               ("full-equals-generated", str(E.order == F.order).lower()),
-              ("distributive", str(dist).lower()),
+              ("distributive", str(_distributive_lattice(alg)).lower()),
               ("endo-file", str(e_path)), ("generated-file", str(f_path))]
     sys.stdout.write(_emit_fields(fields, args.format))
     return EXIT_OK
@@ -133,8 +131,7 @@ def cmd_enumerate(args) -> int:
         name = f"{alg.name}.alg"
         (out / name).write_text(text, encoding="utf-8")
         if isinstance(alg, FiniteSemilattice):
-            lat = try_lattice(alg)
-            fp = f"distributive={str(lat is not None and is_distributive(lat)).lower()}"
+            fp = f"distributive={str(_distributive_lattice(alg)).lower()}"
         else:
             fp = (f"semiring={str(alg.is_semiring).lower()}"
                   f" ring={str(alg.is_ring).lower()}"

@@ -32,6 +32,7 @@ from .core import (
     FiniteHemiring,
     InvariantViolation,
     SizeGuardExceeded,
+    _classes,
     _least_bounds,
     _lex_least_relabeling,
     _slab,
@@ -308,21 +309,18 @@ def corner_congruence_to_ring(R: FiniteHemiring, c: CornerSemiring,
                               gamma: Congruence) -> Congruence:
     """Lift a corner congruence to R: a ~ b iff all e r a s e ~ e r b s e.
 
-    The restriction of the lift back to the corner is re-checked to equal
-    the input.
+    e r a s e = x a y with x = e r in eR and y = s e in Re.  So z ~' z' iff
+    every z y, y in Re, has the same gamma-label, and a ~ b iff x a ~' x b
+    for every x in eR: two groupings of rows by ``_classes``, n x |Re| and
+    n x |eR| cells.  The restriction of the lift back to the corner is
+    re-checked to equal the input.
     """
-    n = R.order
-    e = c.e
-    er = R.mul[e]                       # r -> e*r
-    glabels = np.asarray(gamma.labels, dtype=np.int32)
-    sigs: dict[bytes, int] = {}
-    labels = np.empty(n, dtype=np.int32)
-    for a in range(n):
-        era = R.mul[er, a]               # r -> e*r*a
-        erase = R.mul[R.mul[era], e]     # [r, s] -> e*r*a*s*e
-        sig = glabels[c.position[erase]].tobytes()
-        labels[a] = sigs.setdefault(sig, a)
-    theta = Congruence(labels)
+    n, e = R.order, c.e
+    eR, Re = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    eR[R.mul[e]] = True
+    Re[R.mul[:, e]] = True
+    zy = _classes(np.asarray(gamma.labels)[c.position[R.mul[:, Re]]])[0]   # z -> class of z*Re
+    theta = Congruence._least(_classes(zy[R.mul[eR].T])[1])             # [a, x] -> x*a
     if not is_congruence(R, theta):
         raise InvariantViolation("corner congruence lift is not a congruence")
     restriction = Congruence([theta.labels[m] for m in c.members])

@@ -167,6 +167,19 @@ def _slab(cells_per_item: int) -> int:
     return max(1, _SLAB_CELLS // cells_per_item)
 
 
+def _memoised(key: str):
+    """Decorator for a function of one object that computes its value once
+    per object and keeps it in ``obj._memo[key]``."""
+    def decorate(f):
+        @functools.wraps(f)
+        def memoised(obj):
+            if key not in obj._memo:
+                obj._memo[key] = f(obj)
+            return obj._memo[key]
+        return memoised
+    return decorate
+
+
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first True entry of ``bad`` in C order, or None."""
     if not bad.any():
@@ -523,6 +536,7 @@ def is_additively_idempotent(R: FiniteHemiring) -> bool:
     return bool((R.add[np.arange(n), np.arange(n)] == np.arange(n)).all())
 
 
+@_memoised("natural_order")
 def natural_order(R: FiniteHemiring) -> PartialOrder:
     """The order r <= r' iff r + r' = r', defined on additively idempotent R.
 
@@ -531,19 +545,13 @@ def natural_order(R: FiniteHemiring) -> PartialOrder:
     preorder.  On an idempotent commutative monoid it is always a partial
     order, so it is not re-validated.
     """
-    memo = R._memo.get("natural_order")
-    if memo is not None:
-        return memo
     n = R.order
     diag = R.add[np.arange(n), np.arange(n)]
     bad = np.flatnonzero(diag != np.arange(n))
     if bad.size:
         raise ValueError(
             f"natural order undefined: element {int(bad[0])} is not additively idempotent")
-    leq = R.add == np.arange(n)[None, :]
-    order = PartialOrder(leq, validate=False)
-    R._memo["natural_order"] = order
-    return order
+    return PartialOrder(R.add == np.arange(n)[None, :], validate=False)
 
 
 def infinite_element(R: FiniteHemiring) -> int | None:
@@ -926,6 +934,7 @@ def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], l
             for f, labels in zip(np.concatenate(forms), pw[:, rename]))
 
 
+@_memoised("canonical_form")
 def canonical_form(R: FiniteHemiring) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
     """Lexicographically least (add, mul) relabeling fixing zero at index 0.
 
@@ -936,16 +945,11 @@ def canonical_form(R: FiniteHemiring) -> tuple[tuple[int, ...], tuple[int, ...],
     many relabelings stay tied (``_lex_least_relabeling``).
     The form is memoised on R; catalog entries come with theirs.
     """
-    memo = R._memo.get("canonical_form")
-    if memo is not None:
-        return memo
     n = R.order
     if n > 8:
         raise SizeGuardExceeded(f"canonical form is factorial-cost; order {n} > 8")
     [(flat, p)] = _lex_least_relabeling([(R.add, R.mul)], R.zero)
-    form = flat[:n * n], flat[n * n:], None if R.one is None else p[R.one]
-    R._memo["canonical_form"] = form
-    return form
+    return flat[:n * n], flat[n * n:], None if R.one is None else p[R.one]
 
 
 def fingerprint(R: FiniteHemiring) -> str:

@@ -23,6 +23,7 @@ from .core import (
     _index_array,
     _law_witness,
     _map_search,
+    _memoised,
     _slab,
     _subset_closure,
     as_op_table,
@@ -114,14 +115,11 @@ class FiniteSemilattice:
         return f"FiniteSemilattice({self.name or self.order})"
 
 
+@_memoised("order")
 def induced_order(M: FiniteSemilattice) -> PartialOrder:
     """x <= y iff x v y = y: a partial order on any idempotent commutative
     monoid, so it is not re-validated."""
-    memo = M._memo.get("order")
-    if memo is None:
-        memo = PartialOrder(M.join == np.arange(M.order)[None, :], validate=False)
-        M._memo["order"] = memo
-    return memo
+    return PartialOrder(M.join == np.arange(M.order)[None, :], validate=False)
 
 
 class FiniteLattice:
@@ -167,6 +165,14 @@ def is_distributive(L: FiniteLattice) -> bool:
     """x ^ (y v z) = (x ^ y) v (x ^ z), exhaustively."""
     join, n = L.base.join, L.order
     return _law_witness(_distributive(L.meet, join, join), (n, n, n)) is None
+
+
+@_memoised("distributive")
+def _distributive_lattice(M: FiniteSemilattice) -> bool:
+    """Whether M is a lattice (``try_lattice``) that is distributive;
+    memoised in M."""
+    lat = try_lattice(M)
+    return lat is not None and is_distributive(lat)
 
 
 def e_ab(M: FiniteSemilattice, a: int, b: int) -> Endo:
@@ -284,14 +290,11 @@ class EndoSemiring:
         return f"EndoSemiring({self.lattice!r}, order={self.order})"
 
 
+@_memoised("E_M")
 def build_E_M(M: FiniteSemilattice) -> EndoSemiring:
     """The full endomorphism semiring of M, memoised in M and shared by
     every caller (``build_F_M`` too): rename a copy, never this one."""
-    memo = M._memo.get("E_M")
-    if memo is None:
-        memo = EndoSemiring(M, endo_enumerate(M), name=f"E_{M.name or M.order}")
-        M._memo["E_M"] = memo
-    return memo
+    return EndoSemiring(M, endo_enumerate(M), name=f"E_{M.name or M.order}")
 
 
 def generator_maps(M: FiniteSemilattice) -> list[Endo]:
@@ -299,21 +302,18 @@ def generator_maps(M: FiniteSemilattice) -> list[Endo]:
     return sorted({e_ab(M, a, b) for a in range(M.order) for b in range(M.order)})
 
 
+@_memoised("F_M")
 def build_F_M(M: FiniteSemilattice) -> EndoSemiring:
     """The additive submonoid of E_M generated by all e_{a,b}: their
     ``_subset_closure`` under the pointwise join of ``build_E_M(M)``.
     Packaging re-checks closure under composition (F_M is an ideal of E_M).
     Memoised in M like ``build_E_M``: rename a copy, never this one.
     """
-    memo = M._memo.get("F_M")
-    if memo is None:
-        E = build_E_M(M)
-        mask = np.zeros(E.order, dtype=bool)
-        mask[[E.index[g] for g in generator_maps(M)]] = True
-        closed = np.flatnonzero(_subset_closure(mask, E.hemiring.add))
-        memo = EndoSemiring(M, [E.maps[i] for i in closed], name=f"F_{M.name or M.order}")
-        M._memo["F_M"] = memo
-    return memo
+    E = build_E_M(M)
+    mask = np.zeros(E.order, dtype=bool)
+    mask[[E.index[g] for g in generator_maps(M)]] = True
+    closed = np.flatnonzero(_subset_closure(mask, E.hemiring.add))
+    return EndoSemiring(M, [E.maps[i] for i in closed], name=f"F_{M.name or M.order}")
 
 
 def e_ab_absorb(M: FiniteSemilattice, a: int, f: Endo) -> int:

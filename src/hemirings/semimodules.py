@@ -20,6 +20,7 @@ from .core import (
     InvariantViolation,
     _associative,
     _distributive,
+    _element,
     _first,
     _index_array,
     _law_witness,
@@ -28,7 +29,7 @@ from .core import (
     as_op_table,
 )
 from .lattices import _pack_maps
-from .simpleness import IdealSubset, generated_ideal, ideal_violation
+from .simpleness import IdealSubset, generated_ideal
 
 __all__ = [
     "DoubleCentralizerReport",
@@ -55,7 +56,7 @@ class FiniteLeftSemimodule:
                  validate: bool = True):
         self.ring = ring
         self.add = as_op_table(add)
-        self.zero = int(zero)
+        self.zero = _element(zero, self.order, "zero")
         self.name = name
         self.members = members   # carrier as ring elements, for ideal modules
         action = np.asarray(action)
@@ -109,9 +110,8 @@ def left_ideal_semimodule(R: FiniteHemiring, I: IdealSubset) -> FiniteLeftSemimo
     """Restrict addition and the left action to a validated left ideal."""
     if I.sidedness not in ("left", "two-sided"):
         raise ValueError("need a left or two-sided ideal")
-    bad = ideal_violation(R, I.members, "left")
-    if bad is not None:
-        raise ValueError(f"not a left ideal: {bad}")
+    if extra := generated_ideal(R, I.members, "left").members - I.members:
+        raise ValueError(f"not a left ideal: its closure adds {min(extra)}")
     members = sorted(I.members)
     pos = np.zeros(R.order, dtype=np.int32)   # member -> module index
     pos[members] = np.arange(len(members))
@@ -219,12 +219,12 @@ def trace_ideal(R: FiniteHemiring, P: FiniteLeftSemimodule) -> IdealSubset:
     mask[R.zero] = True
     mask[[x for f in homs for x in f]] = True
     # close under addition only; the result is a two-sided ideal already,
-    # which the validator confirms
-    members = np.flatnonzero(_subset_closure(mask, R.add))
-    bad = ideal_violation(R, members, "two-sided")
-    if bad is not None:
-        raise InvariantViolation(f"trace is not a two-sided ideal: {bad}")
-    return IdealSubset(members, "two-sided", R.order)
+    # which the ideal it generates confirms
+    members = np.flatnonzero(_subset_closure(mask, R.add)).tolist()
+    T = generated_ideal(R, members, "two-sided")
+    if extra := T.members.difference(members):
+        raise InvariantViolation(f"trace is not a two-sided ideal: its closure adds {min(extra)}")
+    return T
 
 
 def is_generator(R: FiniteHemiring, P: FiniteLeftSemimodule) -> bool:

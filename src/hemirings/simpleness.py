@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteHemiring, SizeGuardExceeded, _classes, _element, _slab, \
+from .core import FiniteHemiring, SizeGuardExceeded, _classes, _element, _memoised, _slab, \
     _subset_closure, is_aic, is_additively_idempotent, natural_order
 from .lattices import EndoSemiring
 
@@ -32,7 +32,6 @@ __all__ = [
     "all_ideals",
     "bourne_congruence",
     "generated_ideal",
-    "ideal_violation",
     "is_congruence",
     "is_congruence_simple",
     "is_ideal_simple",
@@ -199,8 +198,10 @@ def _closure(tables, xs, ys) -> Congruence:
 
 
 def principal_congruence(R: FiniteHemiring, a: int, b: int) -> Congruence:
-    """Smallest congruence identifying a and b."""
-    return _closure(_tables(R), [a], [b])
+    """Smallest congruence identifying a and b; an a or b that is not an
+    int in [0, R.order) raises ``ValueError`` rather than being wrapped."""
+    n = R.order
+    return _closure(_tables(R), [_element(a, n, "pair entry")], [_element(b, n, "pair entry")])
 
 
 def is_congruence(R: FiniteHemiring, part: Congruence) -> bool:
@@ -212,6 +213,7 @@ def is_congruence(R: FiniteHemiring, part: Congruence) -> bool:
     return True
 
 
+@_memoised("sweep_order")
 def _sweep_order(R: FiniteHemiring) -> tuple[np.ndarray, np.ndarray]:
     """The order in which the simpleness deciders visit elements, and its
     inverse: ``order[i]`` is the i-th element and ``rank[x]`` its place.
@@ -223,9 +225,6 @@ def _sweep_order(R: FiniteHemiring) -> tuple[np.ndarray, np.ndarray]:
     alike up to ties, and it costs one sort of the addition table, memoised
     on R with both arrays read-only.
     """
-    memo = R._memo.get("sweep_order")
-    if memo is not None:
-        return memo
     n = R.order
     ids = np.arange(n)
     sums = np.sort(R.add, axis=1)
@@ -234,8 +233,7 @@ def _sweep_order(R: FiniteHemiring) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty(n, dtype=np.intp)
     rank[order] = ids
     order.flags.writeable = rank.flags.writeable = False
-    R._memo["sweep_order"] = memo = order, rank
-    return memo
+    return order, rank
 
 
 def _settled(lo, hi, a, b):
@@ -408,7 +406,7 @@ class IdealSubset:
         return m
 
     def __contains__(self, x: int) -> bool:
-        return int(x) in self.members
+        return _element(x, self.order, "element") in self.members
 
     def __le__(self, other: "IdealSubset") -> bool:
         return self.members <= other.members
@@ -424,37 +422,22 @@ class IdealSubset:
         return f"IdealSubset({sorted(self.members)}, {self.sidedness})"
 
 
-def ideal_violation(R: FiniteHemiring, members, sidedness: str):
-    """None if members form an ideal of the declared sidedness, else a reason."""
-    mem = frozenset(int(x) for x in members)
-    if R.zero not in mem:
-        return ("missing-zero", R.zero)
-    lst = sorted(mem)
-    for x in lst:
-        for y in lst:
-            if int(R.add[x, y]) not in mem:
-                return ("add", (x, y))
-    for x in lst:
-        for r in range(R.order):
-            if sidedness in ("left", "two-sided") and int(R.mul[r, x]) not in mem:
-                return ("left-mul", (r, x))
-            if sidedness in ("right", "two-sided") and int(R.mul[x, r]) not in mem:
-                return ("right-mul", (x, r))
-    return None
-
-
 def generated_ideal(R: FiniteHemiring, seed, sidedness: str = "two-sided") -> IdealSubset:
     """The least ideal containing ``seed``: the ``_subset_closure`` of seed
     and zero under + and the outer products r * x (left), x * r (right) or
-    both.  A seed entry that is not an int in [0, R.order) raises
-    ``ValueError`` rather than being truncated or wrapped."""
+    both.  A set is an ideal iff it is the ideal it generates; on such a
+    set the closure stops after one round.  A seed entry that is not an int
+    in [0, R.order) raises ``ValueError`` rather than being truncated or
+    wrapped, and so does an unknown sidedness, before anything is closed."""
     n = R.order
+    outer = {"left": (R.mul,), "right": (R.mul.T,), "two-sided": (R.mul, R.mul.T)}
+    if sidedness not in outer:
+        raise ValueError(f"bad sidedness {sidedness!r}")
     mask = np.zeros(n, dtype=bool)
     mask[R.zero] = True
     for x in seed:
         mask[_element(x, n, "seed entry")] = True
-    outer = {"left": (R.mul,), "right": (R.mul.T,), "two-sided": (R.mul, R.mul.T)}
-    mask = _subset_closure(mask, R.add, outer.get(sidedness, ()))
+    mask = _subset_closure(mask, R.add, outer[sidedness])
     return IdealSubset(np.flatnonzero(mask).tolist(), sidedness, n)
 
 
@@ -519,9 +502,8 @@ def bourne_congruence(R: FiniteHemiring, I: IdealSubset) -> Congruence:
     I (x + a = y + b links x to y through that sum), computed as one merge
     and validated as a congruence (always succeeds for a two-sided ideal).
     """
-    bad = ideal_violation(R, I.members, I.sidedness)
-    if bad is not None:
-        raise ValueError(f"not a validated ideal: {bad}")
+    if extra := generated_ideal(R, I.members, I.sidedness).members - I.members:
+        raise ValueError(f"not a validated ideal: its closure adds {min(extra)}")
     n = R.order
     idx = sorted(I.members)
     ids = np.arange(n)
@@ -577,8 +559,8 @@ def aic_max_ideal(R: FiniteHemiring) -> IdealSubset:
     if not is_aic(R):
         raise ValueError("requires an additively idempotent chain semiring")
     solvable = (R.mul == R.one).any(axis=0)   # exists r with r*a = 1
-    members = np.flatnonzero(~solvable)
-    bad = ideal_violation(R, members, "left")
-    if bad is not None:
-        raise ValueError(f"J is not a left ideal: {bad}")
-    return IdealSubset(members, "left", R.order)
+    members = np.flatnonzero(~solvable).tolist()
+    J = generated_ideal(R, members, "left")
+    if extra := J.members.difference(members):
+        raise ValueError(f"J is not a left ideal: its closure adds {min(extra)}")
+    return J

@@ -42,6 +42,7 @@ from .core import (
 )
 from .lattices import (
     FiniteSemilattice,
+    _distributive_lattice,
     build_E_M,
     build_F_M,
     generator_maps,
@@ -164,12 +165,6 @@ def _hemirings(max_order: int, idempotent: bool) -> tuple[FiniteHemiring, ...]:
 
 
 @lru_cache(maxsize=None)
-def _distributive(M: FiniteSemilattice) -> bool:
-    lat = try_lattice(M)
-    return lat is not None and is_distributive(lat)
-
-
-@lru_cache(maxsize=None)
 def _catalog(max_order: int) -> tuple[FiniteHemiring, ...]:
     """Entries of both enumerations, deduplicated by fingerprint (exact at
     catalog orders) and sorted by it."""
@@ -217,7 +212,7 @@ def _endo_witness(R: FiniteHemiring) -> str | None:
     isomorphic to R.  E_M has at least |M| elements, so M.order <= R.order."""
     return _isomorphic_candidate(R, (
         (M.name, build_E_M(M).hemiring)
-        for M in _semilattices(min(R.order, SEMILATTICE_ORDER_BOUND)) if _distributive(M)))
+        for M in _semilattices(min(R.order, SEMILATTICE_ORDER_BOUND)) if _distributive_lattice(M)))
 
 
 # ---------------------------------------------------------------- suites
@@ -227,7 +222,7 @@ def suite_thm3_3(max_order: int) -> list[InstanceRecord]:
     records = []
     for M in _semilattices(max_order):
         E = build_E_M(M)
-        dist = _distributive(M)
+        dist = _distributive_lattice(M)
         ideal_simple = is_ideal_simple(E.hemiring)
         simple = ideal_simple and is_congruence_simple(E.hemiring)
         ok = simple == ideal_simple == dist
@@ -246,7 +241,7 @@ def suite_cor3_8(max_order: int) -> list[InstanceRecord]:
     records = []
     for M in _semilattices(max_order):
         E = build_E_M(M)
-        dist = _distributive(M)
+        dist = _distributive_lattice(M)
         cs = is_congruence_simple(E.hemiring)
         isim = is_ideal_simple(E.hemiring)
         simple = isim and cs

@@ -72,6 +72,25 @@ def relabeled(R, perm):
     return FiniteHemiring(add, mul, zero=int(p[R.zero]), one=one)
 
 
+def ideal_violation(R, members, sidedness: str):
+    """None if members form an ideal of the declared sidedness, else a reason."""
+    mem = frozenset(int(x) for x in members)
+    if R.zero not in mem:
+        return ("missing-zero", R.zero)
+    lst = sorted(mem)
+    for x in lst:
+        for y in lst:
+            if int(R.add[x, y]) not in mem:
+                return ("add", (x, y))
+    for x in lst:
+        for r in range(R.order):
+            if sidedness in ("left", "two-sided") and int(R.mul[r, x]) not in mem:
+                return ("left-mul", (r, x))
+            if sidedness in ("right", "two-sided") and int(R.mul[x, r]) not in mem:
+                return ("right-mul", (x, r))
+    return None
+
+
 def naive_lex_least(tables, zero):
     """Relabel the tables under every permutation fixing zero at 0 and keep
     the least concatenation."""

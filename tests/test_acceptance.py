@@ -26,10 +26,9 @@ from hemirings import (
     minimal_left_ideals,
     two_zero_mult,
 )
-from hemirings.simpleness import ideal_violation
 from hemirings.verify import _hemirings, _semilattices, run_suite
 
-from conftest import chain_semilattice, diamond_semilattice
+from conftest import chain_semilattice, diamond_semilattice, ideal_violation
 
 
 PINNED = json.loads((Path(__file__).parent / "data" / "pinned_outputs.json").read_text())

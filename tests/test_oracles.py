@@ -47,7 +47,8 @@ from hemirings import (
     try_lattice,
 )
 from hemirings import constructions, core, simpleness
-from hemirings.constructions import HEMIRING_IDEMPOTENT_BOUND, SEMILATTICE_ORDER_BOUND
+from hemirings.constructions import HEMIRING_IDEMPOTENT_BOUND, SEMILATTICE_ORDER_BOUND, \
+    corner_congruence_to_ring
 from hemirings.core import (
     SizeGuardExceeded,
     _classes,
@@ -65,12 +66,13 @@ from hemirings.simpleness import (
     _sweep_order,
     _tables,
 )
-from hemirings.verify import _catalog_semirings, _semilattices
+from hemirings.verify import _boolean_matrices, _catalog_semirings, _semilattices
 
 from conftest import (
     chain3_min_semiring,
     chain_semilattice,
     direct_product,
+    ideal_violation,
     naive_lex_least,
     relabeled,
 )
@@ -826,6 +828,26 @@ def test_congruence_join_against_equivalence_join(plain_hemirings_upto3,
     assert pairs > 1000
 
 
+def test_ideal_check_against_definition(plain_hemirings_upto3, idem_hemirings_upto4, B, z4,
+                                        m2b):
+    """A set is an ideal iff ``generated_ideal`` adds nothing to it, as the
+    literal check ``ideal_violation`` decides: every subset of the plain
+    catalog to order 3, the idempotent one to order 4, B, Z/4 and M_2(B)
+    (of size <= 3 above order 6), under each sidedness."""
+    cases = ideals = 0
+    for R in plain_hemirings_upto3 + idem_hemirings_upto4 + [B, z4, m2b.hemiring]:
+        sizes = range(R.order + 1) if R.order <= 6 else range(4)
+        for side in ("left", "right", "two-sided"):
+            for k in sizes:
+                for subset in itertools.combinations(range(R.order), k):
+                    closed = generated_ideal(R, subset, side).members == set(subset)
+                    assert closed == (ideal_violation(R, subset, side) is None), \
+                        (R.name, side, subset)
+                    cases += 1
+                    ideals += closed
+    assert (cases, ideals) == (9243, 2170)
+
+
 def test_bourne_congruence_against_definition(plain_hemirings_upto3, semilattices_upto5,
                                              endo_cache):
     algebras = list(plain_hemirings_upto3)
@@ -1432,6 +1454,40 @@ def test_matrix_semiring_and_corners_against_loop_reference(plain_hemirings_upto
                 assert (c.hemiring.zero, c.hemiring.one) == (czero, cone)
                 corners += 1
     assert corners > 500
+
+
+def per_element_lift(R, c, gamma):
+    """Per-element reference for ``corner_congruence_to_ring``: a's
+    signature is its [r, s] -> gamma-label of e r a s e, and each element
+    takes the least element with its signature."""
+    e = c.e
+    er = R.mul[e]                       # r -> e*r
+    glabels = np.asarray(gamma.labels, dtype=np.int32)
+    sigs: dict[bytes, int] = {}
+    labels = np.empty(R.order, dtype=np.int32)
+    for a in range(R.order):
+        era = R.mul[er, a]               # r -> e*r*a
+        erase = R.mul[R.mul[era], e]     # [r, s] -> e*r*a*s*e
+        sig = glabels[c.position[erase]].tobytes()
+        labels[a] = sigs.setdefault(sig, a)
+    return Congruence(labels)
+
+
+def test_corner_lift_against_per_element_reference():
+    """Every corner congruence at every idempotent of the prop5_3 inputs and
+    of M_2(GF(3)), and of a seeded relabelling of each."""
+    rng = random.Random(29)
+    base = _catalog_semirings(3) + [_boolean_matrices(2),
+                                    matrix_semiring(finite_field(3), 2).hemiring]
+    lifts = 0
+    for R in base + [relabeled(R, rng.sample(range(R.order), R.order)) for R in base]:
+        for e in R.idempotents():
+            c = corner(R, e)
+            for gamma in all_congruences(c.hemiring):
+                assert corner_congruence_to_ring(R, c, gamma) == per_element_lift(R, c, gamma), \
+                    (R.name, e, gamma.labels)
+                lifts += 1
+    assert lifts == 174
 
 
 # ------------------------------------- sub-objects against their old walks

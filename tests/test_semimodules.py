@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hemirings import (
@@ -20,10 +21,9 @@ from hemirings import (
 )
 from hemirings import core
 from hemirings.core import SizeGuardExceeded, check_hemiring_axioms
-from hemirings.simpleness import ideal_violation
 from hemirings.semimodules import FiniteLeftSemimodule, ModuleEndoSemiring
 
-from conftest import chain_semilattice
+from conftest import chain_semilattice, ideal_violation
 
 
 def test_regular_module_validates(B, z3, two):
@@ -84,6 +84,15 @@ def test_malformed_action_rejected(B, action, message):
     for validate in (True, False):
         with pytest.raises(ValueError, match=message):
             FiniteLeftSemimodule(B, B.add, 0, action, validate=validate)
+
+
+@pytest.mark.parametrize("zero", [0.9, True, np.float64(0.0), -1, 2])
+def test_module_rejects_non_element_zero(B, zero):
+    # FiniteLeftSemimodule(B, B.add, 0.9, B.mul) used to get zero 0
+    for validate in (True, False):
+        with pytest.raises(ValueError, match=r"^zero .* is not an element index in \[0, 2\)$"):
+            FiniteLeftSemimodule(B, B.add, zero, B.mul, validate=validate)
+    assert FiniteLeftSemimodule(B, B.add, np.int8(0), B.mul).zero == 0
 
 
 def test_end_of_regular_boolean_module(B):

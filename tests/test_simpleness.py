@@ -18,17 +18,20 @@ from hemirings import (
     is_simple,
     is_subtractive,
     is_zerosumfree,
+    left_ideal_semimodule,
     principal_congruence,
     radical_left,
+    regular_semimodule,
     tau_congruence,
+    trace_ideal,
 )
-from hemirings import simpleness
+from hemirings import semimodules, simpleness
 from hemirings.constructions import integers_mod
-from hemirings.core import SizeGuardExceeded
+from hemirings.core import InvariantViolation, SizeGuardExceeded
 from hemirings.lattices import build_E_M, FiniteSemilattice
-from hemirings.simpleness import ideal_violation, is_congruence
+from hemirings.simpleness import is_congruence
 
-from conftest import chain3_min_semiring, chain_semilattice, direct_product
+from conftest import chain3_min_semiring, chain_semilattice, direct_product, ideal_violation
 
 
 def all_partitions(n):
@@ -116,6 +119,14 @@ def test_lattice_walks_stop_at_the_bound(monkeypatch):
 
 def test_principal_congruence_diagonal_for_equal_pair(B):
     assert principal_congruence(B, 1, 1).is_diagonal
+
+
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, 4), (1.7, 0), (0, True), (np.float64(2.0), 0)])
+def test_principal_congruence_rejects_non_elements(z4, a, b):
+    # principal_congruence(Z/4, -1, 0) used to close the pair (3, 0)
+    with pytest.raises(ValueError, match=r"^pair entry .* is not an element index in \[0, 4\)$"):
+        principal_congruence(z4, a, b)
+    assert principal_congruence(z4, np.int64(3), np.uint8(1)) == principal_congruence(z4, 3, 1)
 
 
 def test_principal_congruence_boolean_universal(B):
@@ -342,6 +353,42 @@ def test_generated_ideal_rejects_malformed_seeds(B, seed):
     # not element indices, and none of them is coerced
     with pytest.raises(ValueError, match=r"^seed entry .* is not an element index in \[0, 2\)$"):
         generated_ideal(B, seed)
+
+
+def test_generated_ideal_rejects_an_unknown_sidedness_before_closing(B, monkeypatch):
+    # it used to close under + alone and only then fail in IdealSubset
+    def closure(*args, **kwargs):
+        raise AssertionError("closed before the sidedness was checked")
+    monkeypatch.setattr(simpleness, "_subset_closure", closure)
+    with pytest.raises(ValueError, match=r"^bad sidedness 'both'$"):
+        generated_ideal(B, [1], "both")
+
+
+@pytest.mark.parametrize("x", [1.7, 1.0, True, np.float64(0.0), -1, 2])
+def test_ideal_membership_rejects_non_elements(B, x):
+    # 1.7 in generated_ideal(B, [1]) used to be True
+    I = generated_ideal(B, [1])
+    with pytest.raises(ValueError, match=r"^element .* is not an element index in \[0, 2\)$"):
+        x in I
+    assert np.int64(1) in I and 1 in I
+
+
+def test_each_ideal_check_raises_its_own_error(z4, m2b, monkeypatch):
+    # {0, 1} of Z/4 is not an ideal: its closure adds 2 and 3
+    with pytest.raises(ValueError, match=r"^not a validated ideal: its closure adds 2$"):
+        bourne_congruence(z4, IdealSubset([0, 1], "two-sided", 4))
+    with pytest.raises(ValueError, match=r"^not a left ideal: its closure adds 2$"):
+        left_ideal_semimodule(z4, IdealSubset([0, 1], "left", 4))
+    # in the trivial semiring r * 0 = 1 for every r, so J is empty: no zero
+    trivial = FiniteHemiring([[0]], [[0]], zero=0, one=0)
+    with pytest.raises(ValueError, match=r"^J is not a left ideal: its closure adds 0$"):
+        aic_max_ideal(trivial)
+    # a "hom" with image {0, E_11}: closed under + in M_2(B), but E_11 E_12 = E_12 (2)
+    H, e11 = m2b.hemiring, m2b.unit(0, 0)
+    monkeypatch.setattr(semimodules, "hom_semimodules", lambda P, Q: [(H.zero, e11)])
+    with pytest.raises(InvariantViolation,
+                       match=r"^trace is not a two-sided ideal: its closure adds 2$"):
+        trace_ideal(H, regular_semimodule(H))
 
 
 def test_generated_ideal_is_the_least_ideal_containing_the_seed(plain_hemirings_upto3, B, two):
