@@ -22,7 +22,6 @@ from .core import (
     is_lattice_ordered,
     is_zerosumfree,
     natural_order,
-    strong_semiisomorphism_search,
 )
 from .lattices import (
     EndoSemiring,
@@ -53,6 +52,7 @@ from .simpleness import (
     is_subtractive,
     principal_congruence,
     radical_left,
+    strong_semiisomorphism_search,
     tau_congruence,
 )
 from .constructions import (

@@ -2,7 +2,9 @@
 
 Matrix semirings pack n x n matrices over a base algebra into mixed-radix
 integers (cell (i, j) is the digit of weight |R|^(i*n+j), row-major), so
-every decider in the package runs on them unchanged.
+every decider in the package runs on them unchanged.  One digit rule,
+``_digits``, reads every such carrier: the matrix cells, the coefficients
+of an element of GF(p^k) and the relation bits of the semilattice search.
 
 The catalog tables come from one search, ``_table_search``: it fills table
 cells in a fixed order with values in ascending order and drops a partial
@@ -33,6 +35,8 @@ from .core import (
     InvariantViolation,
     SizeGuardExceeded,
     _classes,
+    _element,
+    _index_array,
     _least_bounds,
     _lex_least_relabeling,
     _slab,
@@ -90,68 +94,54 @@ def integers_mod(m: int) -> FiniteHemiring:
                           validate=False)
 
 
-FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+def _digits(values, base: int, width: int) -> np.ndarray:
+    """The little-endian base-``base`` digits of each value, in a new last
+    axis of length ``width`` (int32): a value is its digits dotted with
+    ``base ** arange(width)``."""
+    weights = base ** np.arange(width, dtype=np.int64)
+    return (np.asarray(values, dtype=np.int64)[..., None] // weights % base).astype(np.int32)
 
-_GF_IRREDUCIBLE = {
-    4: (2, (1, 1)),    # x^2 + x + 1 over GF(2)
-    8: (2, (1, 1, 0)),  # x^3 + x + 1 over GF(2)
-    9: (3, (1, 0)),    # x^2 + 1 over GF(3)
+
+# q -> (p, tail): GF(q) is GF(p)[t]/(t^k + tail(t)), tail's coefficients
+# lowest degree first; a prime q is GF(p)[t]/(t).
+_GF_POLYNOMIAL = {
+    2: (2, (0,)),
+    3: (3, (0,)),
+    4: (2, (1, 1)),     # t^2 + t + 1
+    5: (5, (0,)),
+    7: (7, (0,)),
+    8: (2, (1, 1, 0)),  # t^3 + t + 1
+    9: (3, (1, 0)),     # t^2 + 1
 }
+FIELD_ORDERS = tuple(_GF_POLYNOMIAL)
 
 
 def finite_field(q: int) -> FiniteHemiring:
     """GF(q) for q in ``FIELD_ORDERS``.
 
-    Prime powers use fixed irreducible polynomials so the tables are
-    bit-exact across runs; elements are little-endian base-p digit strings.
+    Element x is the polynomial whose coefficients are the little-endian
+    base-p digits of x (``_digits``), reduced by the fixed polynomial of
+    ``_GF_POLYNOMIAL``, so the tables are bit-exact across runs.  Since
+    t^k = -tail, t^(i+1) y is t^i y shifted up one degree with its top
+    coefficient c folded back as -c * tail, and x y = sum_i x_i t^i y.
     """
-    if q in (2, 3, 5, 7):
-        Z = integers_mod(q)
-        return FiniteHemiring(Z.add, Z.mul, zero=0, one=1, name=f"GF({q})", validate=False)
-    if q not in _GF_IRREDUCIBLE:
+    if q not in _GF_POLYNOMIAL:
         raise ValueError(f"unsupported field order {q}")
-    p, tail = _GF_IRREDUCIBLE[q]
+    p, tail = _GF_POLYNOMIAL[q]
     k = len(tail)
-
-    def digits(x):
-        out = []
-        for _ in range(k):
-            out.append(x % p)
-            x //= p
-        return out
-
-    def undigits(ds):
-        v = 0
-        for d in reversed(ds):
-            v = v * p + d
-        return v
-
-    def poly_mul(a, b):
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                conv[i + j] = (conv[i + j] + ai * bj) % p
-        # reduce by x^k = -(tail), lowest coefficient first
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = conv[deg]
-            if c:
-                conv[deg] = 0
-                for j, t in enumerate(tail):
-                    conv[deg - k + j] = (conv[deg - k + j] - c * t) % p
-        return conv[:k]
-
-    add = np.empty((q, q), dtype=np.int32)
-    mul = np.empty((q, q), dtype=np.int32)
-    for x in range(q):
-        dx = digits(x)
-        for y in range(q):
-            dy = digits(y)
-            add[x, y] = undigits([(a + b) % p for a, b in zip(dx, dy)])
-            mul[x, y] = undigits(poly_mul(dx, dy))
+    weights = p ** np.arange(k, dtype=np.int64)
+    digits = _digits(np.arange(q), p, k)
+    shifts = [digits]                               # shifts[i][y] = t^i y
+    for _ in range(k - 1):
+        prev = shifts[-1]
+        up = np.pad(prev[:, :-1], ((0, 0), (1, 0)))   # t * prev below degree k
+        shifts.append((up - prev[:, -1:] * np.asarray(tail)) % p)
+    add = (digits[:, None] + digits) % p @ weights
+    mul = np.einsum("xi,iyk->xyk", digits, np.stack(shifts)) % p @ weights
     R = FiniteHemiring(add, mul, zero=0, one=1, name=f"GF({q})", validate=False)
-    for x in range(1, q):
-        if not (R.mul[x] == R.one).any():
-            raise InvariantViolation(f"GF({q}) element {x} not invertible")
+    stuck = np.flatnonzero(~(R.mul[1:] == R.one).any(axis=1))
+    if len(stuck):
+        raise InvariantViolation(f"GF({q}) element {stuck[0] + 1} not invertible")
     return R
 
 
@@ -172,23 +162,19 @@ class MatrixSemiring:
         return self.hemiring.order
 
     def encode(self, mat) -> int:
-        m = np.asarray(mat, dtype=np.int64).reshape(self.n * self.n)
+        m = _index_array(np.asarray(mat).reshape(self.n * self.n), self.base.order, "matrix")
         return int((m * self._weights).sum())
 
     def decode(self, idx: int) -> np.ndarray:
-        b = self.base.order
-        out = np.empty(self.n * self.n, dtype=np.int32)
-        for c in range(self.n * self.n):
-            out[c] = idx % b
-            idx //= b
-        return out.reshape(self.n, self.n)
+        return _digits(_element(idx, self.order, "matrix index"), self.base.order,
+                       self.n * self.n).reshape(self.n, self.n)
 
     def unit(self, i: int, j: int) -> int:
         """The matrix unit E_ij (base one at cell (i, j))."""
         if self.base.one is None:
             raise ValueError("matrix units need a base identity")
         m = np.full((self.n, self.n), self.base.zero, dtype=np.int64)
-        m[i, j] = self.base.one
+        m[_element(i, self.n, "row"), _element(j, self.n, "column")] = self.base.one
         return self.encode(m)
 
 
@@ -210,12 +196,8 @@ def matrix_semiring(R: FiniteHemiring, n: int) -> MatrixSemiring:
             f"matrix carrier {b}^{n * n} = {N} exceeds bound {MATRIX_ORDER_BOUND}")
 
     cells = n * n
-    weights = (b ** np.arange(cells, dtype=np.int64))
-    digits = np.empty((N, cells), dtype=np.int32)
-    rem = np.arange(N, dtype=np.int64)
-    for c in range(cells):
-        digits[:, c] = rem % b
-        rem //= b
+    weights = b ** np.arange(cells, dtype=np.int64)
+    digits = _digits(np.arange(N), b, cells)
 
     plus, times = R.add.ravel(), R.mul.ravel()     # x + y is plus[x * b + y]
     add = np.empty((N, N), dtype=np.int32)
@@ -231,12 +213,8 @@ def matrix_semiring(R: FiniteHemiring, n: int) -> MatrixSemiring:
             acc = np.take(plus, acc * b + terms[:, :, k])
         mul[s:s + step] = weights @ acc.reshape(len(xb), cells, N)
 
-    zero = int((np.full(cells, R.zero, dtype=np.int64) * weights).sum())
-    one = None
-    if R.one is not None:
-        eye = np.full((n, n), R.zero, dtype=np.int64)
-        eye[np.diag_indices(n)] = R.one
-        one = int((eye.reshape(cells) * weights).sum())
+    zero = R.zero * int(weights.sum())
+    one = None if R.one is None else zero + (R.one - R.zero) * int(weights[::n + 1].sum())
 
     H = FiniteHemiring(add, mul, zero=zero, one=one,
                        name=f"M_{n}({R.name or R.order})", validate=False)
@@ -263,6 +241,7 @@ class CornerSemiring:
 
     def project(self, x: int) -> int:
         """Corner index of e*x*e."""
+        x = _element(x, self.base.order, "element")
         return int(self.position[self.base.mul[self.base.mul[self.e, x], self.e]])
 
 
@@ -340,7 +319,7 @@ def _natural_orders(n: int) -> np.ndarray:
     """
     k = n - 1
     i, j = np.triu_indices(k, 1)
-    bits = np.arange(1 << len(i))[:, None] >> np.arange(len(i))[::-1] & 1
+    bits = _digits(np.arange(1 << len(i)), 2, len(i))[:, ::-1]
     lt = np.zeros((len(bits), k, k), dtype=bool)
     lt[:, i, j] = bits
     closure = lt.copy()

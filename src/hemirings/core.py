@@ -54,7 +54,6 @@ __all__ = [
     "is_lattice_ordered",
     "is_zerosumfree",
     "natural_order",
-    "strong_semiisomorphism_search",
 ]
 
 
@@ -963,27 +962,3 @@ def fingerprint(R: FiniteHemiring) -> str:
         col = _wl_colors(R)
         payload = f"i|{R.order}|{R.one is not None}|{sorted(col)}"
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-def strong_semiisomorphism_search(R: FiniteHemiring, S: FiniteHemiring) -> HomMap | None:
-    """A surjective hom R -> S with kernel {0} mapping proper ideals to
-    proper ideals, or None.
-
-    Ideal enumeration comes from the simpleness module; imported lazily to
-    keep the module graph acyclic.
-    """
-    from .simpleness import all_ideals
-
-    unital = R.one is not None and S.one is not None
-    ideals = [I for I in all_ideals(R, "two-sided") if len(I.members) < R.order]
-    for hom in hom_search(R, S, surjective=True, unital=unital):
-        if hom.kernel() != frozenset({R.zero}):
-            continue
-        ok = True
-        for I in ideals:
-            if {hom.map[x] for x in I.members} == set(range(S.order)):
-                ok = False
-                break
-        if ok:
-            return hom
-    return None

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteHemiring, SizeGuardExceeded, _classes, _element, _memoised, _slab, \
-    _subset_closure, is_aic, is_additively_idempotent, natural_order
+from .core import FiniteHemiring, HomMap, SizeGuardExceeded, _classes, _element, _memoised, \
+    _slab, _subset_closure, hom_search, is_aic, is_additively_idempotent, natural_order
 from .lattices import EndoSemiring
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "is_subtractive",
     "principal_congruence",
     "radical_left",
+    "strong_semiisomorphism_search",
     "tau_congruence",
 ]
 
@@ -461,6 +462,24 @@ def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided") -> list[IdealSub
                          lambda x: generated_ideal(R, [x], sidedness),
                          [x for x in range(n) if x != R.zero], plus,
                          lambda I: (len(I.members), sorted(I.members)), "ideal")
+
+
+def strong_semiisomorphism_search(R: FiniteHemiring, S: FiniteHemiring) -> HomMap | None:
+    """A surjective hom R -> S with kernel {0} mapping proper ideals to
+    proper ideals, or None."""
+    unital = R.one is not None and S.one is not None
+    ideals = [I for I in all_ideals(R, "two-sided") if len(I.members) < R.order]
+    for hom in hom_search(R, S, surjective=True, unital=unital):
+        if hom.kernel() != frozenset({R.zero}):
+            continue
+        ok = True
+        for I in ideals:
+            if {hom.map[x] for x in I.members} == set(range(S.order)):
+                ok = False
+                break
+        if ok:
+            return hom
+    return None
 
 
 def is_ideal_simple(R: FiniteHemiring) -> bool:

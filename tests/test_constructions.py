@@ -67,9 +67,26 @@ def test_matrix_units_multiply_like_matrix_units(m2b):
         prod = m2b.hemiring.mul[m2b.unit(i, j), m2b.unit(k, l)]
         want = m2b.unit(i, l) if j == k else m2b.hemiring.zero
         assert prod == want
-    # encode/decode round-trip
-    for idx in range(m2b.order):
-        assert m2b.encode(m2b.decode(idx)) == idx
+    # encode/decode round-trip, also on M_2(GF(4)) (256) and M_3(B) (512)
+    for M in (m2b, matrix_semiring(finite_field(4), 2), matrix_semiring(B, 3)):
+        for idx in range(M.order):
+            assert M.encode(M.decode(idx)) == idx
+
+
+@pytest.mark.parametrize("call", [
+    lambda M: M.encode([[0, 2], [0, 0]]),
+    lambda M: M.encode([[0, 1.7], [0, 0]]),
+    lambda M: M.decode(16),
+    lambda M: M.decode(-1),
+    lambda M: M.decode(2.5),
+    lambda M: M.unit(-1, 0),
+    lambda M: corner(M.hemiring, M.unit(0, 0)).project(-1),
+    lambda M: corner(M.hemiring, M.unit(0, 0)).project(99),
+], ids=["encode-2", "encode-1.7", "decode-16", "decode--1", "decode-2.5", "unit--1",
+        "project--1", "project-99"])
+def test_matrix_and_corner_indices_reject_outside_input(m2b, call):
+    with pytest.raises(ValueError):
+        call(m2b)
 
 
 def test_matrix_entrywise_agreement(z3):

@@ -50,6 +50,7 @@ from hemirings import constructions, core, simpleness
 from hemirings.constructions import HEMIRING_IDEMPOTENT_BOUND, SEMILATTICE_ORDER_BOUND, \
     corner_congruence_to_ring
 from hemirings.core import (
+    InvariantViolation,
     SizeGuardExceeded,
     _classes,
     _lex_least_relabeling,
@@ -1735,3 +1736,78 @@ def test_colour_refinement_against_loop(plain_hemirings_upto3, idem_hemirings_up
         for A in (R, relabeled(R, perm(R.order))) if R.order <= 120 else (R,):
             assert _wl_colors(A) == loop_wl_colors(A), R.name
     assert len(algebras) == 269 and max(R.order for R in algebras) == 252
+
+
+_GF_IRREDUCIBLE = {
+    4: (2, (1, 1)),    # x^2 + x + 1 over GF(2)
+    8: (2, (1, 1, 0)),  # x^3 + x + 1 over GF(2)
+    9: (3, (1, 0)),    # x^2 + 1 over GF(3)
+}
+
+
+def loop_finite_field(q: int) -> FiniteHemiring:
+    """GF(q) for q in ``FIELD_ORDERS``.
+
+    Prime powers use fixed irreducible polynomials so the tables are
+    bit-exact across runs; elements are little-endian base-p digit strings.
+    """
+    if q in (2, 3, 5, 7):
+        Z = integers_mod(q)
+        return FiniteHemiring(Z.add, Z.mul, zero=0, one=1, name=f"GF({q})", validate=False)
+    if q not in _GF_IRREDUCIBLE:
+        raise ValueError(f"unsupported field order {q}")
+    p, tail = _GF_IRREDUCIBLE[q]
+    k = len(tail)
+
+    def digits(x):
+        out = []
+        for _ in range(k):
+            out.append(x % p)
+            x //= p
+        return out
+
+    def undigits(ds):
+        v = 0
+        for d in reversed(ds):
+            v = v * p + d
+        return v
+
+    def poly_mul(a, b):
+        conv = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                conv[i + j] = (conv[i + j] + ai * bj) % p
+        # reduce by x^k = -(tail), lowest coefficient first
+        for deg in range(2 * k - 2, k - 1, -1):
+            c = conv[deg]
+            if c:
+                conv[deg] = 0
+                for j, t in enumerate(tail):
+                    conv[deg - k + j] = (conv[deg - k + j] - c * t) % p
+        return conv[:k]
+
+    add = np.empty((q, q), dtype=np.int32)
+    mul = np.empty((q, q), dtype=np.int32)
+    for x in range(q):
+        dx = digits(x)
+        for y in range(q):
+            dy = digits(y)
+            add[x, y] = undigits([(a + b) % p for a, b in zip(dx, dy)])
+            mul[x, y] = undigits(poly_mul(dx, dy))
+    R = FiniteHemiring(add, mul, zero=0, one=1, name=f"GF({q})", validate=False)
+    for x in range(1, q):
+        if not (R.mul[x] == R.one).any():
+            raise InvariantViolation(f"GF({q}) element {x} not invertible")
+    return R
+
+
+def test_finite_field_labelling_against_loop():
+    """Every field order: the same tables, labels and dtype as the
+    per-element polynomial loop, so element x stays the polynomial with the
+    base-p digits of x on every order, not only up to isomorphism."""
+    for q in constructions.FIELD_ORDERS:
+        F, ref = finite_field(q), loop_finite_field(q)
+        assert (F.add == ref.add).all() and (F.mul == ref.mul).all(), q
+        assert (F.zero, F.one, F.name) == (ref.zero, ref.one, ref.name)
+        assert F.add.dtype == F.mul.dtype == ref.add.dtype == np.int32
+    assert constructions.FIELD_ORDERS == (2, 3, 4, 5, 7, 8, 9)
