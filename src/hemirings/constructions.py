@@ -125,7 +125,7 @@ def finite_field(q: int) -> FiniteHemiring:
     t^k = -tail, t^(i+1) y is t^i y shifted up one degree with its top
     coefficient c folded back as -c * tail, and x y = sum_i x_i t^i y.
     """
-    if q not in _GF_POLYNOMIAL:
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q not in _GF_POLYNOMIAL:
         raise ValueError(f"unsupported field order {q}")
     p, tail = _GF_POLYNOMIAL[q]
     k = len(tail)
@@ -251,6 +251,7 @@ def corner(R: FiniteHemiring, e: int) -> CornerSemiring:
     eRe is closed under + and * inside R and has identity e, so the result
     is a hemiring whenever R is one and is not re-validated.
     """
+    e = _element(e, R.order, "element")
     if R.mul[e, e] != e:
         raise ValueError(f"element {e} is not idempotent")
     mask = np.zeros(R.order, dtype=bool)
@@ -266,6 +267,7 @@ def corner(R: FiniteHemiring, e: int) -> CornerSemiring:
 
 def is_full_idempotent(R: FiniteHemiring, e: int) -> bool:
     """e idempotent with the two-sided ideal it generates equal to R."""
+    e = _element(e, R.order, "element")
     if R.mul[e, e] != e:
         raise ValueError(f"element {e} is not idempotent")
     return generated_ideal(R, [e], "two-sided").is_full

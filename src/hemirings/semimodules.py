@@ -28,13 +28,15 @@ from .core import (
     _subset_closure,
     as_op_table,
 )
-from .lattices import _pack_maps
+from .lattices import (FiniteSemilattice, _distributive_lattice, _pack_maps, build_E_M,
+                       build_F_M, is_dense)
 from .simpleness import IdealSubset, generated_ideal
 
 __all__ = [
     "DoubleCentralizerReport",
     "FiniteLeftSemimodule",
     "ModuleEndoSemiring",
+    "dense_embedding_search",
     "double_centralizer_check",
     "end_semiring",
     "hom_semimodules",
@@ -247,4 +249,27 @@ def idempotent_generated(R: FiniteHemiring, I: IdealSubset) -> int | None:
     for e in R.idempotents():
         if {int(v) for v in R.mul[:, e]} == want:
             return e
+    return None
+
+
+def dense_embedding_search(R: FiniteHemiring) -> tuple | None:
+    """R's faithful dense image in End(P, +) for the first minimal left
+    ideal P with idempotent +, as (kind, M, rows): M is (P, +) and rows[r]
+    is r's row of P's action table.
+
+    The image is closed under +, so F_M <= image <= E_M, and the kind is
+    read from its size: ``endo`` (all of E_M, M distributive), ``fm``
+    (F_M) or ``dense``.  None when no minimal left ideal qualifies (a
+    ring's addition is never idempotent)."""
+    for I in minimal_left_ideals(R):
+        P = left_ideal_semimodule(R, I)
+        if (P.add.diagonal() != np.arange(P.order)).any():
+            continue
+        M = FiniteSemilattice(P.add, P.zero, validate=False)
+        rows = tuple(map(tuple, P.action.tolist()))
+        if len(set(rows)) < R.order or not is_dense(rows, M):
+            continue
+        if _distributive_lattice(M) and len(rows) == build_E_M(M).order:
+            return "endo", M, rows
+        return ("fm" if len(rows) == build_F_M(M).order else "dense"), M, rows
     return None

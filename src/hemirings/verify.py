@@ -12,9 +12,9 @@ default max-order, its size bound and any fixed report parameter in
 ``skipped(size)`` report past the bound, and sorts the records by name.
 Instances come from one cached source: ``_semilattices`` and ``_hemirings``
 (each order enumerated once), ``_catalog`` (both hemiring catalogs,
-deduplicated), ``build_E_M`` and ``build_F_M`` (E_M and F_M, memoised in
-each semilattice) and ``_boolean_matrices``.  A witness search walks
-candidates from these sources through one ``_isomorphic_candidate``.
+deduplicated), ``build_E_M`` (memoised in each semilattice) and
+``_boolean_matrices``.  E_M and F_M witnesses come from R's own dense
+action on a minimal left ideal, named by one catalog lookup (``_witness``).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import (
     FiniteHemiring,
     InvariantViolation,
     SizeGuardExceeded,
+    _lex_least_relabeling,
     fingerprint,
     infinite_element,
     is_additively_idempotent,
@@ -38,15 +39,11 @@ from .core import (
     is_isomorphic,
     is_lattice_ordered,
     is_zerosumfree,
-    hom_search,
 )
 from .lattices import (
     FiniteSemilattice,
     _distributive_lattice,
     build_E_M,
-    build_F_M,
-    generator_maps,
-    is_dense,
     is_distributive,
     try_lattice,
 )
@@ -76,6 +73,7 @@ from .constructions import (
     SEMILATTICE_ORDER_BOUND,
 )
 from .semimodules import (
+    dense_embedding_search,
     double_centralizer_check,
     idempotent_generated,
     minimal_left_ideals,
@@ -198,21 +196,17 @@ def _boolean_matrices(n: int) -> FiniteHemiring:
     return matrix_semiring(boolean_B(), n).hemiring
 
 
-def _isomorphic_candidate(R: FiniteHemiring, candidates) -> str | None:
-    """The label of the first (label, hemiring) candidate isomorphic to R;
-    orders are compared before any search."""
-    for label, H in candidates:
-        if H.order == R.order and is_isomorphic(R, H) is not None:
-            return label
-    return None
-
-
-def _endo_witness(R: FiniteHemiring) -> str | None:
-    """The name of the first catalog distributive lattice M with E_M
-    isomorphic to R.  E_M has at least |M| elements, so M.order <= R.order."""
-    return _isomorphic_candidate(R, (
-        (M.name, build_E_M(M).hemiring)
-        for M in _semilattices(min(R.order, SEMILATTICE_ORDER_BOUND)) if _distributive_lattice(M)))
+def _witness(R: FiniteHemiring, *kinds: str) -> str | None:
+    """The catalog name of M when ``dense_embedding_search`` finds
+    (kind, M, rows) with kind in ``kinds``: the catalog semilattice whose
+    join table is M's canonical join table."""
+    found = dense_embedding_search(R)
+    if found is None or found[0] not in kinds:
+        return None
+    M = found[1]
+    catalog = _semilattices(M.order)   # SizeGuardExceeded past the catalog
+    [(key, _)] = _lex_least_relabeling([(M.join,)], M.zero)
+    return next(N.name for N in catalog if N.join.ravel().tolist() == list(key))
 
 
 # ---------------------------------------------------------------- suites
@@ -257,30 +251,6 @@ def suite_cor3_8(max_order: int) -> list[InstanceRecord]:
     return records
 
 
-def dense_embedding_search(R: FiniteHemiring, max_lattice_order: int
-                           ) -> tuple[str, FiniteSemilattice] | None:
-    """An injective hom of R onto a dense subhemiring of some E_M.
-
-    First tries M = the additive reduct of R with the left-regular
-    representation r -> (x -> r x); failing that, searches catalog
-    semilattices up to the given order for injective homs with dense image.
-    """
-    if is_additively_idempotent(R):
-        M0 = FiniteSemilattice(R.add, zero=R.zero, validate=False)
-        maps = [tuple(int(v) for v in R.mul[r]) for r in range(R.order)]
-        if len(set(maps)) == R.order and is_dense(maps, M0):
-            return ("left-regular", M0)
-    for M in _semilattices(min(max_lattice_order, SEMILATTICE_ORDER_BOUND)):
-        E = build_E_M(M)
-        if E.order < R.order:
-            continue
-        gens = {E.endo_index(g) for g in generator_maps(M)}
-        for hom in hom_search(R, E.hemiring, injective=True):
-            if gens <= set(hom.map):
-                return (f"catalog:{M.name}", M)
-    return None
-
-
 def suite_thm2_2(max_order: int) -> list[InstanceRecord]:
     """Every congruence-simple proper hemiring has order <= 2 or embeds as
     a dense subhemiring of the endomorphism semiring of a semilattice."""
@@ -293,11 +263,11 @@ def suite_thm2_2(max_order: int) -> list[InstanceRecord]:
                 R.name, True, ("order", str(R.order)), ("branch", "order<=2"),
                 algebra=R))
             continue
-        found = dense_embedding_search(R, R.order)
+        lattice = _witness(R, "endo", "fm", "dense")
         fields = [("order", str(R.order)),
                   ("branch", "dense-embedding"),
-                  ("embedding", found[0] if found else "none")]
-        records.append(_record(R.name, found is not None, *fields, algebra=R))
+                  ("embedding", f"catalog:{lattice}" if lattice else "none")]
+        records.append(_record(R.name, lattice is not None, *fields, algebra=R))
     return records
 
 
@@ -314,7 +284,7 @@ def suite_cor5_8(max_order: int) -> list[InstanceRecord]:
             if F is not None and is_isomorphic(R, F) is not None:
                 witness = f"matrix:n=1,{F.name}"
         else:
-            lattice = _endo_witness(R)
+            lattice = _witness(R, "endo")
             if lattice is not None:
                 witness = f"endo:{lattice}"
         fields = [("order", str(R.order)), ("ring", _b(R.is_ring)),
@@ -429,18 +399,18 @@ def suite_thm5_7(max_order: int) -> list[InstanceRecord]:
     for R in _catalog_semirings(max_order):
         simple = is_simple(R)
         inf = infinite_element(R) is not None
-        lattice = _endo_witness(R)
+        lattice = _witness(R, "endo")
         ok = (simple and inf) == (lattice is not None)
         fields = [("order", str(R.order)), ("simple", _b(simple)),
                   ("infinite-element", _b(inf)),
                   ("endo-witness", lattice or "none")]
         if simple and inf:
-            morita = _isomorphic_candidate(R, _full_corners())
+            morita = next((label for label, H in _full_corners()
+                           if H.order == R.order and is_isomorphic(R, H) is not None), None)
             fields.append(("corner-witness", morita or "none"))
             ok = ok and morita is not None
         records.append(_record(R.name, ok, *fields, algebra=R))
     # F_M reporting for proper simple hemirings (nonzero multiplication)
-    lattices = _semilattices(SEMILATTICE_ORDER_BOUND - 1)
     for R in _hemirings(max_order, True):
         if not (R.is_proper and is_simple(R)):
             continue
@@ -450,8 +420,8 @@ def suite_thm5_7(max_order: int) -> list[InstanceRecord]:
                 ("order", str(R.order)), ("zero-multiplication", "true"),
                 ("fm-witness", "skipped"), algebra=R))
             continue
-        fm = _isomorphic_candidate(
-            R, ((M.name, build_F_M(M).hemiring) for M in lattices))
+        # F_M = E_M exactly when M is distributive
+        fm = _witness(R, "endo", "fm")
         records.append(_record(
             R.name + "/fm", fm is not None,
             ("order", str(R.order)), ("zero-multiplication", "false"),

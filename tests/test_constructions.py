@@ -130,6 +130,15 @@ def test_corner_rejects_non_idempotent(m2b):
         corner(m2b.hemiring, nilp)
 
 
+@pytest.mark.parametrize("build", [corner, is_full_idempotent])
+@pytest.mark.parametrize("e", [99, 2.0, -1, True], ids=["99", "2.0", "-1", "True"])
+def test_corner_and_full_idempotent_reject_a_non_element(m2b, build, e):
+    # 99 and 2.0 used to raise IndexError, True numpy's array truth-value
+    # error, and -1 was refused only because it is not idempotent
+    with pytest.raises(ValueError, match=r"^element .* is not an element index in \[0, 16\)$"):
+        build(m2b.hemiring, e)
+
+
 def test_corner_ideal_map_zero(m2b):
     R = m2b.hemiring
     e11 = m2b.unit(0, 0)
@@ -225,6 +234,18 @@ def test_gf4_multiplicative_group_cyclic_of_order_3():
 def test_unsupported_field_order():
     with pytest.raises(ValueError):
         finite_field(6)
+
+
+@pytest.mark.parametrize("q", [4.0, True, 4.5])
+def test_field_order_must_be_an_integer(q):
+    # 4.0 used to build a GF(4) named GF(4.0)
+    with pytest.raises(ValueError, match="unsupported field order"):
+        finite_field(q)
+
+
+def test_numpy_integer_field_order():
+    F = finite_field(np.int64(4))
+    assert F.name == "GF(4)" and F == finite_field(4)
 
 
 def test_semilattice_counts_frozen():

@@ -33,6 +33,7 @@ from hemirings import (
     is_distributive,
     is_division_semiring,
     is_ideal_simple,
+    is_isomorphic,
     is_lattice_ordered,
     is_simple,
     is_zerosumfree,
@@ -58,7 +59,9 @@ from hemirings.core import (
     _wl_colors,
     canonical_form,
 )
-from hemirings.lattices import _pack_maps, endo_enumerate, generator_maps, semilattice_violation
+from hemirings.lattices import (_distributive_lattice, _pack_maps, endo_enumerate,
+                                generator_maps, semilattice_violation)
+from hemirings.semimodules import dense_embedding_search
 from hemirings.simpleness import (
     Congruence,
     IdealSubset,
@@ -1811,3 +1814,87 @@ def test_finite_field_labelling_against_loop():
         assert (F.zero, F.one, F.name) == (ref.zero, ref.one, ref.name)
         assert F.add.dtype == F.mul.dtype == ref.add.dtype == np.int32
     assert constructions.FIELD_ORDERS == (2, 3, 4, 5, 7, 8, 9)
+
+
+def catalog_endo_witness(R):
+    """The former ``verify._endo_witness``: the first catalog distributive
+    lattice M with E_M isomorphic to R."""
+    for M in _semilattices(min(R.order, SEMILATTICE_ORDER_BOUND)):
+        H = build_E_M(M).hemiring
+        if _distributive_lattice(M) and H.order == R.order and is_isomorphic(R, H) is not None:
+            return M.name
+    return None
+
+
+def catalog_fm_witness(R):
+    """The former ``thm5_7`` F_M scan: the first catalog semilattice M of
+    order below the bound with F_M isomorphic to R."""
+    for M in _semilattices(SEMILATTICE_ORDER_BOUND - 1):
+        H = build_F_M(M).hemiring
+        if H.order == R.order and is_isomorphic(R, H) is not None:
+            return M.name
+    return None
+
+
+def literal_dense_image(R, M, rows):
+    """The kind of a faithful dense image, from the definitions: rows[r] is
+    r's action on (M, join), R -> End(M) is an injective hemiring map whose
+    image holds every e_{a,b}, and the image is compared with all
+    join-preserving self-maps (brute force) and with the join-closure of
+    the e_{a,b}."""
+    n, join = M.order, M.join
+    leq = join == np.arange(n)[None, :]              # leq[x, y]: x v y = y
+    maps = np.array(list(itertools.product(range(n), repeat=n)))
+    endos = maps[(maps[:, M.zero] == M.zero)
+                 & (maps[:, join] == join[maps[:, :, None], maps[:, None, :]]).all(axis=(1, 2))]
+    endos = {tuple(f) for f in endos.tolist()}
+    e_ab = {tuple(M.zero if leq[x, a] else b for x in range(n)) for a in range(n) for b in range(n)}
+    image = set(rows)
+    assert len(rows) == R.order == len(image)
+    assert e_ab <= image <= endos
+    for r, s in itertools.product(range(R.order), repeat=2):
+        assert rows[R.add[r, s]] == tuple(join[rows[r], rows[s]].tolist())
+        assert rows[R.mul[r, s]] == tuple(rows[r][rows[s][x]] for x in range(n))
+    f_m, frontier = set(e_ab), set(e_ab)
+    while frontier:
+        frontier = {tuple(join[f, g].tolist()) for f in frontier for g in f_m} - f_m
+        f_m |= frontier
+    distributive = is_distributive(try_lattice(M))
+    return "endo" if distributive and image == endos else "fm" if image == f_m else "dense"
+
+
+@pytest.fixture(scope="module")
+def relabeled_endos(semilattices_upto5):
+    """E_M and F_M of every semilattice of order 2 to 5, each under one
+    seeded relabelling (the one-element algebra has no nonzero left ideal
+    to act on)."""
+    rng = random.Random(31)
+    return [relabeled(R, rng.sample(range(R.order), R.order))
+            for M in semilattices_upto5 if M.order > 1
+            for R in (build_E_M(M).hemiring, build_F_M(M).hemiring)]
+
+
+def test_dense_embedding_names_against_catalog_searches(relabeled_endos):
+    """On both default catalogs and the relabelled E_M and F_M, the E_M
+    and F_M witnesses read off the dense action name the semilattice that
+    the former catalog isomorphism searches found, and the image has the
+    kind its definition gives."""
+    from hemirings.verify import _catalog, _witness
+    for R in [R for R in _catalog(4) if R.order > 1] + relabeled_endos:
+        assert _witness(R, "endo") == catalog_endo_witness(R), R.name
+        assert _witness(R, "endo", "fm") == catalog_fm_witness(R), R.name
+        found = dense_embedding_search(R)
+        if found is not None:
+            assert literal_dense_image(R, found[1], found[2]) == found[0], R.name
+
+
+def test_dense_embedding_exists_iff_congruence_simple(idem_hemirings_upto4, relabeled_endos):
+    """Zumbraegel's classification on idempotent instances with nonzero
+    multiplication: a faithful dense action on a minimal left ideal exists
+    iff R is congruence-simple.  The two-element zero-multiplication
+    hemiring is congruence-simple with no such action."""
+    pool = [R for R in idem_hemirings_upto4 if not R.has_zero_multiplication()]
+    for R in pool + relabeled_endos:
+        assert (dense_embedding_search(R) is not None) == is_congruence_simple(R), R.name
+    R = constructions.two_zero_mult()
+    assert is_congruence_simple(R) and dense_embedding_search(R) is None
