@@ -3,22 +3,25 @@
 Matrix semirings pack n x n matrices over a base algebra into mixed-radix
 integers (cell (i, j) is the digit of weight |R|^(i*n+j), row-major), so
 every decider in the package runs on them unchanged.  One digit rule,
-``_digits``, reads every such carrier: the matrix cells, the coefficients
-of an element of GF(p^k) and the relation bits of the semilattice search.
+``_digits``, reads every such carrier: the matrix cells and the
+coefficients of an element of GF(p^k).
 
-The catalog tables come from one search, ``_table_search``: it fills table
-cells in a fixed order with values in ascending order and drops a partial
-table as soon as some associativity (or, over a given addition,
-distributivity) instance whose lookups are all assigned fails.  It runs
-level by level, one cell per level, over a frontier array of all partial
-tables that survive, checked slab by slab in one numpy pass each, so the
-completions come out in lexicographic order.  Additive monoids are its
-symmetric completions of the neutral row and column (the idempotent ones
-are the semilattice join tables), multiplications its completions of the
-zero row and column.  Results are deduplicated by canonical form under
-carrier permutations that fix zero, one batched relabeling
-(``core._lex_least_relabeling``) per batch: all monoids of an order, all
-multiplications over one additive monoid, all join tables of an order.
+Every catalog table comes from one search, ``_table_search``: it fills
+table cells in a fixed order, each with the values from its floor (0 by
+default) up in ascending order, and drops a partial table as soon as some
+associativity (or, over a given addition, distributivity) instance whose
+lookups are all assigned fails.  It runs level by level, one cell per
+level, over a frontier array of all partial tables that survive, checked
+slab by slab in one numpy pass each, so the completions come out in
+lexicographic order.  Additive monoids are its symmetric completions of
+the neutral row and column; the semilattice join tables its symmetric
+completions of the neutral row and column, the identity diagonal and the
+top's row and column, with floors that keep the labelling natural;
+multiplications its completions of the zero row and column.  Results are
+deduplicated by canonical form under carrier permutations that fix zero,
+one batched relabeling (``core._lex_least_relabeling``) per batch: all
+monoids of an order, all multiplications over one additive monoid, all
+join tables of an order.
 
 Every builder here returns an algebra by construction (a catalog table
 passed every law instance of the search; M_n(R), eRe and the finite fields
@@ -37,7 +40,7 @@ from .core import (
     _classes,
     _element,
     _index_array,
-    _least_bounds,
+    _is_integer,
     _lex_least_relabeling,
     _slab,
 )
@@ -85,8 +88,8 @@ def two_zero_mult() -> FiniteHemiring:
 
 def integers_mod(m: int) -> FiniteHemiring:
     """The ring Z/m as a semiring table (test plumbing, not ring theory)."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
+    if not _is_integer(m) or m < 1:
+        raise ValueError(f"modulus must be a positive integer; got {m!r}")
     idx = np.arange(m)
     add = (idx[:, None] + idx[None, :]) % m
     mul = (idx[:, None] * idx[None, :]) % m
@@ -125,7 +128,7 @@ def finite_field(q: int) -> FiniteHemiring:
     t^k = -tail, t^(i+1) y is t^i y shifted up one degree with its top
     coefficient c folded back as -c * tail, and x y = sum_i x_i t^i y.
     """
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q not in _GF_POLYNOMIAL:
+    if not _is_integer(q) or q not in _GF_POLYNOMIAL:
         raise ValueError(f"unsupported field order {q}")
     p, tail = _GF_POLYNOMIAL[q]
     k = len(tail)
@@ -187,8 +190,8 @@ def matrix_semiring(R: FiniteHemiring, n: int) -> MatrixSemiring:
     N * n^3 cells.  M_n of a hemiring is a hemiring, so the result is not
     re-validated.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be a positive integer; got {n!r}")
     b = R.order
     N = b ** (n * n)
     if N > MATRIX_ORDER_BOUND:
@@ -310,71 +313,22 @@ def corner_congruence_to_ring(R: FiniteHemiring, c: CornerSemiring,
     return theta
 
 
-def _natural_orders(n: int) -> np.ndarray:
-    """Every partial order on 0..n-1 with least element 0 in which x < y
-    implies x < y as integers, as an (m, n, n) boolean stack leq[r, x, y].
-
-    Every strict relation on the pairs 0 < i < j is built at once and
-    filtered for transitivity in one numpy pass; relation r holds pair u iff
-    bit u of r, the first pair most significant: the order of
-    itertools.product, which numbers the semilattice names.
-    """
-    k = n - 1
-    i, j = np.triu_indices(k, 1)
-    bits = _digits(np.arange(1 << len(i)), 2, len(i))[:, ::-1]
-    lt = np.zeros((len(bits), k, k), dtype=bool)
-    lt[:, i, j] = bits
-    closure = lt.copy()
-    for m in range(k):
-        closure |= closure[:, :, m, None] & closure[:, None, m, :]
-    lt = lt[(closure == lt).all(axis=(1, 2))]
-    leq = np.zeros((len(lt), n, n), dtype=bool)
-    leq[:, 0, :] = True
-    leq[:, np.arange(n), np.arange(n)] = True
-    leq[:, 1:, 1:] |= lt
-    return leq
-
-
-def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
-    """All isomorphism classes of semilattices with zero of the given order.
-
-    Enumerates naturally-labeled posets on the nonzero elements (strict
-    order compatible with indices covers every class), keeps those in
-    which all joins exist, and dedupes by canonical join table, all tables
-    in one batched relabeling.  Such a join table is a semilattice with
-    zero by construction and is not re-validated.
-    """
-    if order > SEMILATTICE_ORDER_BOUND:
-        raise SizeGuardExceeded(f"semilattice enumeration is bounded at order "
-                                 f"{SEMILATTICE_ORDER_BOUND}; asked for {order}")
-    if order < 1:
-        raise ValueError("order must be positive")
-    n = order
-    lattice, joins = _least_bounds(_natural_orders(n))
-    seen: dict[tuple, FiniteSemilattice] = {}
-    for key, _ in _lex_least_relabeling(joins[lattice][:, None], 0):
-        if key not in seen:
-            seen[key] = FiniteSemilattice(np.array(key, dtype=np.int32).reshape(n, n),
-                                          zero=0, name=f"sl{n}_{len(seen):03d}",
-                                          validate=False)
-    return [seen[key] for key in sorted(seen)]
-
-
 def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
-                  symmetric: bool = False) -> np.ndarray:
+                  symmetric: bool = False, floors=None) -> np.ndarray:
     """Every completion of ``table`` over ``cells`` that is associative and,
     given ``add``, distributive over it on both sides, as an (m, n, n)
-    stack.
+    stack.  Cell ``cells[t]`` takes the values ``floors[t]``..n-1 (all
+    values when ``floors`` is None).
 
     A level-by-level search over a frontier of partial tables, one row per
     table, kept in lexicographic order of their assigned cell values.  At
-    each cell, every row is expanded by the values 0..n-1 (parent-major,
+    each cell, every row is expanded by the cell's values (parent-major,
     value-minor; mirrored to (j, i) when ``symmetric``) and the children in
     which some law instance with all lookups assigned fails are dropped,
-    all in one numpy pass per slab of rows (``core._slab(n ** 4)`` rows:
-    a row's n children check n^3 instances each).  Completions therefore
-    come out in lexicographic order of their cell values.  Cells outside
-    ``cells`` count as assigned.
+    all in one numpy pass per slab of rows (``core._slab(v * n ** 3)``
+    rows for v values: a row's v children check n^3 instances each).
+    Completions therefore come out in lexicographic order of their cell
+    values.  Cells outside ``cells`` count as assigned.
 
     Tables are padded to (n + 1) x (n + 1) and an unassigned cell holds n,
     as do the padding row and column, so a lookup through an unassigned
@@ -421,18 +375,57 @@ def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
         return ~bad.any(axis=1)
 
     front = pad.reshape(1, m * m)
-    vals = np.arange(n, dtype=np.int8)
-    step = _slab(n ** 4)
-    for p, q in zip(flat, mirror):
+    for p, q, least in zip(flat, mirror, floors or [0] * len(flat)):
         if not len(front):
             break
+        vals = np.arange(least, n, dtype=np.int8)
+        step = _slab(len(vals) * n ** 3)
         slabs = []
         for s in range(0, len(front), step):
-            kids = np.repeat(front[s:s + step], n, axis=0)
-            kids[:, p] = kids[:, q] = np.tile(vals, len(kids) // n)
+            kids = np.repeat(front[s:s + step], len(vals), axis=0)
+            kids[:, p] = kids[:, q] = np.tile(vals, len(kids) // len(vals))
             slabs.append(kids[consistent(kids)])
         front = np.concatenate(slabs)
     return front.reshape(-1, m, m)[:, :n, :n].astype(np.int32)
+
+
+def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
+    """All isomorphism classes of semilattices with zero of the given order.
+
+    A finite semilattice with zero is a lattice, and every class has a
+    natural labelling, in which x <= y implies x <= y as integers: its join
+    table J has J[i, j] >= max(i, j), and its top is n - 1.  So the table
+    search completes zero's neutral row and column, the identity diagonal
+    and the top's row and column n - 1 over the symmetric cells
+    1 <= i < j <= n - 2, cell (i, j) with floor j; the completions are the
+    naturally labelled join tables.  They are ordered by their relation
+    bits (bit (i, j) is J[i, j] == j: i below j), the first cell most
+    significant, the order that numbers the names, and deduped by
+    canonical join table, all tables in one batched relabeling.  Such a
+    join table is a semilattice with zero by construction and is not
+    re-validated.
+    """
+    if not _is_integer(order) or order < 1:
+        raise ValueError(f"order must be a positive integer; got {order!r}")
+    if order > SEMILATTICE_ORDER_BOUND:
+        raise SizeGuardExceeded(f"semilattice enumeration is bounded at order "
+                                 f"{SEMILATTICE_ORDER_BOUND}; asked for {order}")
+    n = order
+    ids = np.arange(n)
+    join = np.full((n, n), n - 1, dtype=np.int32)
+    join[0] = join[:, 0] = join[ids, ids] = ids
+    cells = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
+    joins = _table_search(join, cells, symmetric=True, floors=[j for _, j in cells])
+    if cells:
+        i, j = np.array(cells).T
+        joins = joins[np.lexsort((joins[:, i, j] == j).T[::-1])]
+    seen: dict[tuple, FiniteSemilattice] = {}
+    for key, _ in _lex_least_relabeling(joins[:, None], 0):
+        if key not in seen:
+            seen[key] = FiniteSemilattice(np.array(key, dtype=np.int32).reshape(n, n),
+                                          zero=0, name=f"sl{n}_{len(seen):03d}",
+                                          validate=False)
+    return [seen[key] for key in sorted(seen)]
 
 
 def _commutative_monoids(order: int, idempotent: bool = False) -> list[np.ndarray]:
@@ -478,13 +471,13 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
     Each entry carries its canonical form, which it is itself, for
     ``canonical_form``.
     """
+    if not _is_integer(order) or order < 1:
+        raise ValueError(f"order must be a positive integer; got {order!r}")
     bound = HEMIRING_IDEMPOTENT_BOUND if additively_idempotent else HEMIRING_ORDER_BOUND
     if order > bound:
         kind = "additively idempotent " if additively_idempotent else ""
         raise SizeGuardExceeded(f"{kind}hemiring enumeration is bounded at order {bound}; "
                                  f"asked for {order}")
-    if order < 1:
-        raise ValueError("order must be positive")
     cells = order * order
     tag = "ai" if additively_idempotent else "hr"
     seen: dict[tuple, FiniteHemiring] = {}

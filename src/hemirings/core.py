@@ -106,10 +106,16 @@ def _index_array(raw: np.ndarray, bound: int, what: str) -> np.ndarray:
     return table
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer: a float or bool is not,
+    so it is rejected rather than truncated."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
+
+
 def _element(x, bound: int, what: str) -> int:
-    """``x`` as an int if it is an element index in [0, bound): an integer,
-    as ``_index_array`` asks; a float or bool is rejected, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < bound:
+    """``x`` as an int if it is an element index in [0, bound): an integer
+    (``_is_integer``), as ``_index_array`` asks."""
+    if not _is_integer(x) or not 0 <= x < bound:
         raise ValueError(f"{what} {x!r} is not an element index in [0, {bound})")
     return int(x)
 
@@ -455,24 +461,6 @@ class FiniteHemiring:
         return f"FiniteHemiring({tag}, zero={self.zero}{one})"
 
 
-def _least_bounds(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a stack of partial orders leq[r, x, z] (x <= z): which of them
-    have every binary least upper bound, and the tables of those bounds
-    (valid where they do).  The least upper bound of x and y exists iff the
-    common upper bound z with the largest up-set has exactly the common
-    upper bounds as its up-set.  One pass per x keeps memory at O(r n^2).
-    """
-    r, n, _ = leq.shape
-    stack = np.arange(r)[:, None]
-    ups = leq.sum(axis=2, dtype=np.int32)[:, None, :]              # [r, 1, z]
-    ok, out = np.ones(r, dtype=bool), np.empty((r, n, n), dtype=np.int32)
-    for x in range(n):
-        upper = leq[:, x, None, :] & leq                             # [r, y, z]
-        out[:, x] = (upper * ups).argmax(axis=2)
-        ok &= (leq[stack, out[:, x]] == upper).all(axis=(1, 2))
-    return ok, out
-
-
 class PartialOrder:
     """A partial order on 0..n-1 as a boolean leq matrix."""
 
@@ -520,10 +508,19 @@ class PartialOrder:
         return None
 
     def meet_table(self) -> np.ndarray | None:
-        """All binary meets, or None if some pair has no glb: the least
-        upper bounds of the reversed order (made contiguous for speed)."""
-        ok, meets = _least_bounds(np.ascontiguousarray(self.leq.T)[None])
-        return meets[0] if ok[0] else None
+        """All binary meets, or None if some pair has no glb.  The meet of x
+        and y exists iff the common lower bound z with the largest down-set
+        has exactly the common lower bounds as its down-set.  One pass per x
+        keeps memory at O(n^2)."""
+        geq = np.ascontiguousarray(self.leq.T)                 # geq[x, z]: z <= x
+        downs = geq.sum(axis=1, dtype=np.int32)
+        meets = np.empty(geq.shape, dtype=np.int32)
+        for x in range(len(geq)):
+            lower = geq[x] & geq                                  # [y, z]
+            meets[x] = (lower * downs).argmax(axis=1)
+            if not (geq[meets[x]] == lower).all():
+                return None
+        return meets
 
     def comparable(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b] or self.leq[b, a])
@@ -854,7 +851,8 @@ def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], l
     hemiring multiplication; such a row is skipped, and such a column's
     cells filter nothing.  The stack is renamed so that zero is 0, and the
     relabelings fixing 0 come from ``_zero_first_relabelings``, built once
-    per order.  Tied pairs are scanned in slabs of bounded size.
+    per order.  A row is read only once the tied pairs fit in one slab
+    (``_slab(n)`` pairs); until then each step reads one cell per pair.
     """
     # int8 keeps the tables and the (n-1)! x n relabelings small; the
     # factorial cost keeps n far below 128
@@ -886,15 +884,11 @@ def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], l
 
     def row_keys(T: int, i: int) -> np.ndarray:
         """Row i of table T under each tied pair's relabeling, read as one
-        base-n number per pair, slab by slab of pairs."""
-        keys = []
-        for s in range(0, len(b), step):
-            ks = k[s:s + step]
-            qs = q.take(ks, axis=0)
-            at = ((b[s:s + step] * nt + T) * n + qs[:, i]) * n
-            rows = S_flat.take(at[:, None] + qs)
-            keys.append(p_flat.take((ks * n)[:, None] + rows) @ weights)
-        return np.concatenate(keys)
+        base-n number per pair, in one gather: it is asked for only once the
+        tied pairs fit in one slab."""
+        qs = q.take(k, axis=0)
+        rows = S_flat.take((((b * nt + T) * n + qs[:, i]) * n)[:, None] + qs)
+        return p_flat.take((k * n)[:, None] + rows) @ weights
 
     def cell_values(T: int, i: int, j: int) -> np.ndarray:
         """Cell (i, j) of table T under each tied pair's relabeling."""

@@ -29,6 +29,7 @@ from .core import (
     FiniteHemiring,
     InvariantViolation,
     SizeGuardExceeded,
+    _is_integer,
     _lex_least_relabeling,
     fingerprint,
     infinite_element,
@@ -515,6 +516,8 @@ def run_suite(name: str, max_order: int | None = None) -> VerificationReport:
     suite = SUITES[name]
     if max_order is None:
         max_order = suite.default
+    if not _is_integer(max_order):
+        raise ValueError(f"suite {name}: max-order must be an integer; got {max_order!r}")
     if max_order < 1:
         raise ValueError(f"suite {name}: max-order must be at least 1; got {max_order}")
     params = (("max-order", str(max_order)),) + suite.extra

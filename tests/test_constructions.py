@@ -106,6 +106,18 @@ def test_matrix_size_guard(B):
         matrix_semiring(B, 5)
 
 
+@pytest.mark.parametrize("n", [2.0, True, 0], ids=["2.0", "True", "0"])
+def test_matrix_size_must_be_a_positive_integer(B, n):
+    # 2.0 and True used to raise TypeError from numpy
+    with pytest.raises(ValueError, match=rf"^n must be a positive integer; got {n!r}$"):
+        matrix_semiring(B, n)
+
+
+def test_numpy_integer_matrix_size(B):
+    M = matrix_semiring(B, np.int64(2))
+    assert M.hemiring.name == "M_2(B)" and M.hemiring == matrix_semiring(B, 2).hemiring
+
+
 def test_corner_at_identity_and_zero(m2b):
     R = m2b.hemiring
     c1 = corner(R, R.one)
@@ -214,6 +226,18 @@ def test_finite_fields_validate():
                        for y in range(q))
 
 
+@pytest.mark.parametrize("m", [4.0, True, 0], ids=["4.0", "True", "0"])
+def test_modulus_must_be_a_positive_integer(m):
+    # True used to build Z/True, 4.0 to fail on the table's dtype
+    with pytest.raises(ValueError, match=rf"^modulus must be a positive integer; got {m!r}$"):
+        integers_mod(m)
+
+
+def test_numpy_integer_modulus():
+    R = integers_mod(np.int64(4))
+    assert R.name == "Z/4" and R == integers_mod(4)
+
+
 def test_gf2_gf3_match_integers_mod():
     assert (finite_field(2).add == integers_mod(2).add).all()
     assert (finite_field(3).mul == integers_mod(3).mul).all()
@@ -257,6 +281,22 @@ def test_semilattice_enumeration_guard():
     with pytest.raises(SizeGuardExceeded,
                        match=r"^semilattice enumeration is bounded at order 6; asked for 7$"):
         enumerate_semilattices(7)
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_semilattices, enumerate_hemirings])
+@pytest.mark.parametrize("order", [3.0, True, 0, 9.0], ids=["3.0", "True", "0", "9.0"])
+def test_catalog_order_must_be_a_positive_integer(enumerate_, order):
+    # a float or bool order used to raise TypeError, a large float SizeGuardExceeded
+    with pytest.raises(ValueError, match=rf"^order must be a positive integer; got {order!r}$"):
+        enumerate_(order)
+
+
+def test_numpy_integer_catalog_order():
+    assert [(M.name, M.join.tolist()) for M in enumerate_semilattices(np.int64(5))] == \
+           [(M.name, M.join.tolist()) for M in enumerate_semilattices(5)]
+    assert enumerate_hemirings(np.int64(3)) == enumerate_hemirings(3)
+    assert [R.name for R in enumerate_hemirings(np.int64(3))] == \
+           [R.name for R in enumerate_hemirings(3)]
 
 
 def test_hemiring_order2_catalog(B, two, z2):

@@ -934,27 +934,42 @@ def test_meet_table_against_pairwise_meet(semilattices_upto5, endo_cache):
     assert without_meets >= 50
 
 
-def test_batched_join_tables_against_meet_table():
-    """The least-bound kernel over a stack, as the semilattice enumeration
-    calls it, against ``meet_table`` of each reversed order on its own, on
-    every relation it is given at orders <= 6 and on seeded random posets,
-    with and without a bottom."""
-    rng = random.Random(11)
-    stacks = [constructions._natural_orders(n) for n in range(1, 7)]
-    stacks += [random_poset(rng, n, rng.random()).leq[None]
-               for n in range(1, 8) for _ in range(30)]
-    with_joins = without = 0
-    for leq in stacks:
-        lattice, joins = core._least_bounds(leq)
-        for rel, ok, join in zip(leq, lattice, joins):
-            want = PartialOrder(rel.T, validate=False).meet_table()
-            assert ok == (want is not None)
-            if ok:
-                with_joins += 1
-                assert (join == want).all()
-            else:
-                without += 1
-    assert with_joins >= 100 and without >= 100
+def natural_orders(n):
+    """Every partial order on 0..n-1 with least element 0 in which x < y
+    implies x < y as integers, as boolean leq matrices: the strict
+    relations on the pairs 0 < i < j in the order of itertools.product
+    (bit set: i < j, the first pair most significant), kept if transitive."""
+    pairs = list(itertools.combinations(range(1, n), 2))
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        leq = np.eye(n, dtype=bool)
+        leq[0] = True
+        for (i, j), bit in zip(pairs, bits):
+            leq[i, j] = bit
+        if not ((leq.astype(int) @ leq.astype(int) > 0) & ~leq).any():
+            yield leq
+
+
+def catalog_semilattices(n):
+    """The semilattice catalog the way it was first built: the natural
+    orders, their join tables where every pair has a least upper bound,
+    and the canonical join tables named in that order, listed sorted."""
+    joins = [pairwise_meet_table(PartialOrder(leq.T, validate=False))
+             for leq in natural_orders(n)]
+    joins = np.array([J for J in joins if J is not None])
+    names = {}
+    for key, _ in _lex_least_relabeling(joins[:, None], 0):
+        names.setdefault(key, f"sl{n}_{len(names):03d}")
+    return [(names[key], np.array(key).reshape(n, n).tolist()) for key in sorted(names)]
+
+
+def test_semilattice_catalog_against_natural_orders(monkeypatch):
+    """Names, join tables and their order against the old path, at every
+    shipped order and one past the bound (53 classes at order 7)."""
+    monkeypatch.setattr(constructions, "SEMILATTICE_ORDER_BOUND", SEMILATTICE_ORDER_BOUND + 1)
+    for n in range(1, SEMILATTICE_ORDER_BOUND + 2):
+        got = [(M.name, M.join.tolist()) for M in enumerate_semilattices(n)]
+        assert got == catalog_semilattices(n), n
+    assert len(got) == 53
 
 
 def test_lattice_ordered_against_meet_table(plain_hemirings_upto3, idem_hemirings_upto4,
@@ -1136,11 +1151,12 @@ def test_zero_first_relabelings_are_shared_and_read_only():
         assert (np.take_along_axis(p, q.astype(np.intp), axis=1) == np.arange(n)).all()
 
 
-def recursive_table_search(table, cells, add=None, symmetric=False):
+def recursive_table_search(table, cells, add=None, symmetric=False, floors=None):
     """Depth-first reference for ``_table_search``, one partial table at a
-    time: fill ``cells`` in order with values 0..n-1 ascending and drop a
-    partial table as soon as a fully assigned associativity (or, given
-    ``add``, distributivity) instance fails."""
+    time: fill ``cells`` in order with values ascending (cell k from
+    ``floors[k]``, else 0, to n-1) and drop a partial table as soon as a
+    fully assigned associativity (or, given ``add``, distributivity)
+    instance fails."""
     n = table.shape[0]
     t = table.astype(np.intp).ravel()
     known = np.ones(n * n, dtype=bool)
@@ -1172,7 +1188,7 @@ def recursive_table_search(table, cells, add=None, symmetric=False):
             return
         p, q = flat[k], mirror[k]
         known[p] = known[q] = True
-        for v in range(n):
+        for v in range(floors[k] if floors else 0, n):
             t[p] = t[q] = v
             if consistent():
                 extend(k + 1)
@@ -1184,10 +1200,12 @@ def recursive_table_search(table, cells, add=None, symmetric=False):
 
 
 def test_table_search_against_recursive_oracle(m3, monkeypatch):
-    """Ordered lists of completions, under several slab sizes; under the
-    same sizes, the row slabs of ``matrix_semiring`` (M_2 of GF(3) and of
-    an order-3 semiring) and of ``_pack_maps`` (E_M of the diamond
-    lattice) against their loop references."""
+    """Ordered lists of completions (of neutral rows and columns, of join
+    tables with a fixed top and floors, and of zero rows and columns over
+    an addition), under several slab sizes; under the same sizes, the row
+    slabs of ``matrix_semiring`` (M_2 of GF(3) and of an order-3 semiring)
+    and of ``_pack_maps`` (E_M of the diamond lattice) against their loop
+    references."""
     monoid_searches = []
     for n in range(1, 5):
         neutral = np.zeros((n, n), dtype=np.int32)
@@ -1195,6 +1213,14 @@ def test_table_search_against_recursive_oracle(m3, monkeypatch):
         cells = [(i, j) for i in range(1, n) for j in range(i, n)]
         monoid_searches.append((neutral, cells,
                                 recursive_table_search(neutral, cells, symmetric=True)))
+    join_searches = []
+    for n in range(1, 6):
+        join = np.full((n, n), n - 1, dtype=np.int32)
+        join[0, :] = join[:, 0] = join[np.arange(n), np.arange(n)] = np.arange(n)
+        cells = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
+        floors = [j for _, j in cells]
+        join_searches.append((join, cells, floors, recursive_table_search(
+            join, cells, symmetric=True, floors=floors)))
     mul_searches = []
     for add in (add for n in range(1, 5) for idem in (False, True)
                 for add in constructions._commutative_monoids(n, idem)):
@@ -1211,6 +1237,9 @@ def test_table_search_against_recursive_oracle(m3, monkeypatch):
         monkeypatch.setattr(core, "_SLAB_CELLS", slab)
         for neutral, cells, want in monoid_searches:
             got = constructions._table_search(neutral, cells, symmetric=True)
+            assert got.tolist() == want
+        for join, cells, floors, want in join_searches:
+            got = constructions._table_search(join, cells, symmetric=True, floors=floors)
             assert got.tolist() == want
         for add, want in mul_searches:
             assert constructions._multiplications(add).tolist() == want

@@ -4,11 +4,11 @@ Every suite report prints fingerprints and catalog names, so a change in
 any of these values changes the reports.  Two silent ways to break them:
 numpy scalars leaking into ``canonical_form`` (under numpy 2 they print as
 ``np.int32(0)``, which changes every fingerprint), and a change in the order
-in which the catalog discovers its classes (``hrN_XXX`` and ``aiN_XXX`` are
-numbered in discovery order).  The catalogs one order past the shipped
-enumeration bounds are pinned too, with the bounds raised for the test, and
-so are the largest opt-in suite reports, ``thm3_3`` and ``cor3_8`` at
-``--max-order 6``.  Above order 8 a fingerprint hashes the colour
+in which the catalog discovers its classes (``slN_XXX``, ``hrN_XXX`` and
+``aiN_XXX`` are numbered in discovery order).  The catalogs one order past
+the shipped enumeration bounds are pinned too, with the bounds raised for
+the test, and so are the largest opt-in suite reports, ``thm3_3`` and
+``cor3_8`` at ``--max-order 6``.  Above order 8 a fingerprint hashes the colour
 refinement instead of the canonical form; five such are pinned.  Every
 default suite report is pinned in its text render (the CLI's default
 format), and every suite's report one order past its bound in both renders.
@@ -97,6 +97,17 @@ def test_idempotent_catalog_past_the_shipped_bound(monkeypatch):
     monkeypatch.setattr(constructions, "HEMIRING_IDEMPOTENT_BOUND", 5)
     counts = [len(enumerate_hemirings(n, additively_idempotent=True)) for n in range(1, 6)]
     assert counts == PINNED["class_counts"]["idempotent"]
+
+
+def test_semilattice_catalog_pinned(monkeypatch):
+    # every class of orders 1-6, and of order 7 with the bound raised: the
+    # names number the classes in discovery order, and thm3_3 and cor3_8
+    # print them
+    monkeypatch.setattr(constructions, "SEMILATTICE_ORDER_BOUND", 7)
+    digest = lambda M: hashlib.sha256(repr(tuple(M.join.ravel().tolist())).encode()).hexdigest()
+    for n in range(1, 8):
+        got = [[M.name, digest(M)[:12]] for M in enumerate_semilattices(n)]
+        assert got == PINNED["semilattices"][str(n)], n
 
 
 def test_thm3_3_at_order_6_pinned():

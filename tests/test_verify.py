@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hemirings import (
@@ -42,6 +43,19 @@ def test_non_positive_max_order_rejected(max_order):
     for name in suite_names():
         with pytest.raises(ValueError, match="max-order"):
             run_suite(name, max_order)
+
+
+@pytest.mark.parametrize("max_order", [2.0, True], ids=["2.0", "True"])
+def test_non_integer_max_order_rejected(max_order):
+    # both used to raise TypeError inside the suite
+    with pytest.raises(ValueError, match=rf"^suite thm3_3: max-order must be an integer; "
+                                         rf"got {max_order!r}$"):
+        run_suite("thm3_3", max_order)
+
+
+def test_numpy_integer_max_order():
+    assert run_suite("thm3_3", np.int64(2)).render("structured") == \
+        run_suite("thm3_3", 2).render("structured")
 
 
 def test_oversized_bound_reports_skipped():
