@@ -468,8 +468,8 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
     numbered in discovery order, which the cell and value orders of the
     search fix.  The search drops every table with a failing law instance,
     so each entry is a hemiring by construction and is not re-validated.
-    Each entry carries its canonical form, which it is itself, for
-    ``canonical_form``.
+    Each entry is its own canonical form, so it carries that form with the
+    identity labelling for ``canonical_form`` and ``is_isomorphic``.
     """
     if not _is_integer(order) or order < 1:
         raise ValueError(f"order must be a positive integer; got {order!r}")
@@ -494,6 +494,6 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
                     np.array(key[1], dtype=np.int32).reshape(order, order),
                     zero=0, one=key[2], name=f"{tag}{order}_{len(seen):03d}",
                     validate=False)
-                R._memo["canonical_form"] = key
+                R._memo["canonical_labelling"] = key, tuple(range(order))
                 seen[key] = R
     return [seen[key] for key in sorted(seen)]

@@ -776,29 +776,37 @@ def _wl_colors(R: FiniteHemiring) -> tuple[int, ...]:
 def is_isomorphic(R: FiniteHemiring, S: FiniteHemiring) -> HomMap | None:
     """An isomorphism R -> S, or None.
 
-    Invariant fingerprints (color refinement over both tables, derived from
-    idempotent counts and row structure) prune before backtracking, so the
-    search stays far from the naive n! bound.
+    Up to order 8, where ``canonical_form`` is exact, R and S are isomorphic
+    iff their canonical forms are equal, and the isomorphism sends x to the
+    element of S with x's canonical label; both labellings are memoised.
+    Above it, color refinement prunes the candidates of each element before
+    backtracking, so the search stays far from the naive n! bound.
     """
     if R.order != S.order:
         return None
     if (R.one is None) != (S.one is None):
         return None
-    colR, colS = _wl_colors(R), _wl_colors(S)
-    if sorted(colR) != sorted(colS):
-        return None
-
     n = R.order
-    by_color: dict[int, list[int]] = {}
-    for y, c in enumerate(colS):
-        by_color.setdefault(c, []).append(y)
-    domains = [by_color[c] for c in colR]
-    # most constrained elements first
-    order = sorted(range(n), key=lambda x: (len(domains[x]), x))
-    f = next(_map_search(n, order, domains, tables=((R.add, S.add), (R.mul, S.mul)),
-                         injective=True), None)
-    if f is None:
-        return None
+    if n <= 8:
+        (formR, labelsR), (formS, labelsS) = _canonical_labelling(R), _canonical_labelling(S)
+        if formR != formS:
+            return None
+        element = sorted(range(n), key=labelsS.__getitem__)    # S's element with each label
+        f = tuple(element[label] for label in labelsR)
+    else:
+        colR, colS = _wl_colors(R), _wl_colors(S)
+        if sorted(colR) != sorted(colS):
+            return None
+        by_color: dict[int, list[int]] = {}
+        for y, c in enumerate(colS):
+            by_color.setdefault(c, []).append(y)
+        domains = [by_color[c] for c in colR]
+        # most constrained elements first
+        order = sorted(range(n), key=lambda x: (len(domains[x]), x))
+        f = next(_map_search(n, order, domains, tables=((R.add, S.add), (R.mul, S.mul)),
+                             injective=True), None)
+        if f is None:
+            return None
     if not _is_hom(R, S, f):
         raise RuntimeError(f"isomorphism search returned a non-homomorphism {f}")
     return HomMap(R, S, f)
@@ -927,22 +935,29 @@ def _lex_least_relabeling(stack, zero: int) -> Iterator[tuple[tuple[int, ...], l
             for f, labels in zip(np.concatenate(forms), pw[:, rename]))
 
 
-@_memoised("canonical_form")
-def canonical_form(R: FiniteHemiring) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
-    """Lexicographically least (add, mul) relabeling fixing zero at index 0.
+@_memoised("canonical_labelling")
+def _canonical_labelling(R: FiniteHemiring) -> tuple[tuple, tuple[int, ...]]:
+    """(``canonical_form(R)``, the label of each element under a relabeling
+    that attains it), from one ``_lex_least_relabeling`` call.
 
     Only meant for catalog-scale algebras: it ranges over the (n-1)!
     relabelings fixing zero, built once per order.  Zero's rows of + and *
     (neutral and absorbing) read the same under each of them and are never
     scored; the first live row, row 1 of +, is decided cell by cell while
-    many relabelings stay tied (``_lex_least_relabeling``).
-    The form is memoised on R; catalog entries come with theirs.
+    many relabelings stay tied.  Memoised on R; catalog entries come with
+    theirs, the identity labelling.
     """
     n = R.order
     if n > 8:
         raise SizeGuardExceeded(f"canonical form is factorial-cost; order {n} > 8")
     [(flat, p)] = _lex_least_relabeling([(R.add, R.mul)], R.zero)
-    return flat[:n * n], flat[n * n:], None if R.one is None else p[R.one]
+    return (flat[:n * n], flat[n * n:], None if R.one is None else p[R.one]), tuple(p)
+
+
+def canonical_form(R: FiniteHemiring) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
+    """Lexicographically least (add, mul) relabeling fixing zero at index 0,
+    and the label of one; exact up to order 8 (``_canonical_labelling``)."""
+    return _canonical_labelling(R)[0]
 
 
 def fingerprint(R: FiniteHemiring) -> str:

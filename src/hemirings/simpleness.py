@@ -493,13 +493,15 @@ def is_ideal_simple(R: FiniteHemiring) -> bool:
     is known to generate R; any total order keeps that induction sound,
     and this one builds 86 generated ideals over one round of the
     ``classify`` benchmark where index order builds 160.  <x> contains
-    r * x and x * r, so one numpy pass settles every x with such a product
-    nonzero and before x; only the other x build their generated ideal,
-    the k-th charged k x n^2 cells against ``CLOSURE_BUDGET`` first.
+    r * x, x * r and x + x, so one numpy pass settles every x with such an
+    element nonzero and before x; only the other x build their generated
+    ideal, the k-th charged k x n^2 cells against ``CLOSURE_BUDGET`` first.
+    On Z_127 with zero multiplication that leaves 63 of the 126.
     """
     _check_closure_budget(1, R.order, "ideal-simple decision")
     order, rank = _sweep_order(R)
-    rows = rank[np.concatenate([R.mul.T, R.mul], axis=1)]   # row x: r * x, x * r
+    # row x: r * x, x * r, x + x
+    rows = rank[np.concatenate([R.mul.T, R.mul, R.add.diagonal()[:, None]], axis=1)]
     settled = ((rows != 0) & (rows < rank[:, None])).any(axis=1)
     pending = [x for x in order[1:].tolist() if not settled[x]]
     for k, x in enumerate(pending, 1):

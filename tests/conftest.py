@@ -72,6 +72,18 @@ def relabeled(R, perm):
     return FiniteHemiring(add, mul, zero=int(p[R.zero]), one=one)
 
 
+def is_isomorphism(R, S, f) -> bool:
+    """The literal definition: f is a bijection R -> S that keeps zero,
+    one, + and *."""
+    m = np.asarray(f)
+    if sorted(f) != list(range(S.order)) or m[R.zero] != S.zero:
+        return False
+    if R.one is not None and m[R.one] != S.one:
+        return False
+    return bool((S.add[np.ix_(m, m)] == m[R.add]).all()
+                and (S.mul[np.ix_(m, m)] == m[R.mul]).all())
+
+
 def ideal_violation(R, members, sidedness: str):
     """None if members form an ideal of the declared sidedness, else a reason."""
     mem = frozenset(int(x) for x in members)

@@ -33,6 +33,8 @@ from hemirings.constructions import (
     corner_ideal_to_ring,
 )
 
+from conftest import is_isomorphism, relabeled
+
 
 def test_boolean_and_two_tables(B, two):
     assert B.add[1, 1] == 1 and B.mul[1, 1] == 1 and B.one == 1
@@ -329,14 +331,34 @@ def test_catalog_determinism():
 def test_catalog_entries_carry_their_canonical_form(plain_hemirings_upto3,
                                                    idem_hemirings_upto4):
     """The form each entry is seeded with equals the form of a fresh,
-    unseeded copy; every entry is its own canonical form."""
+    unseeded copy; every entry is its own canonical form, so the seeded
+    identity labelling attains it."""
     for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4):
-        seeded = R._memo["canonical_form"]
+        seeded, labels = R._memo["canonical_labelling"]
         fresh = FiniteHemiring(R.add, R.mul, zero=R.zero, one=R.one)
-        assert "canonical_form" not in fresh._memo
+        assert "canonical_labelling" not in fresh._memo
         assert canonical_form(fresh) == seeded, R.name
-        assert seeded == (tuple(R.add.ravel().tolist()), tuple(R.mul.ravel().tolist()), R.one)
+        assert labels == tuple(range(R.order))
+        T = relabeled(R, labels)
+        assert seeded == (tuple(T.add.ravel().tolist()), tuple(T.mul.ravel().tolist()), T.one)
         assert canonical_form(R) is seeded
+
+
+def test_catalog_isomorphism_in_every_memo_state(plain_hemirings_upto3, idem_hemirings_upto4):
+    """``is_isomorphic`` between a catalog entry and a relabelled copy
+    returns an isomorphism whether neither side, one side or both sides
+    already hold their canonical labelling."""
+    rng = np.random.default_rng(7)
+    for R in list(plain_hemirings_upto3) + list(idem_hemirings_upto4):
+        perm = rng.permutation(R.order)
+        bare = FiniteHemiring(R.add, R.mul, zero=R.zero, one=R.one)
+        S = relabeled(R, perm)
+        for A, C, memoised in ((bare, S, [False, False]),
+                               (R, relabeled(R, perm), [True, False]),
+                               (R, S, [True, True])):
+            assert ["canonical_labelling" in X._memo for X in (A, C)] == memoised
+            iso = is_isomorphic(A, C)
+            assert iso is not None and is_isomorphism(A, C, iso.map), (R.name, memoised)
 
 
 def test_hemiring_enumeration_guard():

@@ -23,7 +23,13 @@ from hemirings.core import as_op_table
 from hemirings.lattices import induced_order
 from hemirings.simpleness import is_ideal_simple, is_simple
 
-from conftest import chain3_min_semiring
+from conftest import (
+    chain3_min_semiring,
+    chain_semilattice,
+    direct_product,
+    is_isomorphism,
+    relabeled,
+)
 
 
 def test_boolean_axioms_pass(B):
@@ -280,13 +286,44 @@ def test_proper_ideal_simple_semirings_strongly_semiisomorphic_to_idempotent_sim
                    for S in targets), R.name
 
 
-def test_isomorphism_search_agrees_with_canonical_forms(plain_hemirings_upto3):
-    # two independent mechanisms: permutation-minimized canonical forms vs
-    # color-refined backtracking; they must induce the same classification
-    from hemirings.core import canonical_form
-    rings = [R for R in plain_hemirings_upto3 if R.order == 3]
-    assert len(rings) >= 10
-    for i, R in enumerate(rings):
-        for S in rings[i:]:
-            same_canon = canonical_form(R) == canonical_form(S)
-            assert (is_isomorphic(R, S) is not None) == same_canon
+def test_isomorphism_agrees_with_injective_hom_search(plain_hemirings_upto3,
+                                                      idem_hemirings_upto4, B):
+    """``is_isomorphic`` against an oracle that shares none of its
+    machinery: between algebras of one order an injective hom is an
+    isomorphism, and ``hom_search`` finds one by plain backtracking.
+
+    Every catalog entry is compared with a seeded relabelling of each entry
+    of its order.  Products of orders 6 and 8 built here, none memoised,
+    are compared with relabellings of each other; hr3 x hr2 is hr2 x hr3
+    with other labels, and B^3 has 6 automorphisms.  A relabelled E_M of
+    order 20 keeps the search path above order 8 covered."""
+    from hemirings import build_E_M
+    rng = np.random.default_rng(33)
+
+    def agree(Rs, Ss):
+        for R, S in itertools.product(Rs, Ss):
+            if R.order != S.order:
+                continue
+            iso = is_isomorphic(R, S)
+            assert (iso is not None) == bool(hom_search(R, S, injective=True)), (R.name, S.name)
+            assert iso is None or is_isomorphism(R, S, iso.map), (R.name, S.name)
+
+    catalogs = list(plain_hemirings_upto3) + list(idem_hemirings_upto4)
+    agree(catalogs, [relabeled(R, rng.permutation(R.order)) for R in catalogs])
+
+    hr2 = [R for R in plain_hemirings_upto3 if R.order == 2]
+    hr3 = [R for R in plain_hemirings_upto3 if R.order == 3]
+    ai4 = [R for R in idem_hemirings_upto4 if R.order == 4]
+    pairs = ([(hr2[i], hr3[j]) for i, j in zip(rng.integers(len(hr2), size=4),
+                                                rng.integers(len(hr3), size=4))]
+             + [(hr2[i], ai4[j]) for i, j in zip(rng.integers(len(hr2), size=4),
+                                                  rng.integers(len(ai4), size=4))])
+    products = ([direct_product(R, S) for R, S in pairs]
+                + [direct_product(*reversed(pairs[0])), direct_product(B, B, B)])
+    agree(products, [relabeled(P, rng.permutation(P.order)) for P in products])
+    B3 = products[-1]
+    assert len(hom_search(B3, B3, injective=True)) == 6
+
+    E = build_E_M(chain_semilattice(4)).hemiring
+    assert E.order == 20
+    agree([E], [relabeled(E, rng.permutation(E.order))])
