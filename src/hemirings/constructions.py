@@ -13,15 +13,21 @@ associativity (or, over a given addition, distributivity) instance whose
 lookups are all assigned fails.  It runs level by level, one cell per
 level, over a frontier array of all partial tables that survive, checked
 slab by slab in one numpy pass each, so the completions come out in
-lexicographic order.  Additive monoids are its symmetric completions of
-the neutral row and column; the semilattice join tables its symmetric
-completions of the neutral row and column, the identity diagonal and the
-top's row and column, with floors that keep the labelling natural;
-multiplications its completions of the zero row and column.  Results are
-deduplicated by canonical form under carrier permutations that fix zero,
-one batched relabeling (``core._lex_least_relabeling``) per batch: all
-monoids of an order, all multiplications over one additive monoid, all
-join tables of an order.
+lexicographic order.  The first level checks every law instance; each
+later level checks only the instances that can read its new cell, about
+2n^2 associativity and n^2 per distributive law of the n^3 each.
+Additive monoids are its symmetric completions of the neutral row and
+column; the semilattice join tables its symmetric completions of the
+neutral row and column, the identity diagonal and the top's row and
+column n - 1, with floors that keep the labelling natural;
+multiplications its completions of the zero row and column, over all
+additive monoids of an order in one frontier whose rows carry their
+addition.  Results are deduplicated by canonical form under carrier
+permutations that fix zero, one batched relabeling
+(``core._lex_least_relabeling``) per catalog: all monoids of an order,
+all (addition, multiplication) pairs of an order, all join tables of an
+order.  The join tables of each order are built once per process and
+shared by the semilattice catalog and the idempotent hemiring catalog.
 
 Every builder here returns an algebra by construction (a catalog table
 passed every law instance of the search; M_n(R), eRe and the finite fields
@@ -30,6 +36,8 @@ the tests re-check each kind of output with ``check_hemiring_axioms``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -313,22 +321,59 @@ def corner_congruence_to_ring(R: FiniteHemiring, c: CornerSemiring,
     return theta
 
 
-def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
+@functools.cache
+def _law_lookups(n: int) -> tuple[np.ndarray, ...]:
+    """a, b and c of the n^3 instances (a, b, c), a-major, and per law the
+    cells its two sides read, as the rows of one stack: (ab, c, a, bc) for
+    (ab)c = a(bc), (a, b + c, ab, ac) for a(b + c) = ab + ac and
+    (a + c, b, ab, cb) for (a + c)b = ab + cb.  A cell is its offset in a
+    frontier row of ``_table_search`` (the (n + 1)-wide padded table, then
+    the addition at offset (n + 1)^2, which holds b + c and a + c); a lone
+    row index stands as the offset of its row (a as a(n + 1)), a lone
+    column index as itself.  Built once per order and read-only, since
+    every search of the order shares them."""
+    m = n + 1
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    am = a * m
+    ab, bc, ac, cb = am + b, b * m + c, am + c, c * m + b
+    mm = m * m
+    out = (a, b, c, np.stack((ab, c, am, bc)), np.stack((am, mm + bc, ab, ac)),
+           np.stack((mm + ac, b, ab, cb)))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+def _table_search(table: np.ndarray, cells, adds: np.ndarray | None = None,
                   symmetric: bool = False, floors=None) -> np.ndarray:
     """Every completion of ``table`` over ``cells`` that is associative and,
-    given ``add``, distributive over it on both sides, as an (m, n, n)
-    stack.  Cell ``cells[t]`` takes the values ``floors[t]``..n-1 (all
-    values when ``floors`` is None).
+    given the (k, n, n) stack ``adds``, distributive on both sides over one
+    of its additions.  Cell ``cells[t]`` takes the values
+    ``floors[t]``..n-1 (all values when ``floors`` is None).  Without
+    ``adds`` the completions come as an (m, n, n) stack.  With them, one
+    frontier serves every addition: it is seeded with one row per
+    addition, each row carries its addition after its table, and the
+    completions come as an (m, 2, n, n) stack of (addition, completion)
+    pairs, addition-major.
 
     A level-by-level search over a frontier of partial tables, one row per
-    table, kept in lexicographic order of their assigned cell values.  At
-    each cell, every row is expanded by the cell's values (parent-major,
-    value-minor; mirrored to (j, i) when ``symmetric``) and the children in
-    which some law instance with all lookups assigned fails are dropped,
-    all in one numpy pass per slab of rows (``core._slab(v * n ** 3)``
-    rows for v values: a row's v children check n^3 instances each).
-    Completions therefore come out in lexicographic order of their cell
-    values.  Cells outside ``cells`` count as assigned.
+    table, kept in lexicographic order of the seed and then of the
+    assigned cell values.  At each cell, every row is expanded by the
+    cell's values (parent-major, value-minor; mirrored to (j, i) when
+    ``symmetric``) and the children in which some law instance with all
+    lookups assigned fails are dropped, all in one numpy pass per slab of
+    rows (``core._slab(v * k)`` rows for v values, k the most instances of
+    one law a child checks).  Completions therefore come out seed-major,
+    then in lexicographic order of their cell values.  Cells outside
+    ``cells`` count as assigned.
+
+    The first level checks every instance, which covers the given cells.
+    After that, a level checks only the instances that can read its new
+    cell (i, j), or (j, i) when ``symmetric``, since every other instance
+    reads what its parent's did: associativity (ab)c = a(bc) with a = i or
+    c = j (2n^2 - n of the n^3), left distributivity a(b + c) = ab + ac
+    with a = i (n^2) and right distributivity (a + c)b = ab + cb with b = j
+    (n^2); when symmetric, i and j each stand for both.
 
     Tables are padded to (n + 1) x (n + 1) and an unassigned cell holds n,
     as do the padding row and column, so a lookup through an unassigned
@@ -337,56 +382,73 @@ def _table_search(table: np.ndarray, cells, add: np.ndarray | None = None,
     """
     n = table.shape[0]
     m = n + 1
+    mm = m * m
     pad = np.full((m, m), n, dtype=np.int8)
     pad[:n, :n] = table
     flat = [i * m + j for i, j in cells]
     mirror = [j * m + i for i, j in cells] if symmetric else flat
     pad.flat[flat] = pad.flat[mirror] = n
-    a, b, c = np.indices((n, n, n)).reshape(3, -1)
-    am = a * m
-    ab, bc = am + b, b * m + c
-    if add is not None:
-        plus = np.full((m, m), n, dtype=np.int8)
-        plus[:n, :n] = add
-        plus = plus.ravel()
-        ac, cb = am + c, c * m + b
-        left = am + plus[bc]                  # a(b + c) = ab + ac
-        right = plus[ac] * m + b              # (a + c)b = ab + cb
+    front = pad.reshape(1, mm)
+    if adds is not None:
+        # each row is the table followed by its addition, at offset m^2
+        sums = np.full((len(adds), m, m), n, dtype=np.int8)
+        sums[:, :n, :n] = adds
+        front = np.hstack((front.repeat(len(adds), axis=0), sums.reshape(-1, mm)))
 
-    def consistent(kids: np.ndarray) -> np.ndarray:
-        # a lookup kids[r, cell] reads values[r * m^2 + cell]; the indices
-        # are built in place in one buffer
+    def completions(front: np.ndarray) -> np.ndarray:
+        tables = front.reshape(len(front), front.shape[1] // mm, m, m)
+        tables = tables[:, ::-1, :n, :n].astype(np.int32)
+        return tables[:, 0] if adds is None else tables
+
+    if not cells:
+        return completions(front)
+    a, b, c, assoc, left, right = _law_lookups(n)
+    # which instances each level checks: level t's cell is (i[t], j[t]),
+    # and (j[t], i[t]) when symmetric
+    i, j = np.array(cells, dtype=np.intp).T[:, :, None]
+    on_row = (lambda x: (x == i) | (x == j)) if symmetric else (lambda x: x == i)
+    on_col = on_row if symmetric else (lambda x: x == j)
+    laws = [(assoc, on_row(a) | on_col(c))]
+    if adds is not None:
+        laws += [(left, on_row(a)), (right, on_col(b))]
+    for _, checked in laws:
+        checked[0] = True
+    row = np.arange(m) * m                   # the cell offset of row v
+    sum_row = row + mm                       # of row v of the addition
+
+    def consistent(kids: np.ndarray, level: list[np.ndarray]) -> np.ndarray:
+        # a lookup kids[r, cell] reads values[r * width + cell]
         values = kids.ravel()
-        base = np.arange(0, kids.size, m * m)[:, None]
-        x = kids[:, ab].astype(np.intp)
-        x *= m                                # the row of ab, as a cell offset
-        idx = base + c
-        idx += x
-        lhs = values[idx]                     # (ab)c = a(bc)
-        np.add(base, am, out=idx)
-        idx += kids[:, bc]
-        rhs = values[idx]
-        bad = (lhs != rhs) & (lhs < n) & (rhs < n)
-        if add is not None:
-            for cell, other in ((left, ac), (right, cb)):
-                np.add(x, kids[:, other], out=idx)
-                lhs, rhs = kids[:, cell], plus[idx]
-                bad |= (lhs != rhs) & (lhs < n) & (rhs < n)
-        return ~bad.any(axis=1)
+        base = np.arange(0, kids.size, kids.shape[1])[:, None]
+        read = lambda at: kids.take(at, axis=1)
 
-    front = pad.reshape(1, m * m)
-    for p, q, least in zip(flat, mirror, floors or [0] * len(flat)):
+        def fails(lhs, rhs):
+            lhs, rhs = values.take(lhs + base), values.take(rhs + base)
+            return ((lhs != rhs) & (np.maximum(lhs, rhs) < n)).any(axis=1)
+
+        ab_, c_, a_, bc_ = level[0]
+        bad = fails(row.take(read(ab_)) + c_, a_ + read(bc_))              # (ab)c = a(bc)
+        if len(level) > 1:
+            a_, bc_, ab_, ac_ = level[1]                                   # a(b + c) = ab + ac
+            bad |= fails(a_ + read(bc_), sum_row.take(read(ab_)) + read(ac_))
+            ac_, b_, ab_, cb_ = level[2]                                   # (a + c)b = ab + cb
+            bad |= fails(row.take(read(ac_)) + b_, sum_row.take(read(ab_)) + read(cb_))
+        return ~bad
+
+    for t, (p, q, least) in enumerate(zip(flat, mirror, floors or [0] * len(flat))):
         if not len(front):
             break
+        level = [idx[:, checked[t]] for idx, checked in laws]
         vals = np.arange(least, n, dtype=np.int8)
-        step = _slab(len(vals) * n ** 3)
+        step = _slab(len(vals) * max(idx.shape[1] for idx in level))
         slabs = []
         for s in range(0, len(front), step):
             kids = np.repeat(front[s:s + step], len(vals), axis=0)
-            kids[:, p] = kids[:, q] = np.tile(vals, len(kids) // len(vals))
-            slabs.append(kids[consistent(kids)])
+            grid = kids.reshape(-1, len(vals), kids.shape[1])    # [parent, value, cell]
+            grid[:, :, p] = grid[:, :, q] = vals
+            slabs.append(kids[consistent(kids, level)])
         front = np.concatenate(slabs)
-    return front.reshape(-1, m, m)[:, :n, :n].astype(np.int32)
+    return completions(front)
 
 
 def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
@@ -403,14 +465,24 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     significant, the order that numbers the names, and deduped by
     canonical join table, all tables in one batched relabeling.  Such a
     join table is a semilattice with zero by construction and is not
-    re-validated.
+    re-validated.  The tables of each order are built once per process
+    (``_join_tables``) and shared, read-only, by every call.
     """
     if not _is_integer(order) or order < 1:
         raise ValueError(f"order must be a positive integer; got {order!r}")
     if order > SEMILATTICE_ORDER_BOUND:
         raise SizeGuardExceeded(f"semilattice enumeration is bounded at order "
                                  f"{SEMILATTICE_ORDER_BOUND}; asked for {order}")
-    n = order
+    names, joins = _join_tables(order)
+    return [FiniteSemilattice(J, zero=0, name=name, validate=False)
+            for name, J in zip(names, joins)]
+
+
+@functools.cache
+def _join_tables(n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names and canonical join tables of the semilattice classes of
+    order n, sorted by table, as a read-only (k, n, n) int32 stack; the
+    names number the classes in discovery order (``enumerate_semilattices``)."""
     ids = np.arange(n)
     join = np.full((n, n), n - 1, dtype=np.int32)
     join[0] = join[:, 0] = join[ids, ids] = ids
@@ -419,34 +491,36 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     if cells:
         i, j = np.array(cells).T
         joins = joins[np.lexsort((joins[:, i, j] == j).T[::-1])]
-    seen: dict[tuple, FiniteSemilattice] = {}
-    for key, _ in _lex_least_relabeling(joins[:, None], 0):
-        if key not in seen:
-            seen[key] = FiniteSemilattice(np.array(key, dtype=np.int32).reshape(n, n),
-                                          zero=0, name=f"sl{n}_{len(seen):03d}",
-                                          validate=False)
-    return [seen[key] for key in sorted(seen)]
+    seen = {key: f"sl{n}_{k:03d}" for k, key in enumerate(dict.fromkeys(
+        key for key, _ in _lex_least_relabeling(joins[:, None], 0)))}
+    keys = sorted(seen)
+    tables = np.array(keys, dtype=np.int32).reshape(len(keys), n, n)
+    tables.flags.writeable = False
+    return tuple(seen[key] for key in keys), tables
 
 
-def _commutative_monoids(order: int, idempotent: bool = False) -> list[np.ndarray]:
-    """Commutative monoid tables with neutral 0, up to iso (canonical reps)."""
+def _commutative_monoids(order: int, idempotent: bool = False) -> np.ndarray:
+    """Commutative monoid tables with neutral 0, up to iso (canonical reps),
+    as a (k, n, n) stack; the idempotent ones are the shared, read-only
+    join tables of ``_join_tables``."""
     if idempotent:
-        return [M.join.copy() for M in enumerate_semilattices(order)]
+        return _join_tables(order)[1]
     n = order
     neutral = np.zeros((n, n), dtype=np.int32)
     neutral[0, :] = neutral[:, 0] = np.arange(n)
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     found = _table_search(neutral, cells, symmetric=True)
     keys = dict.fromkeys(key for key, _ in _lex_least_relabeling(found[:, None], 0))
-    return [np.array(key, dtype=np.int32).reshape(n, n) for key in keys]
+    return np.array(list(keys), dtype=np.int32).reshape(len(keys), n, n)
 
 
-def _multiplications(add: np.ndarray) -> np.ndarray:
-    """All associative, bidistributive multiplications over a fixed addition,
-    with 0 absorbing, as an (m, n, n) stack."""
-    n = add.shape[0]
+def _multiplications(adds: np.ndarray) -> np.ndarray:
+    """All associative, bidistributive multiplications with 0 absorbing over
+    each addition of the (k, n, n) stack ``adds``, as an (m, 2, n, n) stack
+    of (addition, multiplication) pairs, addition-major."""
+    n = adds.shape[-1]
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    return _table_search(np.zeros((n, n), dtype=np.int32), cells, add=add)
+    return _table_search(np.zeros((n, n), dtype=np.int32), cells, adds=adds)
 
 
 def _identities(muls: np.ndarray) -> list[int | None]:
@@ -454,22 +528,26 @@ def _identities(muls: np.ndarray) -> list[int | None]:
     None."""
     idx = np.arange(muls.shape[-1])
     is_one = (muls == idx).all(axis=2) & (muls.transpose(0, 2, 1) == idx).all(axis=2)
-    return [int(e.argmax()) if e.any() else None for e in is_one]
+    return [e if found else None
+            for e, found in zip(is_one.argmax(axis=1).tolist(), is_one.any(axis=1).tolist())]
 
 
 def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list[FiniteHemiring]:
     """All isomorphism classes of hemirings of the given order.
 
-    The additive monoid is fixed first (few classes), then the table search
-    fills the multiplication cells (1..n-1)^2 level by level over a batch of
-    partial tables, pruning on associativity and both distributive laws;
-    one batched relabeling per additive monoid gives the global canonical
-    forms of all its multiplications, which dedupe the results.  Names are
-    numbered in discovery order, which the cell and value orders of the
-    search fix.  The search drops every table with a failing law instance,
-    so each entry is a hemiring by construction and is not re-validated.
-    Each entry is its own canonical form, so it carries that form with the
-    identity labelling for ``canonical_form`` and ``is_isomorphic``.
+    The additive monoids are fixed first (few classes), then one table
+    search fills the multiplication cells (1..n-1)^2 over all of them at
+    once, level by level over a batch of partial tables, each carrying its
+    addition, pruning on associativity and both distributive laws.  One
+    batched relabeling of all (addition, multiplication) pairs gives their
+    global canonical forms, which dedupe the results.  Names are numbered
+    in discovery order, which the monoid order and the cell and value
+    orders of the search fix.  The search drops every table with a failing
+    law instance, so each entry is a hemiring by construction and is not
+    re-validated; the entries' tables are views of one read-only int32
+    stack.  Each entry is its own canonical form, so it carries that form
+    with the identity labelling for ``canonical_form`` and
+    ``is_isomorphic``.
     """
     if not _is_integer(order) or order < 1:
         raise ValueError(f"order must be a positive integer; got {order!r}")
@@ -480,20 +558,19 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
                                  f"asked for {order}")
     cells = order * order
     tag = "ai" if additively_idempotent else "hr"
-    seen: dict[tuple, FiniteHemiring] = {}
-    for add in _commutative_monoids(order, additively_idempotent):
-        muls = _multiplications(add)
-        pairs = np.empty((len(muls), 2, order, order), dtype=np.int8)
-        pairs[:, 0], pairs[:, 1] = add, muls
-        forms = _lex_least_relabeling(pairs, 0)
-        for (flat, p), one in zip(forms, _identities(muls)):
-            key = (flat[:cells], flat[cells:], None if one is None else p[one])
-            if key not in seen:
-                R = FiniteHemiring(
-                    np.array(key[0], dtype=np.int32).reshape(order, order),
-                    np.array(key[1], dtype=np.int32).reshape(order, order),
-                    zero=0, one=key[2], name=f"{tag}{order}_{len(seen):03d}",
-                    validate=False)
-                R._memo["canonical_labelling"] = key, tuple(range(order))
-                seen[key] = R
-    return [seen[key] for key in sorted(seen)]
+    pairs = _multiplications(_commutative_monoids(order, additively_idempotent))
+    names: dict[tuple, str] = {}
+    for (flat, p), one in zip(_lex_least_relabeling(pairs, 0), _identities(pairs[:, 1])):
+        key = (flat, None if one is None else p[one])
+        if key not in names:
+            names[key] = f"{tag}{order}_{len(names):03d}"
+    keys = sorted(names)
+    tables = np.array([flat for flat, _ in keys], dtype=np.int32).reshape(-1, 2, order, order)
+    tables.flags.writeable = False
+    out = []
+    for (flat, one), (add, mul) in zip(keys, tables):
+        R = FiniteHemiring._of_tables(add, mul, 0, one, names[flat, one])
+        R._memo["canonical_labelling"] = ((flat[:cells], flat[cells:], one),
+                                          tuple(range(order)))
+        out.append(R)
+    return out

@@ -413,6 +413,16 @@ class FiniteHemiring:
             if not report.ok:
                 raise AxiomError(report)
 
+    @classmethod
+    def _of_tables(cls, add: np.ndarray, mul: np.ndarray, zero: int, one: int | None,
+                   name: str) -> "FiniteHemiring":
+        """A hemiring on read-only int32 tables the package built, such as
+        the views of a catalog's table stack, kept as they are: no copy, no
+        coercion and no axiom scan."""
+        R = cls.__new__(cls)
+        R.add, R.mul, R.zero, R.one, R.name, R._memo = add, mul, zero, one, name, {}
+        return R
+
     @property
     def order(self) -> int:
         return self.add.shape[0]

@@ -28,6 +28,7 @@ from hemirings.core import (
     canonical_form,
     check_hemiring_axioms,
 )
+from hemirings import constructions
 from hemirings.constructions import (
     corner_congruence_to_ring,
     corner_ideal_to_ring,
@@ -342,6 +343,31 @@ def test_catalog_entries_carry_their_canonical_form(plain_hemirings_upto3,
         T = relabeled(R, labels)
         assert seeded == (tuple(T.add.ravel().tolist()), tuple(T.mul.ravel().tolist()), T.one)
         assert canonical_form(R) is seeded
+
+
+def test_catalog_tables_are_shared_and_read_only(plain_hemirings_upto3):
+    """The entries of a hemiring catalog sit on one read-only int32 table
+    stack; the join tables of an order are built once, and the semilattice
+    catalog and the idempotent hemiring catalog's additive monoids share
+    them, while each call still gets its own semilattice objects."""
+    hr3 = [R for R in plain_hemirings_upto3 if R.order == 3]
+    for R in hr3:
+        for T in (R.add, R.mul):
+            assert T.dtype == np.int32 and not T.flags.writeable
+            with pytest.raises(ValueError):
+                T[0, 0] = 1
+    stack = hr3[0].add.base
+    assert stack is not None and stack.size == 2 * 9 * len(hr3)
+    assert all(R.add.base is R.mul.base is stack for R in hr3)
+    for n in range(1, 7):
+        catalog = enumerate_semilattices(n)
+        monoids = constructions._commutative_monoids(n, idempotent=True)
+        assert not monoids.flags.writeable
+        assert [M.join.tolist() for M in catalog] == monoids.tolist()
+        assert all(np.shares_memory(M.join, monoids) for M in catalog)
+        assert constructions._commutative_monoids(n, idempotent=True) is monoids
+        assert [M.name for M in enumerate_semilattices(n)] == [M.name for M in catalog]
+        assert enumerate_semilattices(n)[0] is not catalog[0]
 
 
 def test_catalog_isomorphism_in_every_memo_state(plain_hemirings_upto3, idem_hemirings_upto4):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1199,13 +1200,14 @@ def recursive_table_search(table, cells, add=None, symmetric=False, floors=None)
     return out
 
 
-def test_table_search_against_recursive_oracle(m3, monkeypatch):
+def test_table_search_against_recursive_oracle(m3, idem_hemirings_upto4, monkeypatch):
     """Ordered lists of completions (of neutral rows and columns, of join
-    tables with a fixed top and floors, and of zero rows and columns over
-    an addition), under several slab sizes; under the same sizes, the row
-    slabs of ``matrix_semiring`` (M_2 of GF(3) and of an order-3 semiring)
-    and of ``_pack_maps`` (E_M of the diamond lattice) against their loop
-    references."""
+    tables with a fixed top and floors, of zero rows and columns over
+    every additive monoid of an order in one call, each row with its
+    monoid, and of catalog tables with cells freed), under several slab
+    sizes; under the same sizes, the row slabs of ``matrix_semiring`` (M_2
+    of GF(3) and of an order-3 semiring) and of ``_pack_maps`` (E_M of the
+    diamond lattice) against their loop references."""
     monoid_searches = []
     for n in range(1, 5):
         neutral = np.zeros((n, n), dtype=np.int32)
@@ -1222,12 +1224,27 @@ def test_table_search_against_recursive_oracle(m3, monkeypatch):
         join_searches.append((join, cells, floors, recursive_table_search(
             join, cells, symmetric=True, floors=floors)))
     mul_searches = []
-    for add in (add for n in range(1, 5) for idem in (False, True)
-                for add in constructions._commutative_monoids(n, idem)):
-        n = add.shape[0]
+    for n, idem in itertools.product(range(1, 5), (False, True)):
+        adds = constructions._commutative_monoids(n, idem)
         cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-        mul_searches.append(
-            (add, recursive_table_search(np.zeros((n, n), dtype=np.int32), cells, add=add)))
+        mul_searches.append((adds, [
+            [add.tolist(), mul] for add in adds
+            for mul in recursive_table_search(np.zeros((n, n), dtype=np.int32), cells, add=add)]))
+    assert [len(adds) for adds, _ in mul_searches] == [1, 1, 2, 1, 5, 1, 19, 2]
+    # catalog multiplications with three cells freed, every other one with
+    # a given cell changed, which only the full check of the first level sees
+    rng = random.Random(34)
+    partial = []
+    for k, R in enumerate(rng.sample([R for R in idem_hemirings_upto4 if R.order == 4], 12)):
+        n = R.order
+        mul = R.mul.copy()
+        inner = [(i, j) for i in range(1, n) for j in range(1, n)]
+        cells = rng.sample(inner, 3)
+        if k % 2:
+            i, j = rng.choice([cell for cell in inner if cell not in cells])
+            mul[i, j] = (mul[i, j] + 1) % n
+        partial.append((mul, cells, R.add, recursive_table_search(mul, cells, add=R.add)))
+    assert 0 < sum(not want for *_, want in partial) < len(partial)
     matrices = []
     for R in (finite_field(3), chain3_min_semiring()):
         add, mul, zero, one = naive_matrix_tables(R, 2)
@@ -1241,12 +1258,45 @@ def test_table_search_against_recursive_oracle(m3, monkeypatch):
         for join, cells, floors, want in join_searches:
             got = constructions._table_search(join, cells, symmetric=True, floors=floors)
             assert got.tolist() == want
-        for add, want in mul_searches:
-            assert constructions._multiplications(add).tolist() == want
+        for adds, want in mul_searches:
+            assert constructions._multiplications(adds).tolist() == want
+        for mul, cells, add, want in partial:
+            got = constructions._table_search(mul, cells, adds=add[None])
+            assert got[:, 1].tolist() == want and (got[:, 0] == add).all()
         for R, want in matrices:
             H = matrix_semiring(R, 2).hemiring
             assert (H.add.tolist(), H.mul.tolist(), H.zero, H.one) == want
         assert_same_packing(m3.join, m3.zero, endo_maps)
+
+
+@pytest.mark.parametrize("order, idempotent", [
+    *((n, False) for n in range(1, 5)),
+    *((n, True) for n in range(1, 5)),
+    pytest.param(5, True, marks=pytest.mark.slow),
+])
+def test_multiplication_counts_against_orbit_counts(order, idempotent, monkeypatch):
+    """Orbit counting: Aut(A) acts on the multiplications over an additive
+    monoid A, and the stabiliser of one is Aut(R) of the hemiring R it
+    makes, so the search finds sum |Aut(A)| / |Aut(R)| labelled
+    multiplications over A, the sum over the catalog classes R whose
+    additive reduct is isomorphic to A.  Aut(A) is that of A with zero
+    multiplication; both groups come from ``hom_search``, and the reducts
+    are matched by the canonical form of their zero-multiplication
+    hemiring."""
+    monkeypatch.setattr(constructions, "HEMIRING_ORDER_BOUND", 4)
+    monkeypatch.setattr(constructions, "HEMIRING_IDEMPOTENT_BOUND", 5)
+    adds = constructions._commutative_monoids(order, idempotent)
+    found = constructions._multiplications(adds)[:, 0]
+    zero_mul = lambda add: FiniteHemiring(add, np.zeros_like(add))
+    reducts = {}
+    for R in enumerate_hemirings(order, additively_idempotent=idempotent):
+        reducts.setdefault(canonical_form(zero_mul(R.add)), []).append(R)
+    assert len(reducts) == len(adds)
+    autos = lambda R: len(hom_search(R, R, injective=True))
+    for add in adds:
+        A = zero_mul(add)
+        orbits = sum(Fraction(autos(A), autos(R)) for R in reducts[canonical_form(A)])
+        assert (found == add).all(axis=(1, 2)).sum() == orbits
 
 
 def brute_force_homs(R, S, unital=False):

@@ -8,8 +8,10 @@ in which the catalog discovers its classes (``slN_XXX``, ``hrN_XXX`` and
 ``aiN_XXX`` are numbered in discovery order).  The catalogs one order past
 the shipped enumeration bounds are pinned too, with the bounds raised for
 the test, and so are the largest opt-in suite reports, ``thm3_3`` and
-``cor3_8`` at ``--max-order 6``.  Above order 8 a fingerprint hashes the colour
-refinement instead of the canonical form; five such are pinned.  Every
+``cor3_8`` at ``--max-order 6``.  Plain order 5 and idempotent order 6
+are pinned by one sha256 of each catalog, in ``slow`` tests (``pytest -m
+slow``).  Above order 8 a fingerprint hashes the colour refinement
+instead of the canonical form; five such are pinned.  Every
 default suite report is pinned in its text render (the CLI's default
 format), and every suite's report one order past its bound in both renders.
 """
@@ -95,8 +97,33 @@ def test_plain_catalog_past_the_shipped_bound(monkeypatch):
 
 def test_idempotent_catalog_past_the_shipped_bound(monkeypatch):
     monkeypatch.setattr(constructions, "HEMIRING_IDEMPOTENT_BOUND", 5)
-    counts = [len(enumerate_hemirings(n, additively_idempotent=True)) for n in range(1, 6)]
-    assert counts == PINNED["class_counts"]["idempotent"]
+    catalogs = [enumerate_hemirings(n, additively_idempotent=True) for n in range(1, 6)]
+    assert [len(c) for c in catalogs] == PINNED["class_counts"]["idempotent"]
+    assert [[R.name, fingerprint(R)] for R in catalogs[4]] == PINNED["ai5"]
+
+
+def catalog_sha256(catalog) -> str:
+    """sha256 of the (name, add, mul, one) list of a catalog, tables row-major."""
+    rows = [(R.name, R.add.ravel().tolist(), R.mul.ravel().tolist(), R.one) for R in catalog]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.slow
+def test_plain_catalog_at_order_5_pinned(monkeypatch):
+    # 4717 classes, about 0.3 s
+    monkeypatch.setattr(constructions, "HEMIRING_ORDER_BOUND", 5)
+    catalog = enumerate_hemirings(5)
+    assert len(catalog) == 4717
+    assert catalog_sha256(catalog) == PINNED["catalog_sha256"]["hr5"]
+
+
+@pytest.mark.slow
+def test_idempotent_catalog_at_order_6_pinned(monkeypatch):
+    # 33,391 classes, about 5 s
+    monkeypatch.setattr(constructions, "HEMIRING_IDEMPOTENT_BOUND", 6)
+    catalog = enumerate_hemirings(6, additively_idempotent=True)
+    assert len(catalog) == 33391
+    assert catalog_sha256(catalog) == PINNED["catalog_sha256"]["ai6"]
 
 
 def test_semilattice_catalog_pinned(monkeypatch):
