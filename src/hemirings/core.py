@@ -510,6 +510,7 @@ class PartialOrder:
 
     def meet(self, a: int, b: int) -> int | None:
         """Greatest lower bound of a and b, if it exists."""
+        a, b = _element(a, self.order, "element"), _element(b, self.order, "element")
         lower = self.leq[:, a] & self.leq[:, b]
         cand = np.flatnonzero(lower)
         for x in cand:
@@ -533,6 +534,7 @@ class PartialOrder:
         return meets
 
     def comparable(self, a: int, b: int) -> bool:
+        a, b = _element(a, self.order, "element"), _element(b, self.order, "element")
         return bool(self.leq[a, b] or self.leq[b, a])
 
 
@@ -629,7 +631,7 @@ class HomMap:
             raise ValueError("map length does not match source order")
 
     def __call__(self, x: int) -> int:
-        return self.map[x]
+        return self.map[_element(x, self.source.order, "element")]
 
     def is_injective(self) -> bool:
         return len(set(self.map)) == len(self.map)
@@ -655,6 +657,7 @@ def _is_hom(R: FiniteHemiring, S: FiniteHemiring, f: tuple[int, ...]) -> bool:
 
 
 HOM_SEARCH_BOUND = 2_000_000   # node budget of every map search
+CANONICAL_ORDER_BOUND = 8      # largest order whose canonical form is computed
 
 
 def _map_search(n: int, order: list[int], domains, tables=(), actions=(),
@@ -786,9 +789,10 @@ def _wl_colors(R: FiniteHemiring) -> tuple[int, ...]:
 def is_isomorphic(R: FiniteHemiring, S: FiniteHemiring) -> HomMap | None:
     """An isomorphism R -> S, or None.
 
-    Up to order 8, where ``canonical_form`` is exact, R and S are isomorphic
-    iff their canonical forms are equal, and the isomorphism sends x to the
-    element of S with x's canonical label; both labellings are memoised.
+    Up to ``CANONICAL_ORDER_BOUND``, where ``canonical_form`` is exact, R
+    and S are isomorphic iff their canonical forms are equal, and the
+    isomorphism sends x to the element of S with x's canonical label; both
+    labellings are memoised.
     Above it, color refinement prunes the candidates of each element before
     backtracking, so the search stays far from the naive n! bound.
     """
@@ -797,7 +801,7 @@ def is_isomorphic(R: FiniteHemiring, S: FiniteHemiring) -> HomMap | None:
     if (R.one is None) != (S.one is None):
         return None
     n = R.order
-    if n <= 8:
+    if n <= CANONICAL_ORDER_BOUND:
         (formR, labelsR), (formS, labelsS) = _canonical_labelling(R), _canonical_labelling(S)
         if formR != formS:
             return None
@@ -958,15 +962,17 @@ def _canonical_labelling(R: FiniteHemiring) -> tuple[tuple, tuple[int, ...]]:
     theirs, the identity labelling.
     """
     n = R.order
-    if n > 8:
-        raise SizeGuardExceeded(f"canonical form is factorial-cost; order {n} > 8")
+    if n > CANONICAL_ORDER_BOUND:
+        raise SizeGuardExceeded(f"canonical form is bounded at CANONICAL_ORDER_BOUND = "
+                                 f"{CANONICAL_ORDER_BOUND}; asked for order {n}")
     [(flat, p)] = _lex_least_relabeling([(R.add, R.mul)], R.zero)
     return (flat[:n * n], flat[n * n:], None if R.one is None else p[R.one]), tuple(p)
 
 
 def canonical_form(R: FiniteHemiring) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
     """Lexicographically least (add, mul) relabeling fixing zero at index 0,
-    and the label of one; exact up to order 8 (``_canonical_labelling``)."""
+    and the label of one; exact up to ``CANONICAL_ORDER_BOUND``
+    (``_canonical_labelling``)."""
     return _canonical_labelling(R)[0]
 
 
@@ -974,7 +980,7 @@ def fingerprint(R: FiniteHemiring) -> str:
     """Short deterministic identifier; exact canonical hash at catalog scale,
     invariant-vector hash above it."""
     import hashlib
-    if R.order <= 8:
+    if R.order <= CANONICAL_ORDER_BOUND:
         a, m, one = canonical_form(R)
         payload = f"c|{R.order}|{one}|{a}|{m}"
     else:

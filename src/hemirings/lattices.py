@@ -95,12 +95,13 @@ class FiniteSemilattice:
         return t
 
     def leq(self, a: int, b: int) -> bool:
+        a, b = _element(a, self.order, "element"), _element(b, self.order, "element")
         return bool(self.join[a, b] == b)
 
     def join_all(self, xs) -> int:
         out = self.zero
         for x in xs:
-            out = int(self.join[out, x])
+            out = int(self.join[out, _element(x, self.order, "element")])
         return out
 
     def __eq__(self, other):
@@ -177,6 +178,7 @@ def _distributive_lattice(M: FiniteSemilattice) -> bool:
 
 def e_ab(M: FiniteSemilattice, a: int, b: int) -> Endo:
     """The endomorphism sending x to 0 when x v a = a and to b otherwise."""
+    a, b = _element(a, M.order, "element"), _element(b, M.order, "element")
     below = M.join[:, a] == a
     return tuple(M.zero if below[x] else b for x in range(M.order))
 
@@ -320,8 +322,13 @@ def e_ab_absorb(M: FiniteSemilattice, a: int, f: Endo) -> int:
     """The element c with e_{a,b} o f = e_{c,b} for every b.
 
     c is the join of every x with f(x) <= a; the identity is re-checked
-    pointwise before returning.
+    pointwise before returning.  An a or image of f that is not an element,
+    or an f of another length, raises ``ValueError``.
     """
+    a = _element(a, M.order, "element")
+    if len(f) != M.order:
+        raise ValueError(f"map {f!r} must have length {M.order}")
+    f = tuple(_element(y, M.order, "map image") for y in f)
     c = M.join_all(x for x in range(M.order) if M.join[f[x], a] == a)
     for b in range(M.order):
         left = tuple(e_ab(M, a, b)[f[x]] for x in range(M.order))

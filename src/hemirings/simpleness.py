@@ -96,7 +96,8 @@ class Congruence:
         return not any(self.labels)
 
     def same(self, a: int, b: int) -> bool:
-        return self.labels[a] == self.labels[b]
+        n = self.order
+        return self.labels[_element(a, n, "element")] == self.labels[_element(b, n, "element")]
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         by: dict[int, list[int]] = {}
@@ -206,12 +207,11 @@ def principal_congruence(R: FiniteHemiring, a: int, b: int) -> Congruence:
 
 
 def is_congruence(R: FiniteHemiring, part: Congruence) -> bool:
-    """Check compatibility of a partition with both operations."""
-    labels = np.array(part.labels)
-    for T in _tables(R):
-        if (labels[T] != labels[T[labels]]).any():
-            return False
-    return True
+    """Check compatibility of a partition with both operations: a partition
+    is a congruence iff the first ``_compat_closure`` round merges nothing."""
+    if part.order != R.order:
+        raise ValueError(f"a partition of {part.order} elements on an algebra of order {R.order}")
+    return next(_compat_closure(_tables(R), np.array(part.labels)), None) is None
 
 
 @_memoised("sweep_order")

@@ -12,7 +12,7 @@ default max-order, its size bound and any fixed report parameter in
 ``skipped(size)`` report past the bound, and sorts the records by name.
 Instances come from one cached source: ``_semilattices`` and ``_hemirings``
 (each order enumerated once), ``_catalog`` (both hemiring catalogs,
-deduplicated), ``build_E_M`` (memoised in each semilattice) and
+one entry per class), ``build_E_M`` (memoised in each semilattice) and
 ``_boolean_matrices``.  E_M and F_M witnesses come from R's own dense
 action on a minimal left ideal, named by one catalog lookup (``_witness``).
 """
@@ -165,29 +165,26 @@ def _hemirings(max_order: int, idempotent: bool) -> tuple[FiniteHemiring, ...]:
 
 @lru_cache(maxsize=None)
 def _catalog(max_order: int) -> tuple[FiniteHemiring, ...]:
-    """Entries of both enumerations, deduplicated by fingerprint (exact at
-    catalog orders) and sorted by it."""
-    seen = {}
-    for R in (_hemirings(min(max_order, HEMIRING_ORDER_BOUND), False)
-              + _hemirings(min(max_order, HEMIRING_IDEMPOTENT_BOUND), True)):
-        seen.setdefault(fingerprint(R), R)
-    return tuple(seen[k] for k in sorted(seen))
+    """The plain catalog, which holds every additively idempotent class of its
+    orders, and the idempotent entries of the orders above it: one per class."""
+    plain = _hemirings(min(max_order, HEMIRING_ORDER_BOUND), False)
+    return plain + tuple(R for R in _hemirings(min(max_order, HEMIRING_IDEMPOTENT_BOUND), True)
+                         if R.order > HEMIRING_ORDER_BOUND)
 
 
 def _catalog_semirings(max_order: int) -> list[FiniteHemiring]:
-    """Unital catalog entries from both enumerations, deduplicated."""
+    """The unital entries of ``_catalog``, one per class."""
     return [R for R in _catalog(max_order) if R.is_semiring]
 
 
-def _record(name: str, ok: bool, *fields, algebra: FiniteHemiring | None = None) -> InstanceRecord:
-    """A record; with ``algebra``, its fingerprint leads the fields and, on
+def _record(name: str, ok: bool, *fields, algebra: FiniteHemiring) -> InstanceRecord:
+    """A record of ``algebra``: its fingerprint leads the fields and, on
     failure, its tables close them (as ``tables`` when a ``witness`` field
     already names something else)."""
-    if algebra is not None:
-        fields = (("fingerprint", fingerprint(algebra)),) + fields
-        if not ok:
-            key = "tables" if any(k == "witness" for k, _ in fields) else "witness"
-            fields += ((key, _tables_inline(algebra)),)
+    fields = (("fingerprint", fingerprint(algebra)),) + fields
+    if not ok:
+        key = "tables" if any(k == "witness" for k, _ in fields) else "witness"
+        fields += ((key, _tables_inline(algebra)),)
     return InstanceRecord(name, fields, ok)
 
 

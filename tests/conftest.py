@@ -103,6 +103,21 @@ def ideal_violation(R, members, sidedness: str):
     return None
 
 
+def congruence_violation(R, labels):
+    """None if the partition with block labels ``labels`` is compatible
+    with + and *, else a reason: the first x ~ y (x < y) and c with
+    x + c, x * c or c * x not related to y + c, y * c or c * y."""
+    lab = np.asarray(labels)
+    same = lab[:, None] == lab[None, :]
+    for op, T in (("add", R.add), ("right-mul", R.mul), ("left-mul", R.mul.T)):
+        images = lab[T]                                           # [x, c]
+        bad = same[:, :, None] & (images[:, None, :] != images[None, :, :])
+        if bad.any():
+            x, y, c = (int(v) for v in np.argwhere(bad)[0])
+            return (op, (x, y, c))
+    return None
+
+
 def naive_lex_least(tables, zero):
     """Relabel the tables under every permutation fixing zero at 0 and keep
     the least concatenation."""

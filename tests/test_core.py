@@ -7,6 +7,7 @@ from hemirings import (
     AxiomError,
     FiniteHemiring,
     check_hemiring_axioms,
+    generated_ideal,
     hom_search,
     infinite_element,
     is_additively_idempotent,
@@ -15,11 +16,12 @@ from hemirings import (
     is_division_semiring,
     is_isomorphic,
     is_lattice_ordered,
+    integers_mod,
     is_zerosumfree,
     natural_order,
     strong_semiisomorphism_search,
 )
-from hemirings.core import as_op_table
+from hemirings.core import SizeGuardExceeded, _wl_colors, as_op_table, canonical_form
 from hemirings.lattices import induced_order
 from hemirings.simpleness import is_ideal_simple, is_simple
 
@@ -327,3 +329,70 @@ def test_isomorphism_agrees_with_injective_hom_search(plain_hemirings_upto3,
     E = build_E_M(chain_semilattice(4)).hemiring
     assert E.order == 20
     agree([E], [relabeled(E, rng.permutation(E.order))])
+
+
+def zero_multiplication(R):
+    """R's addition with every product zero."""
+    return FiniteHemiring(R.add, np.full_like(R.add, R.zero), zero=R.zero)
+
+
+def test_canonical_form_is_refused_past_its_bound():
+    with pytest.raises(SizeGuardExceeded, match=r"^canonical form is bounded at "
+                                                r"CANONICAL_ORDER_BOUND = 8; asked for order 9$"):
+        canonical_form(integers_mod(9))
+
+
+def test_isomorphism_search_rejects_equal_colours_past_the_canonical_bound():
+    # Z_9 and Z_3 x Z_3, both with zero multiplication: colour refinement
+    # cannot tell them apart, so the search above order 8 must
+    R = zero_multiplication(integers_mod(9))
+    S = zero_multiplication(direct_product(integers_mod(3), integers_mod(3)))
+    assert sorted(_wl_colors(R)) == sorted(_wl_colors(S))
+    assert is_isomorphic(R, S) is None and is_isomorphic(S, R) is None
+
+
+def test_hom_map_image_injectivity_and_surjectivity(B):
+    zero_map, identity = hom_search(B, B)
+    assert (zero_map.image(), identity.image()) == (frozenset({0}), frozenset({0, 1}))
+    assert not zero_map.is_injective() and not zero_map.is_surjective()
+    assert identity.is_injective() and identity.is_surjective()
+    assert [zero_map(x) for x in B.elements()] == [0, 0]
+    assert [identity(x) for x in B.elements()] == [0, 1]
+
+
+def test_strong_semiisomorphism_rejects_a_kernel_and_a_full_ideal_image(B):
+    # the 3-chain (max, min) onto B: (0, 0, 1) has kernel {0, 1}, and
+    # (0, 1, 1) maps the proper ideal {0, 1} onto B
+    R = chain3_min_semiring()
+    assert [h.map for h in hom_search(R, B, surjective=True, unital=True)] == [(0, 0, 1),
+                                                                           (0, 1, 1)]
+    assert generated_ideal(R, [1]).members == {0, 1}
+    assert strong_semiisomorphism_search(R, B) is None
+
+
+@pytest.mark.parametrize("x", [-1, 3, 1.0, True])
+def test_partial_order_meet_rejects_non_elements(x):
+    # meet(-1, 1) used to read the last column of leq
+    po = induced_order(chain_semilattice(3))
+    for a, b in ((x, 1), (1, x)):
+        with pytest.raises(ValueError, match=r"^element .* is not an element index in \[0, 3\)$"):
+            po.meet(a, b)
+    assert po.meet(np.int64(2), np.int64(1)) == po.meet(2, 1) == 1
+
+
+@pytest.mark.parametrize("x", [-1, 3, 1.0, True])
+def test_partial_order_comparable_rejects_non_elements(x):
+    po = induced_order(chain_semilattice(3))
+    for a, b in ((x, 1), (1, x)):
+        with pytest.raises(ValueError, match=r"^element .* is not an element index in \[0, 3\)$"):
+            po.comparable(a, b)
+    assert po.comparable(np.int64(2), np.int64(1))
+
+
+@pytest.mark.parametrize("x", [-1, 2, 1.0, True])
+def test_hom_map_call_rejects_non_elements(B, x):
+    # identity(-1) used to return the last image
+    _, identity = hom_search(B, B)
+    with pytest.raises(ValueError, match=r"^element .* is not an element index in \[0, 2\)$"):
+        identity(x)
+    assert identity(np.int64(1)) == 1

@@ -283,6 +283,47 @@ def test_is_dense(e_c3, c3):
     assert is_dense(build_F_M(M3), M3)
 
 
+NOT_C3_ELEMENTS = [-1, 3, 1.0, True]
+C3_ELEMENT = r"^element .* is not an element index in \[0, 3\)$"
+
+
+@pytest.mark.parametrize("x", NOT_C3_ELEMENTS)
+def test_e_ab_rejects_non_elements(c3, x):
+    # e_ab(C3, 0, 5) used to return (0, 5, 5), and a = -1 read the last column
+    for a, b in ((x, 1), (1, x)):
+        with pytest.raises(ValueError, match=C3_ELEMENT):
+            e_ab(c3, a, b)
+    assert e_ab(c3, np.int64(0), np.int64(2)) == e_ab(c3, 0, 2) == (0, 2, 2)
+
+
+@pytest.mark.parametrize("x", NOT_C3_ELEMENTS)
+def test_e_ab_absorb_rejects_non_elements(c3, x):
+    # a = -1 used to raise a misleading InvariantViolation, and f went unchecked
+    identity = (0, 1, 2)
+    with pytest.raises(ValueError, match=C3_ELEMENT):
+        e_ab_absorb(c3, x, identity)
+    with pytest.raises(ValueError, match=r"^map image .* is not an element index in \[0, 3\)$"):
+        e_ab_absorb(c3, 1, (0, x, 2))
+    with pytest.raises(ValueError, match=r"^map \(0, 1\) must have length 3$"):
+        e_ab_absorb(c3, 1, identity[:2])
+    assert e_ab_absorb(c3, np.int64(1), tuple(np.arange(3))) == e_ab_absorb(c3, 1, identity) == 1
+
+
+@pytest.mark.parametrize("x", NOT_C3_ELEMENTS)
+def test_semilattice_leq_rejects_non_elements(c3, x):
+    for a, b in ((x, 1), (1, x)):
+        with pytest.raises(ValueError, match=C3_ELEMENT):
+            c3.leq(a, b)
+    assert c3.leq(np.int64(1), np.int64(2)) and not c3.leq(np.int64(2), 1)
+
+
+@pytest.mark.parametrize("x", NOT_C3_ELEMENTS)
+def test_semilattice_join_all_rejects_non_elements(c3, x):
+    with pytest.raises(ValueError, match=C3_ELEMENT):
+        c3.join_all([1, x])
+    assert c3.join_all([np.int64(1), np.int64(2)]) == 2
+
+
 @pytest.mark.parametrize("maps, problem", [
     ([], "no maps"),
     ([(0, 1, 2)], "zero map"),                               # closed, no zero map

@@ -76,6 +76,7 @@ from hemirings.verify import _boolean_matrices, _catalog_semirings, _semilattice
 from conftest import (
     chain3_min_semiring,
     chain_semilattice,
+    congruence_violation,
     direct_product,
     ideal_violation,
     naive_lex_least,
@@ -831,6 +832,36 @@ def test_congruence_join_against_equivalence_join(plain_hemirings_upto3,
             assert c.join(d) == transitive_partition(related), R.name
             pairs += 1
     assert pairs > 1000
+
+
+def test_congruence_check_against_definition(plain_hemirings_upto3, idem_hemirings_upto4):
+    """A partition is a congruence iff the first ``_compat_closure`` round
+    merges nothing, as the literal check ``congruence_violation`` decides:
+    every congruence of both small catalogs, seeded random partitions of
+    them and of every E_M and F_M of order <= 70, the tau congruences of
+    cor3_8, and the Bourne congruences of every two-sided ideal and the
+    lifted corner congruences of the prop5_3 inputs."""
+    rng = random.Random(43)
+    catalog = list(plain_hemirings_upto3) + list(idem_hemirings_upto4)
+    cases = [(R, c) for R in catalog for c in all_congruences(R)]
+    endos = [E.hemiring for M in _semilattices(SEMILATTICE_ORDER_BOUND)
+             for E in (build_E_M(M), build_F_M(M)) if E.order <= 70]
+    for R in catalog + endos:
+        for _ in range(4):
+            blocks = rng.randint(1, R.order)
+            cases.append((R, Congruence([rng.randrange(blocks) for _ in range(R.order)])))
+    cases += [(E.hemiring, tau_congruence(E)) for E in map(build_E_M, _semilattices(5))]
+    for R in _catalog_semirings(3) + [_boolean_matrices(2)]:
+        cases += [(R, bourne_congruence(R, I)) for I in all_ideals(R, "two-sided")]
+        for e in R.idempotents():
+            c = corner(R, e)
+            cases += [(R, corner_congruence_to_ring(R, c, g)) for g in all_congruences(c.hemiring)]
+    congruences = 0
+    for R, part in cases:
+        verdict = simpleness.is_congruence(R, part)
+        assert verdict == (congruence_violation(R, part.labels) is None), (R.name, part.labels)
+        congruences += verdict
+    assert (len(cases), congruences) == (1625, 1256)
 
 
 def test_ideal_check_against_definition(plain_hemirings_upto3, idem_hemirings_upto4, B, z4,
@@ -1717,6 +1748,19 @@ def test_lattice_walks_against_frontier_walk(plain_hemirings_upto3, idem_hemirin
             assert ideals == frontier_ideals(R, s), (R.name, s)
         sizes.append(max(map(len, lattices)))
     assert len(sizes) > 180 and max(sizes) > 500
+
+
+@pytest.mark.slow
+def test_congruence_walk_against_frontier_walk_past_order_100(e_c3, B):
+    """The covering-pair walk gives the all-pairs reference's congruence
+    lattice on E_C4 x E_C3 (order 120, 4 congruences) and on
+    E_C3 x E_C3 x B x B (order 144, 16).  The reference takes about 5 and
+    9 s."""
+    E_C4 = build_E_M(chain_semilattice(4)).hemiring
+    for R, count in ((direct_product(E_C4, e_c3.hemiring), 4),
+                     (direct_product(e_c3.hemiring, e_c3.hemiring, B, B), 16)):
+        lattice = all_congruences(R)
+        assert len(lattice) == count and lattice == frontier_congruences(R), R.order
 
 
 def test_covers_against_matrix_product(plain_hemirings_upto3, idem_hemirings_upto4):

@@ -32,7 +32,7 @@ from hemirings import (
     finite_field,
     matrix_semiring,
 )
-from hemirings import constructions
+from hemirings import constructions, verify
 from hemirings.core import canonical_form, fingerprint
 from hemirings.verify import SUITES, run_suite, suite_names
 
@@ -135,6 +135,16 @@ def test_semilattice_catalog_pinned(monkeypatch):
     for n in range(1, 8):
         got = [[M.name, digest(M)[:12]] for M in enumerate_semilattices(n)]
         assert got == PINNED["semilattices"][str(n)], n
+
+
+def test_suite_catalog_pinned(monkeypatch):
+    # the classes the hemiring suites walk at max-order 1-4, one entry per
+    # class; the two catalogs are joined by construction, with no fingerprint
+    def refuse(R):
+        raise AssertionError(f"fingerprint({R.name}) while joining the catalogs")
+    monkeypatch.setattr(verify, "fingerprint", refuse)
+    for k, names in PINNED["suite_catalog"].items():
+        assert sorted(R.name for R in verify._catalog.__wrapped__(int(k))) == names, k
 
 
 def test_thm3_3_at_order_6_pinned():

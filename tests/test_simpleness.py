@@ -31,7 +31,8 @@ from hemirings.core import InvariantViolation, SizeGuardExceeded
 from hemirings.lattices import build_E_M, FiniteSemilattice
 from hemirings.simpleness import is_congruence
 
-from conftest import chain3_min_semiring, chain_semilattice, direct_product, ideal_violation
+from conftest import chain3_min_semiring, chain_semilattice, congruence_violation, \
+    direct_product, ideal_violation
 
 
 def all_partitions(n):
@@ -48,11 +49,8 @@ def all_partitions(n):
 
 def brute_force_congruences(R):
     """Oracle: filter every partition of the carrier for compatibility."""
-    out = []
-    for labels in all_partitions(R.order):
-        cong = Congruence(labels)
-        if is_congruence(R, cong):
-            out.append(cong)
+    out = [Congruence(labels) for labels in all_partitions(R.order)
+           if congruence_violation(R, labels) is None]
     return sorted(out, key=lambda c: c.labels)
 
 
@@ -96,6 +94,25 @@ def test_congruence_rejects_non_integer_labels(labels):
     # a float label used to be truncated, a bool read as 0 or 1
     with pytest.raises(ValueError, match=r"^congruence labels must be a 1-D integer sequence"):
         Congruence(labels)
+
+
+@pytest.mark.parametrize("x", [-1, 3, 1.0, True])
+def test_congruence_same_rejects_non_elements(x):
+    # same(-1, 2) used to compare the last element's label
+    cong = Congruence([0, 1, 0])
+    for a, b in ((x, 1), (1, x)):
+        with pytest.raises(ValueError, match=r"^element .* is not an element index in \[0, 3\)$"):
+            cong.same(a, b)
+    assert cong.same(np.int64(2), np.int64(0)) and not cong.same(np.int64(1), 0)
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [0, 0], [0, 1, 0, 1, 0]])
+def test_is_congruence_rejects_a_partition_of_another_order(z4, labels):
+    # a partition of {0, 1} read as one of Z/4 has no row to check, so the
+    # closure round alone would call it a congruence
+    with pytest.raises(ValueError, match=rf"^a partition of {len(labels)} elements on an "
+                                         r"algebra of order 4$"):
+        is_congruence(z4, Congruence(labels))
 
 
 def test_congruence_renames_integer_arrays_to_python_ints():
