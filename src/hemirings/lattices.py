@@ -331,8 +331,8 @@ def e_ab_absorb(M: FiniteSemilattice, a: int, f: Endo) -> int:
     f = tuple(_element(y, M.order, "map image") for y in f)
     c = M.join_all(x for x in range(M.order) if M.join[f[x], a] == a)
     for b in range(M.order):
-        left = tuple(e_ab(M, a, b)[f[x]] for x in range(M.order))
-        if left != e_ab(M, c, b):
+        step = e_ab(M, a, b)
+        if tuple(step[y] for y in f) != e_ab(M, c, b):
             raise InvariantViolation(f"absorption identity failed at a={a}, b={b}, f={f}")
     return c
 

@@ -10,13 +10,13 @@ from hemirings import (
     generated_ideal,
     hom_search,
     infinite_element,
+    integers_mod,
     is_additively_idempotent,
     is_aic,
     is_dedekind_finite,
     is_division_semiring,
     is_isomorphic,
     is_lattice_ordered,
-    integers_mod,
     is_zerosumfree,
     natural_order,
     strong_semiisomorphism_search,
