@@ -30,9 +30,11 @@ order.  The join tables of each order are built once per process and
 shared by the semilattice catalog and the idempotent hemiring catalog.
 
 Every builder here returns an algebra by construction (a catalog table
-passed every law instance of the search; M_n(R), eRe and the finite fields
-are hemirings by theorem), so none re-runs the axiom scan on its output;
-the tests re-check each kind of output with ``check_hemiring_axioms``.
+passed every law instance of the search; M_n(R), eRe, B and the finite
+fields are hemirings by theorem), so it builds its output through
+``core._trusted``, with no axiom scan; the tests re-check each kind of
+output with ``check_hemiring_axioms``.  The fixed tables of
+``two_zero_mult`` and ``integers_mod`` take the validating constructor.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .core import (
     _is_integer,
     _lex_least_relabeling,
     _slab,
+    _trusted,
 )
 from .lattices import FiniteSemilattice
 from .simpleness import (
@@ -84,14 +87,13 @@ HEMIRING_ORDER_BOUND = 3
 
 def boolean_B() -> FiniteHemiring:
     """The Boolean semifield {0, 1} with 1 + 1 = 1."""
-    return FiniteHemiring([[0, 1], [1, 1]], [[0, 0], [0, 1]], zero=0, one=1, name="B",
-                          validate=False)
+    return _trusted(FiniteHemiring, add=np.array([[0, 1], [1, 1]], dtype=np.int32),
+                    mul=np.array([[0, 0], [0, 1]], dtype=np.int32), zero=0, one=1, name="B")
 
 
 def two_zero_mult() -> FiniteHemiring:
     """The additively idempotent two-element hemiring with zero multiplication."""
-    return FiniteHemiring([[0, 1], [1, 1]], [[0, 0], [0, 0]], zero=0, name="2",
-                          validate=False)
+    return FiniteHemiring([[0, 1], [1, 1]], [[0, 0], [0, 0]], zero=0, name="2")
 
 
 def integers_mod(m: int) -> FiniteHemiring:
@@ -101,8 +103,7 @@ def integers_mod(m: int) -> FiniteHemiring:
     idx = np.arange(m)
     add = (idx[:, None] + idx[None, :]) % m
     mul = (idx[:, None] * idx[None, :]) % m
-    return FiniteHemiring(add, mul, zero=0, one=1 % m if m > 1 else 0, name=f"Z/{m}",
-                          validate=False)
+    return FiniteHemiring(add, mul, zero=0, one=1 % m if m > 1 else 0, name=f"Z/{m}")
 
 
 def _digits(values, base: int, width: int) -> np.ndarray:
@@ -147,9 +148,9 @@ def finite_field(q: int) -> FiniteHemiring:
         prev = shifts[-1]
         up = np.pad(prev[:, :-1], ((0, 0), (1, 0)))   # t * prev below degree k
         shifts.append((up - prev[:, -1:] * np.asarray(tail)) % p)
-    add = (digits[:, None] + digits) % p @ weights
-    mul = np.einsum("xi,iyk->xyk", digits, np.stack(shifts)) % p @ weights
-    R = FiniteHemiring(add, mul, zero=0, one=1, name=f"GF({q})", validate=False)
+    add = ((digits[:, None] + digits) % p @ weights).astype(np.int32)
+    mul = (np.einsum("xi,iyk->xyk", digits, np.stack(shifts)) % p @ weights).astype(np.int32)
+    R = _trusted(FiniteHemiring, add=add, mul=mul, zero=0, one=1, name=f"GF({q})")
     stuck = np.flatnonzero(~(R.mul[1:] == R.one).any(axis=1))
     if len(stuck):
         raise InvariantViolation(f"GF({q}) element {stuck[0] + 1} not invertible")
@@ -227,8 +228,8 @@ def matrix_semiring(R: FiniteHemiring, n: int) -> MatrixSemiring:
     zero = R.zero * int(weights.sum())
     one = None if R.one is None else zero + (R.one - R.zero) * int(weights[::n + 1].sum())
 
-    H = FiniteHemiring(add, mul, zero=zero, one=one,
-                       name=f"M_{n}({R.name or R.order})", validate=False)
+    H = _trusted(FiniteHemiring, add=add, mul=mul, zero=zero, one=one,
+                 name=f"M_{n}({R.name or R.order})")
     return MatrixSemiring(R, n, H, weights)
 
 
@@ -271,8 +272,8 @@ def corner(R: FiniteHemiring, e: int) -> CornerSemiring:
     pos = np.zeros(R.order, dtype=np.int32)   # member -> corner index
     pos[members] = np.arange(len(members))
     block = np.ix_(members, members)
-    H = FiniteHemiring(pos[R.add[block]], pos[R.mul[block]], zero=pos[R.zero], one=pos[e],
-                       name=f"corner({R.name or R.order},{e})", validate=False)
+    H = _trusted(FiniteHemiring, add=pos[R.add[block]], mul=pos[R.mul[block]],
+                 zero=int(pos[R.zero]), one=int(pos[e]), name=f"corner({R.name or R.order},{e})")
     return CornerSemiring(R, e, tuple(members.tolist()), H, pos)
 
 
@@ -312,7 +313,8 @@ def corner_congruence_to_ring(R: FiniteHemiring, c: CornerSemiring,
     eR[R.mul[e]] = True
     Re[R.mul[:, e]] = True
     zy = _classes(np.asarray(gamma.labels)[c.position[R.mul[:, Re]]])[0]   # z -> class of z*Re
-    theta = Congruence._least(_classes(zy[R.mul[eR].T])[1])             # [a, x] -> x*a
+    labels = _classes(zy[R.mul[eR].T])[1]                               # [a, x] -> x*a
+    theta = _trusted(Congruence, labels=tuple(labels.tolist()))
     if not is_congruence(R, theta):
         raise InvariantViolation("corner congruence lift is not a congruence")
     restriction = Congruence([theta.labels[m] for m in c.members])
@@ -474,7 +476,7 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
         raise SizeGuardExceeded(f"semilattice enumeration is bounded at order "
                                  f"{SEMILATTICE_ORDER_BOUND}; asked for {order}")
     names, joins = _join_tables(order)
-    return [FiniteSemilattice(J, zero=0, name=name, validate=False)
+    return [_trusted(FiniteSemilattice, join=J, zero=0, name=name)
             for name, J in zip(names, joins)]
 
 
@@ -569,8 +571,7 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
     tables.flags.writeable = False
     out = []
     for (flat, one), (add, mul) in zip(keys, tables):
-        R = FiniteHemiring._of_tables(add, mul, 0, one, names[flat, one])
-        R._memo["canonical_labelling"] = ((flat[:cells], flat[cells:], one),
-                                          tuple(range(order)))
-        out.append(R)
+        labelling = (flat[:cells], flat[cells:], one), tuple(range(order))
+        out.append(_trusted(FiniteHemiring, add=add, mul=mul, zero=0, one=one,
+                            name=names[flat, one], _memo={"canonical_labelling": labelling}))
     return out

@@ -120,6 +120,23 @@ def _element(x, bound: int, what: str) -> int:
     return int(x)
 
 
+def _trusted(cls, **fields):
+    """An instance of ``cls`` with the given attributes, built without its
+    constructor: the one way the package makes an object from input it
+    built itself and knows to be well formed, so nothing is checked,
+    coerced or copied.  Arrays must have the types the constructor gives
+    them; they are made read-only in place.  A ``_memo`` slot starts empty
+    unless given."""
+    obj = cls.__new__(cls)
+    if "_memo" in getattr(cls, "__slots__", ()):
+        fields.setdefault("_memo", {})
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class AxiomCheck:
     axiom: str
@@ -390,38 +407,26 @@ def check_hemiring_axioms(add, mul, zero: int, one: int | None = None) -> AxiomR
 class FiniteHemiring:
     """A finite hemiring (R, +, *, 0), optionally with a multiplicative one.
 
-    The constructor validates all axioms, so a table from outside the
-    package (this constructor, ``parse_algebra``, an inline report witness)
-    is checked where it enters.  The package's own constructions (catalogs,
-    matrix semirings, corners, endomorphism semirings, finite fields) build
-    hemirings by construction and pass ``validate=False``; the tests
-    re-check their outputs with ``check_hemiring_axioms``.
+    The constructor always validates all axioms, so a table from outside
+    the package (this constructor, ``parse_algebra``, an inline report
+    witness) is checked where it enters.  The package's own constructions
+    (catalogs, matrix semirings, corners, endomorphism semirings, finite
+    fields) build hemirings by construction through ``_trusted``; the
+    tests re-check their outputs with ``check_hemiring_axioms``.
     """
 
     __slots__ = ("add", "mul", "zero", "one", "name", "_memo")
 
-    def __init__(self, add, mul, zero: int = 0, one: int | None = None,
-                 name: str = "", validate: bool = True):
+    def __init__(self, add, mul, zero: int = 0, one: int | None = None, name: str = ""):
         self.add = as_op_table(add)
         self.mul = as_op_table(mul, order=self.add.shape[0])
         self.zero = _element(zero, self.order, "zero")
         self.one = None if one is None else _element(one, self.order, "one")
         self.name = name
         self._memo: dict = {}
-        if validate:
-            report = check_hemiring_axioms(self.add, self.mul, self.zero, self.one)
-            if not report.ok:
-                raise AxiomError(report)
-
-    @classmethod
-    def _of_tables(cls, add: np.ndarray, mul: np.ndarray, zero: int, one: int | None,
-                   name: str) -> "FiniteHemiring":
-        """A hemiring on read-only int32 tables the package built, such as
-        the views of a catalog's table stack, kept as they are: no copy, no
-        coercion and no axiom scan."""
-        R = cls.__new__(cls)
-        R.add, R.mul, R.zero, R.one, R.name, R._memo = add, mul, zero, one, name, {}
-        return R
+        report = check_hemiring_axioms(self.add, self.mul, self.zero, self.one)
+        if not report.ok:
+            raise AxiomError(report)
 
     @property
     def order(self) -> int:
@@ -476,19 +481,17 @@ class PartialOrder:
 
     __slots__ = ("leq",)
 
-    def __init__(self, leq, validate: bool = True):
+    def __init__(self, leq):
         leq = np.ascontiguousarray(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise ValueError("leq must be a square boolean matrix")
-        if validate:
-            n = leq.shape[0]
-            if not leq[np.diag_indices(n)].all():
-                raise ValueError("relation is not reflexive")
-            if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
-                raise ValueError("relation is not antisymmetric")
-            closure = leq @ leq
-            if (closure & ~leq).any():
-                raise ValueError("relation is not transitive")
+        n = leq.shape[0]
+        if not leq[np.diag_indices(n)].all():
+            raise ValueError("relation is not reflexive")
+        if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+            raise ValueError("relation is not antisymmetric")
+        if (leq @ leq & ~leq).any():
+            raise ValueError("relation is not transitive")
         leq.setflags(write=False)
         self.leq = leq
 
@@ -551,7 +554,7 @@ def natural_order(R: FiniteHemiring) -> PartialOrder:
     On a non-idempotent algebra the relation is not even reflexive, so the
     input is rejected with a witness element rather than returned as a
     preorder.  On an idempotent commutative monoid it is always a partial
-    order, so it is not re-validated.
+    order, so it is built through ``_trusted``.
     """
     n = R.order
     diag = R.add[np.arange(n), np.arange(n)]
@@ -559,7 +562,7 @@ def natural_order(R: FiniteHemiring) -> PartialOrder:
     if bad.size:
         raise ValueError(
             f"natural order undefined: element {int(bad[0])} is not additively idempotent")
-    return PartialOrder(R.add == np.arange(n)[None, :], validate=False)
+    return _trusted(PartialOrder, leq=R.add == np.arange(n)[None, :])
 
 
 def infinite_element(R: FiniteHemiring) -> int | None:
@@ -620,7 +623,12 @@ def is_lattice_ordered(R: FiniteHemiring) -> bool:
 
 @dataclass(frozen=True)
 class HomMap:
-    """A zero-preserving map between table algebras preserving + and *."""
+    """A zero-preserving map between table algebras preserving + and *.
+
+    The constructor rejects a map of the wrong length, an image that is not
+    an element index of the target (``_element``) and a map that is not a
+    homomorphism (``_is_hom``); the searches build theirs through
+    ``_trusted``."""
 
     source: FiniteHemiring
     target: FiniteHemiring
@@ -629,6 +637,10 @@ class HomMap:
     def __post_init__(self):
         if len(self.map) != self.source.order:
             raise ValueError("map length does not match source order")
+        images = tuple(_element(y, self.target.order, "map image") for y in self.map)
+        if not _is_hom(self.source, self.target, images):
+            raise ValueError(f"map {images} is not a homomorphism")
+        object.__setattr__(self, "map", images)
 
     def __call__(self, x: int) -> int:
         return self.map[_element(x, self.source.order, "element")]
@@ -765,7 +777,7 @@ def hom_search(R: FiniteHemiring, S: FiniteHemiring, *,
                          tables=((R.add, S.add), (R.mul, S.mul)), injective=injective):
         if surjective and len(set(f)) != m:
             continue
-        results.append(HomMap(R, S, f))
+        results.append(_trusted(HomMap, source=R, target=S, map=f))
     return results
 
 
@@ -823,7 +835,7 @@ def is_isomorphic(R: FiniteHemiring, S: FiniteHemiring) -> HomMap | None:
             return None
     if not _is_hom(R, S, f):
         raise RuntimeError(f"isomorphism search returned a non-homomorphism {f}")
-    return HomMap(R, S, f)
+    return _trusted(HomMap, source=R, target=S, map=f)
 
 
 def _permutations(m: int) -> np.ndarray:

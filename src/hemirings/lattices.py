@@ -26,6 +26,7 @@ from .core import (
     _memoised,
     _slab,
     _subset_closure,
+    _trusted,
     as_op_table,
 )
 
@@ -72,15 +73,14 @@ class FiniteSemilattice:
 
     __slots__ = ("join", "zero", "name", "_memo")
 
-    def __init__(self, join, zero: int = 0, name: str = "", validate: bool = True):
+    def __init__(self, join, zero: int = 0, name: str = ""):
         self.join = as_op_table(join)
         self.zero = _element(zero, self.order, "zero")
         self.name = name
         self._memo: dict = {}
-        if validate:
-            bad = semilattice_violation(self.join, self.zero)
-            if bad is not None:
-                raise ValueError(f"not a semilattice: {bad[0]} fails at {bad[1]}")
+        bad = semilattice_violation(self.join, self.zero)
+        if bad is not None:
+            raise ValueError(f"not a semilattice: {bad[0]} fails at {bad[1]}")
 
     @property
     def order(self) -> int:
@@ -119,8 +119,8 @@ class FiniteSemilattice:
 @_memoised("order")
 def induced_order(M: FiniteSemilattice) -> PartialOrder:
     """x <= y iff x v y = y: a partial order on any idempotent commutative
-    monoid, so it is not re-validated."""
-    return PartialOrder(M.join == np.arange(M.order)[None, :], validate=False)
+    monoid, so it is built through ``_trusted``."""
+    return _trusted(PartialOrder, leq=M.join == np.arange(M.order)[None, :])
 
 
 class FiniteLattice:
@@ -128,21 +128,18 @@ class FiniteLattice:
 
     __slots__ = ("base", "meet")
 
-    def __init__(self, base: FiniteSemilattice, meet, validate: bool = True):
+    def __init__(self, base: FiniteSemilattice, meet):
         self.base = base
         self.meet = as_op_table(meet, order=base.order)
-        if validate:
-            po = induced_order(base)
-            want = po.meet_table()
-            if want is None or not (want == self.meet).all():
-                raise ValueError("meet table is not the glb of the induced order")
-            # absorption: x v (x ^ y) = x and x ^ (x v y) = x
-            n = base.order
-            idx = np.arange(n)[:, None]
-            if not (base.join[idx, self.meet] == idx).all():
-                raise ValueError("absorption fails")
-            if not (self.meet[idx, base.join] == idx).all():
-                raise ValueError("absorption fails")
+        want = induced_order(base).meet_table()
+        if want is None or not (want == self.meet).all():
+            raise ValueError("meet table is not the glb of the induced order")
+        # absorption: x v (x ^ y) = x and x ^ (x v y) = x
+        idx = np.arange(base.order)[:, None]
+        if not (base.join[idx, self.meet] == idx).all():
+            raise ValueError("absorption fails")
+        if not (self.meet[idx, base.join] == idx).all():
+            raise ValueError("absorption fails")
 
     @property
     def order(self) -> int:
@@ -154,12 +151,13 @@ def try_lattice(M: FiniteSemilattice) -> FiniteLattice | None:
 
     For a validated FiniteSemilattice this always succeeds (the join of the
     common lower bounds is the meet); the optional covers malformed input.
-    The meets are the glbs by construction, so they are not re-validated.
+    The meets are the glbs by construction, so the lattice is built
+    through ``_trusted``.
     """
     meets = induced_order(M).meet_table()
     if meets is None:
         return None
-    return FiniteLattice(M, meets, validate=False)
+    return _trusted(FiniteLattice, base=M, meet=meets)
 
 
 def is_distributive(L: FiniteLattice) -> bool:
@@ -277,9 +275,8 @@ class EndoSemiring:
     def __init__(self, M: FiniteSemilattice, maps: list[Endo], name: str = ""):
         self.lattice = M
         self.maps, self.index, add, mul, zero, one = _pack_maps(M.join, M.zero, maps)
-        self.hemiring = FiniteHemiring(add, mul, zero=zero, one=one,
-                                       name=name or f"End({M.name or M.order})",
-                                       validate=False)
+        self.hemiring = _trusted(FiniteHemiring, add=add, mul=mul, zero=zero, one=one,
+                                 name=name or f"End({M.name or M.order})")
 
     @property
     def order(self) -> int:

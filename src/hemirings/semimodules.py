@@ -26,6 +26,7 @@ from .core import (
     _law_witness,
     _map_search,
     _subset_closure,
+    _trusted,
     as_op_table,
 )
 from .lattices import (FiniteSemilattice, _distributive_lattice, _pack_maps, build_E_M,
@@ -54,8 +55,7 @@ class FiniteLeftSemimodule:
     __slots__ = ("ring", "add", "zero", "action", "name", "members")
 
     def __init__(self, ring: FiniteHemiring, add, zero: int, action,
-                 name: str = "", members: tuple[int, ...] | None = None,
-                 validate: bool = True):
+                 name: str = "", members: tuple[int, ...] | None = None):
         self.ring = ring
         self.add = as_op_table(add)
         self.zero = _element(zero, self.order, "zero")
@@ -64,17 +64,8 @@ class FiniteLeftSemimodule:
         action = np.asarray(action)
         if action.shape != (ring.order, self.order):
             raise ValueError("action table shape must be |R| x order")
-        self.action = _index_array(action, self.order, "action table")
-        if validate:
-            self._validate()
-
-    @property
-    def order(self) -> int:
-        return self.add.shape[0]
-
-    def _validate(self):
-        R, n, r = self.ring, self.order, self.ring.order
-        add, act, zero = self.add, self.action, self.zero
+        self.action = act = _index_array(action, self.order, "action table")
+        R, n, r, add, zero = ring, self.order, ring.order, self.add, self.zero
         idx = np.arange(n)
         laws = (
             ("addition not commutative", _first(add != add.T)),
@@ -98,14 +89,18 @@ class FiniteLeftSemimodule:
             if witness is not None:
                 raise ValueError(message)
 
+    @property
+    def order(self) -> int:
+        return self.add.shape[0]
+
     def __repr__(self):
         return f"FiniteLeftSemimodule({self.name or self.order}, over {self.ring.name or self.ring.order})"
 
 
 def regular_semimodule(R: FiniteHemiring) -> FiniteLeftSemimodule:
     """R acting on itself by left multiplication (not re-validated)."""
-    return FiniteLeftSemimodule(R, R.add, R.zero, R.mul, name="regular",
-                                members=tuple(range(R.order)), validate=False)
+    return _trusted(FiniteLeftSemimodule, ring=R, add=R.add, zero=R.zero, action=R.mul,
+                    name="regular", members=tuple(range(R.order)))
 
 
 def left_ideal_semimodule(R: FiniteHemiring, I: IdealSubset) -> FiniteLeftSemimodule:
@@ -118,8 +113,9 @@ def left_ideal_semimodule(R: FiniteHemiring, I: IdealSubset) -> FiniteLeftSemimo
     pos = np.zeros(R.order, dtype=np.int32)   # member -> module index
     pos[members] = np.arange(len(members))
     add = pos[R.add[np.ix_(members, members)]]
-    return FiniteLeftSemimodule(R, add, pos[R.zero], pos[R.mul[:, members]],
-                                name=f"ideal{members}", members=tuple(members), validate=False)
+    return _trusted(FiniteLeftSemimodule, ring=R, add=add, zero=int(pos[R.zero]),
+                    action=pos[R.mul[:, members]], name=f"ideal{members}",
+                    members=tuple(members))
 
 
 def hom_semimodules(M: FiniteLeftSemimodule, N: FiniteLeftSemimodule) -> list[tuple[int, ...]]:
@@ -156,9 +152,8 @@ class ModuleEndoSemiring:
         self.maps, self.index, add, comp, zero, one = _pack_maps(
             module.add, module.zero, maps)
         # (d_i * d_j)(x) = d_j(d_i(x)): the transpose of the composition table
-        self.hemiring = FiniteHemiring(add, comp.T, zero=zero, one=one,
-                                       name=name or f"End({module.name})",
-                                       validate=False)
+        self.hemiring = _trusted(FiniteHemiring, add=add, mul=np.ascontiguousarray(comp.T),
+                                 zero=zero, one=one, name=name or f"End({module.name})")
 
     @property
     def order(self) -> int:
@@ -265,7 +260,7 @@ def dense_embedding_search(R: FiniteHemiring) -> tuple | None:
         P = left_ideal_semimodule(R, I)
         if (P.add.diagonal() != np.arange(P.order)).any():
             continue
-        M = FiniteSemilattice(P.add, P.zero, validate=False)
+        M = _trusted(FiniteSemilattice, join=P.add, zero=P.zero, name="")
         rows = tuple(map(tuple, P.action.tolist()))
         if len(set(rows)) < R.order or not is_dense(rows, M):
             continue

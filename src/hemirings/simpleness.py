@@ -12,8 +12,9 @@ with x <= y iff x + y = y, Cg(a, b) = Cg(a, a + b) v Cg(b, a + b), and
 Cg(x, z) = Cg(x, y) v Cg(y, z) for x <= y <= z, so the congruence walk
 needs only the covering pairs of that order; on other R, every pair.
 ``CLOSURE_BUDGET`` bounds (closures) x n^2 table cells, checked by the lattice
-walks before any closure runs and by the simpleness deciders before each
-one; ``LATTICE_BOUND`` bounds the elements found.
+walks before any closure runs (the congruence walk only once
+``is_congruence_simple`` says no) and by the simpleness deciders before
+each one; ``LATTICE_BOUND`` bounds the elements found.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FiniteHemiring, HomMap, SizeGuardExceeded, _classes, _element, _memoised, \
-    _slab, _subset_closure, hom_search, is_aic, is_additively_idempotent, natural_order
+    _slab, _subset_closure, _trusted, hom_search, is_aic, is_additively_idempotent, natural_order
 from .lattices import EndoSemiring
 
 __all__ = [
@@ -54,6 +55,8 @@ class Congruence:
     ``labels[x]`` is the least element of x's block, so x ~ labels[x]
     generates the partition and the blocks are numbered by their least
     elements.  Other integer labels are renamed; non-integers raise.
+    Least-element labels the package computed (``_merge``'s) skip the
+    rename through ``_trusted``.
     """
 
     __slots__ = ("labels",)
@@ -63,13 +66,6 @@ class Congruence:
         if arr.ndim != 1 or arr.dtype.kind not in "iu":
             raise ValueError(f"congruence labels must be a 1-D integer sequence, not {arr!r}")
         self.labels = tuple(_classes(arr[:, None])[1].tolist())
-
-    @classmethod
-    def _least(cls, labels: np.ndarray) -> "Congruence":
-        """From least-element labels, such as ``_merge``'s, without the rename."""
-        cong = cls.__new__(cls)
-        cong.labels = tuple(labels.tolist())
-        return cong
 
     @classmethod
     def diagonal(cls, n: int) -> "Congruence":
@@ -112,8 +108,8 @@ class Congruence:
 
     def join(self, other: "Congruence") -> "Congruence":
         """Smallest partition containing both (transitive closure of union)."""
-        return Congruence._least(_merge(np.array(self.labels), np.arange(self.order),
-                                        np.array(other.labels)))
+        labels = _merge(np.array(self.labels), np.arange(self.order), np.array(other.labels))
+        return _trusted(Congruence, labels=tuple(labels.tolist()))
 
     def __eq__(self, other):
         return isinstance(other, Congruence) and self.labels == other.labels
@@ -196,7 +192,7 @@ def _closure(tables, xs, ys) -> Congruence:
     labels = _merge(np.arange(tables[0].shape[0]), xs, ys)
     for labels in _compat_closure(tables, labels):
         pass
-    return Congruence._least(labels)
+    return _trusted(Congruence, labels=tuple(labels.tolist()))
 
 
 def principal_congruence(R: FiniteHemiring, a: int, b: int) -> Congruence:
@@ -365,17 +361,18 @@ def _covers(lt: np.ndarray) -> np.ndarray:
 def all_congruences(R: FiniteHemiring) -> list[Congruence]:
     """The congruence lattice, from the covering pairs on additively idempotent R.
 
-    Within ``CLOSURE_BUDGET``, a congruence-simple R returns its two
-    congruences without a walk."""
+    ``is_congruence_simple`` is asked first, so a congruence-simple R
+    returns its two congruences without a walk; only a walk is charged its
+    closures against ``CLOSURE_BUDGET``."""
     n = R.order
+    if is_congruence_simple(R):
+        return sorted({Congruence.diagonal(n), Congruence.universal(n)}, key=lambda c: c.labels)
     pairs = np.triu(np.ones((n, n), dtype=bool), 1)
     if is_additively_idempotent(R):
         pairs = _covers(natural_order(R).leq & ~np.eye(n, dtype=bool))
     tables = _tables(R)
     seeds = np.argwhere(pairs).tolist()
     _check_closure_budget(len(seeds), n, "congruence lattice enumeration")
-    if is_congruence_simple(R):
-        return sorted({Congruence.diagonal(n), Congruence.universal(n)}, key=lambda c: c.labels)
     return _join_closure(Congruence.diagonal(n), lambda ab: _closure(tables, ab[:1], ab[1:]),
                          seeds, Congruence.join, lambda c: c.labels, "congruence")
 
@@ -528,7 +525,8 @@ def bourne_congruence(R: FiniteHemiring, I: IdealSubset) -> Congruence:
     n = R.order
     idx = sorted(I.members)
     ids = np.arange(n)
-    cong = Congruence._least(_merge(ids, np.repeat(ids, len(idx)), R.add[:, idx].ravel()))
+    labels = _merge(ids, np.repeat(ids, len(idx)), R.add[:, idx].ravel())
+    cong = _trusted(Congruence, labels=tuple(labels.tolist()))
     if not is_congruence(R, cong):
         raise ValueError("Bourne relation did not close to a congruence")
     return cong
@@ -552,7 +550,8 @@ def tau_congruence(E: EndoSemiring) -> Congruence:
     arr = np.array(E.maps, dtype=np.int32)
     firsts = [_classes(M.join[arr, a])[1] for a in range(M.order)]   # [i, x] -> f_i(x) v a
     ids = np.arange(len(arr))
-    cong = Congruence._least(_merge(ids, np.tile(ids, M.order), np.concatenate(firsts)))
+    labels = _merge(ids, np.tile(ids, M.order), np.concatenate(firsts))
+    cong = _trusted(Congruence, labels=tuple(labels.tolist()))
     if not is_congruence(E.hemiring, cong):
         raise ValueError("tau relation is not a congruence")
     return cong

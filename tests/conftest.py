@@ -12,6 +12,7 @@ from hemirings import (
     matrix_semiring,
     two_zero_mult,
 )
+from hemirings.core import _trusted, as_op_table
 from hemirings.verify import _hemirings, _semilattices
 
 
@@ -47,6 +48,13 @@ def chain3_min_semiring():
         [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
         [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
         zero=0, one=2, name="chain3-min")
+
+
+def unchecked_hemiring(add, mul, zero=0, one=None):
+    """Tables that may break the axioms, as a FiniteHemiring built through
+    the package's trusted path; the public constructor rejects them."""
+    return _trusted(FiniteHemiring, add=as_op_table(add), mul=as_op_table(mul),
+                    zero=zero, one=one, name="")
 
 
 def direct_product(*factors):

@@ -1,8 +1,9 @@
 """Law oracle for the package's own constructions.
 
 Tables from outside the package are validated where they enter
-(``FiniteHemiring``, ``parse_algebra``, ``parse_tables_inline``).  Tables the
-package builds are hemirings by construction and skip that scan, so this
+(``FiniteHemiring``, ``parse_algebra``, ``parse_tables_inline``), with no
+way to skip the check.  Tables the package builds are hemirings by
+construction and skip that scan through ``core._trusted``, so this
 file runs ``check_hemiring_axioms`` on every kind of construction output:
 the catalogs, M_2(R) and its corners, E_M and F_M, module endomorphism
 semirings and the small named algebras.  The orders, lattices and
@@ -19,6 +20,7 @@ from hemirings import (
     FiniteLattice,
     FiniteLeftSemimodule,
     FiniteSemilattice,
+    HomMap,
     PartialOrder,
     boolean_B,
     build_E_M,
@@ -50,6 +52,8 @@ from hemirings.verify import (
     _tables_inline,
     parse_tables_inline,
 )
+
+from conftest import unchecked_hemiring
 
 
 def assert_hemiring(H):
@@ -137,11 +141,29 @@ FAILING_TABLES = (
 )
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda B: FiniteHemiring([[0, 1], [0, 1]], [[0, 0], [0, 1]]),
+     "add-commutative: FAIL at"),
+    (lambda B: PartialOrder([[True, True], [True, True]]), "^relation is not antisymmetric$"),
+    (lambda B: FiniteSemilattice([[0, 1], [1, 0]]), "^not a semilattice: idempotent fails"),
+    (lambda B: FiniteLattice(FiniteSemilattice(B.add), B.add),
+     "^meet table is not the glb of the induced order$"),
+    (lambda B: FiniteLeftSemimodule(B, B.add, 0, [[0, 0], [0, 0]]),
+     "^module not unital over a unital ring$"),
+    (lambda B: HomMap(B, B, (1, 0)), r"^map \(1, 0\) is not a homomorphism$"),
+], ids=["FiniteHemiring", "PartialOrder", "FiniteSemilattice", "FiniteLattice",
+        "FiniteLeftSemimodule", "HomMap"])
+def test_public_constructors_reject_malformed_input(B, build, error):
+    """Each public constructor checks its input, with no option to skip it."""
+    with pytest.raises(ValueError, match=error):
+        build(B)
+
+
 @pytest.mark.parametrize("add, mul, zero, one", FAILING_TABLES)
 def test_outside_tables_are_still_validated(add, mul, zero, one):
     with pytest.raises(AxiomError):
         FiniteHemiring(add, mul, zero=zero, one=one)
-    H = FiniteHemiring(add, mul, zero=zero, one=one, validate=False)
+    H = unchecked_hemiring(add, mul, zero, one)
     with pytest.raises(AxiomError):
         parse_tables_inline(_tables_inline(H))
     text = (f"order 2\nzero {zero}\n" + ("" if one is None else f"one {one}\n")

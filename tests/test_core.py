@@ -6,6 +6,7 @@ import pytest
 from hemirings import (
     AxiomError,
     FiniteHemiring,
+    HomMap,
     check_hemiring_axioms,
     generated_ideal,
     hom_search,
@@ -387,6 +388,34 @@ def test_partial_order_comparable_rejects_non_elements(x):
         with pytest.raises(ValueError, match=r"^element .* is not an element index in \[0, 3\)$"):
             po.comparable(a, b)
     assert po.comparable(np.int64(2), np.int64(1))
+
+
+@pytest.mark.parametrize("images, message", [
+    ((0, 5), r"^map image 5 is not an element index in \[0, 2\)$"),
+    ((1.0, 0), r"^map image 1.0 is not an element index in \[0, 2\)$"),
+    ((0, -1), r"^map image -1 is not an element index in \[0, 2\)$"),
+    ((0, True), r"^map image True is not an element index in \[0, 2\)$"),
+    ((1, 1), r"^map \(1, 1\) is not a homomorphism$"),          # moves zero
+    ((0,), r"^map length does not match source order$"),
+])
+def test_hom_map_rejects_a_malformed_map(B, images, message):
+    # HomMap(B, B, (0, 5)) used to be surjective, and (1.0, 0) was accepted
+    with pytest.raises(ValueError, match=message):
+        HomMap(B, B, images)
+
+
+def test_hom_map_rejects_a_map_that_breaks_an_operation(B):
+    # (0, 1) keeps zero, but 1 + 1 is 0 in Z/2 and 1 in B
+    with pytest.raises(ValueError, match=r"^map \(0, 1\) is not a homomorphism$"):
+        HomMap(integers_mod(2), B, (0, 1))
+
+
+def test_hom_map_accepts_every_searched_hom(B, plain_hemirings_upto3):
+    for R in plain_hemirings_upto3:
+        for h in hom_search(R, B):
+            assert HomMap(R, B, list(h.map)) == h
+    f = HomMap(B, B, (np.int64(0), np.int32(1)))
+    assert f.map == (0, 1) and all(type(y) is int for y in f.map)
 
 
 @pytest.mark.parametrize("x", [-1, 2, 1.0, True])

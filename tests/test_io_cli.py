@@ -262,16 +262,29 @@ def test_cli_reader_closing_the_pipe_is_not_an_error(tmp_path, plain_hemirings_u
 
 
 def test_cli_size_guard_exit(tmp_path):
+    # M_2(GF(4)) x GF(2) (order 512, not idempotent) is not congruence-simple,
+    # so its walk of all 130,816 pairs is refused
     from hemirings import finite_field, matrix_semiring
-    R = matrix_semiring(finite_field(4), 2).hemiring   # order 256, not idempotent
+    R = direct_product(matrix_semiring(finite_field(4), 2).hemiring, finite_field(2))
     f = tmp_path / "big.alg"
     write_algebra(R, f)
     r = run_cli("congruences", str(f))
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr == ("size guard: congruence lattice enumeration is bounded at "
-                        "CLOSURE_BUDGET = 100000000 table cells; asked for 2139095040 "
-                        "(32640 closures at order 256)\n")
+                        "CLOSURE_BUDGET = 100000000 table cells; asked for 34292629504 "
+                        "(130816 closures at order 512)\n")
+
+
+def test_cli_congruences_decides_before_the_budget(tmp_path):
+    # M_2(GF(4)) (order 256) would ask for 32,640 closures, past the budget,
+    # but it is congruence-simple, which the decider settles first
+    from hemirings import finite_field, matrix_semiring
+    f = tmp_path / "m2gf4.alg"
+    write_algebra(matrix_semiring(finite_field(4), 2).hemiring, f)
+    r = run_cli("congruences", str(f))
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.startswith("count: 2\n")
 
 
 def test_cli_enumerate_deterministic(tmp_path):

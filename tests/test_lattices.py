@@ -19,7 +19,7 @@ from hemirings import (
     is_semilattice,
     try_lattice,
 )
-from hemirings.core import PartialOrder, check_hemiring_axioms
+from hemirings.core import PartialOrder, _trusted, as_op_table, check_hemiring_axioms
 from hemirings.lattices import generator_maps, semilattice_violation
 
 from conftest import chain_semilattice, diamond_semilattice
@@ -35,8 +35,10 @@ def test_semilattice_rejects_non_element_zero(check, zero):
 
 
 def test_top_of_malformed_join_table_is_an_error():
-    # unvalidated table whose induced order has no greatest element
-    M = FiniteSemilattice([[0, 1, 2], [1, 1, 0], [2, 0, 2]], validate=False)
+    # a malformed table, past the validating constructor, whose induced
+    # order has no greatest element
+    M = _trusted(FiniteSemilattice, join=as_op_table([[0, 1, 2], [1, 1, 0], [2, 0, 2]]),
+                 zero=0, name="")
     with pytest.raises(ValueError, match="greatest"):
         M.top
 

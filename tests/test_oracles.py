@@ -81,6 +81,7 @@ from conftest import (
     ideal_violation,
     naive_lex_least,
     relabeled,
+    unchecked_hemiring,
 )
 
 
@@ -215,8 +216,7 @@ def test_element_predicates_against_definitions(plain_hemirings_upto3, idem_hemi
     algebras += [m2b.hemiring] + [matrix_semiring(finite_field(q), 2).hemiring for q in (2, 3)]
     algebras += [direct_product(R, boolean_B()) for R in algebras if R.order <= 16]
     rng = random.Random(31)
-    algebras += [FiniteHemiring(R.add, perturbed(R.mul.tolist(), rng), zero=R.zero, one=R.one,
-                                validate=False)
+    algebras += [unchecked_hemiring(R.add, perturbed(R.mul.tolist(), rng), R.zero, R.one)
                  for R in algebras if R.one is not None for _ in range(3)]
     seen = set()
     for R in algebras:
@@ -801,7 +801,7 @@ def test_compat_closure_against_table_pass_reference(plain_hemirings_upto3,
             assert (step <= np.arange(R.order)).all() and (step != labels).any()
             labels = step
         assert (labels == want).all()
-        assert simpleness.is_congruence(R, Congruence._least(labels))
+        assert simpleness.is_congruence(R, Congruence(labels))
         proper += 1 < len(set(labels.tolist())) < R.order
     assert len(seeds) > 1000 and proper > 100
 
@@ -985,7 +985,7 @@ def catalog_semilattices(n):
     """The semilattice catalog the way it was first built: the natural
     orders, their join tables where every pair has a least upper bound,
     and the canonical join tables named in that order, listed sorted."""
-    joins = [pairwise_meet_table(PartialOrder(leq.T, validate=False))
+    joins = [pairwise_meet_table(PartialOrder(leq.T))
              for leq in natural_orders(n)]
     joins = np.array([J for J in joins if J is not None])
     names = {}
@@ -1879,7 +1879,7 @@ def loop_finite_field(q: int) -> FiniteHemiring:
     """
     if q in (2, 3, 5, 7):
         Z = integers_mod(q)
-        return FiniteHemiring(Z.add, Z.mul, zero=0, one=1, name=f"GF({q})", validate=False)
+        return FiniteHemiring(Z.add, Z.mul, zero=0, one=1, name=f"GF({q})")
     if q not in _GF_IRREDUCIBLE:
         raise ValueError(f"unsupported field order {q}")
     p, tail = _GF_IRREDUCIBLE[q]
@@ -1920,7 +1920,7 @@ def loop_finite_field(q: int) -> FiniteHemiring:
             dy = digits(y)
             add[x, y] = undigits([(a + b) % p for a, b in zip(dx, dy)])
             mul[x, y] = undigits(poly_mul(dx, dy))
-    R = FiniteHemiring(add, mul, zero=0, one=1, name=f"GF({q})", validate=False)
+    R = FiniteHemiring(add, mul, zero=0, one=1, name=f"GF({q})")
     for x in range(1, q):
         if not (R.mul[x] == R.one).any():
             raise InvariantViolation(f"GF({q}) element {x} not invertible")

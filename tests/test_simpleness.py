@@ -203,6 +203,8 @@ def test_congruence_simple_agrees_with_lattice_size(
 
 
 def test_all_congruences_builds_the_tables_once(monkeypatch, plain_hemirings_upto3, z4):
+    """Once for a walk, and not at all for a congruence-simple R, whose
+    decider is asked first."""
     tables = simpleness._tables
     builds = []
 
@@ -214,7 +216,7 @@ def test_all_congruences_builds_the_tables_once(monkeypatch, plain_hemirings_upt
     for R in list(plain_hemirings_upto3) + [z4]:
         builds.clear()
         all_congruences(R)
-        assert builds == [R]
+        assert builds == ([] if is_congruence_simple(R) else [R])
 
 
 def test_order36_product_lattices(plain_hemirings_upto3, monkeypatch):
@@ -291,21 +293,26 @@ def test_congruence_simple_lattice_without_a_walk(monkeypatch, B):
 
 
 def test_all_congruences_size_guard(monkeypatch):
-    """The budget is checked before any closure runs: 140 covers on E_C5
-    (order 70) and 120 pairs on the non-idempotent Z_16."""
+    """The walk's budget is checked before any of its closures runs: 120
+    pairs on the non-idempotent Z_16 and 140 covers on E_C5 (order 70).
+    The decider is asked first, so the congruence-simple E_C5 returns its
+    two congruences under the same budget, and reaches the walk only with
+    the decider stubbed to say no."""
     def no_closure(*args):
         raise AssertionError("a closure ran past the budget")
 
     monkeypatch.setattr(simpleness, "_closure", no_closure)
+    monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 120 * 16 * 16 - 1)
+    with pytest.raises(SizeGuardExceeded, match=r"asked for 30720 \(120 closures at order 16\)$"):
+        all_congruences(integers_mod(16))
     monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 140 * 70 * 70 - 1)
     E = build_E_M(chain_semilattice(5)).hemiring
+    assert len(all_congruences(E)) == 2
+    monkeypatch.setattr(simpleness, "is_congruence_simple", lambda R: False)
     with pytest.raises(SizeGuardExceeded,
                        match=r"^congruence lattice enumeration is bounded at CLOSURE_BUDGET = "
                              r"685999 table cells; asked for 686000 \(140 closures at order 70\)$"):
         all_congruences(E)
-    monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 120 * 16 * 16 - 1)
-    with pytest.raises(SizeGuardExceeded, match=r"asked for 30720 \(120 closures at order 16\)$"):
-        all_congruences(integers_mod(16))
 
 
 def test_all_ideals_size_guard(monkeypatch):

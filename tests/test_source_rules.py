@@ -3,7 +3,9 @@
 No ``assert`` statement: ``python -O`` removes them, so none may carry
 program logic.  No ``np.unique``: rows are grouped by the one kernel,
 ``core._classes``.  ``core`` imports no other module of the package, so
-every other module can import it.
+every other module can import it.  No ``validate`` option: every public
+constructor checks its input, and the package's own objects are built
+through ``core._trusted``.
 """
 
 import ast
@@ -32,6 +34,20 @@ def test_no_np_unique():
     found = [f"{p.name}:{node.lineno}" for p in SOURCES for node in ast.walk(tree(p))
              if isinstance(node, ast.Attribute) and node.attr == "unique"
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert found == []
+
+
+def test_no_validate_option():
+    found = []
+    for p in SOURCES:
+        for node in ast.walk(tree(p)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(a.arg == "validate" for a in params):
+                    found.append(f"{p.name}:{node.lineno} declares validate")
+            elif isinstance(node, ast.Call) and any(k.arg == "validate" for k in node.keywords):
+                found.append(f"{p.name}:{node.lineno} passes validate=")
     assert found == []
 
 
