@@ -35,6 +35,7 @@ fields are hemirings by theorem), so it builds its output through
 ``core._trusted``, with no axiom scan; the tests re-check each kind of
 output with ``check_hemiring_axioms``.  The fixed tables of
 ``two_zero_mult`` and ``integers_mod`` take the validating constructor.
+``MatrixSemiring`` and ``CornerSemiring`` have no other constructor.
 """
 
 from __future__ import annotations
@@ -158,16 +159,10 @@ def finite_field(q: int) -> FiniteHemiring:
 
 
 class MatrixSemiring:
-    """n x n matrices over a base hemiring, packed as one FiniteHemiring."""
+    """n x n matrices over a base hemiring, packed as one FiniteHemiring;
+    only ``matrix_semiring`` builds one."""
 
     __slots__ = ("base", "n", "hemiring", "_weights")
-
-    def __init__(self, base: FiniteHemiring, n: int, hemiring: FiniteHemiring,
-                 weights: np.ndarray):
-        self.base = base
-        self.n = n
-        self.hemiring = hemiring
-        self._weights = weights
 
     @property
     def order(self) -> int:
@@ -230,22 +225,15 @@ def matrix_semiring(R: FiniteHemiring, n: int) -> MatrixSemiring:
 
     H = _trusted(FiniteHemiring, add=add, mul=mul, zero=zero, one=one,
                  name=f"M_{n}({R.name or R.order})")
-    return MatrixSemiring(R, n, H, weights)
+    return _trusted(MatrixSemiring, base=R, n=n, hemiring=H, _weights=weights)
 
 
 class CornerSemiring:
     """The semiring e*R*e for an idempotent e, with identity e; position[m]
-    is the corner index of a member m (0 for other elements of R)."""
+    is the corner index of a member m (0 for other elements of R); only
+    ``corner`` builds one."""
 
     __slots__ = ("base", "e", "members", "hemiring", "position")
-
-    def __init__(self, base: FiniteHemiring, e: int, members: tuple[int, ...],
-                 hemiring: FiniteHemiring, position: np.ndarray):
-        self.base = base
-        self.e = e
-        self.members = members
-        self.hemiring = hemiring
-        self.position = position
 
     @property
     def order(self) -> int:
@@ -274,7 +262,8 @@ def corner(R: FiniteHemiring, e: int) -> CornerSemiring:
     block = np.ix_(members, members)
     H = _trusted(FiniteHemiring, add=pos[R.add[block]], mul=pos[R.mul[block]],
                  zero=int(pos[R.zero]), one=int(pos[e]), name=f"corner({R.name or R.order},{e})")
-    return CornerSemiring(R, e, tuple(members.tolist()), H, pos)
+    return _trusted(CornerSemiring, base=R, e=e, members=tuple(members.tolist()), hemiring=H,
+                    position=pos)
 
 
 def is_full_idempotent(R: FiniteHemiring, e: int) -> bool:

@@ -477,14 +477,18 @@ class FiniteHemiring:
 
 
 class PartialOrder:
-    """A partial order on 0..n-1 as a boolean leq matrix."""
+    """A partial order on 0..n-1 as a boolean leq matrix, given as booleans
+    or as integers 0 and 1; any other entry is rejected, not coerced."""
 
     __slots__ = ("leq",)
 
     def __init__(self, leq):
-        leq = np.ascontiguousarray(leq, dtype=bool)
-        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
+        raw = np.asarray(leq)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValueError("leq must be a square boolean matrix")
+        if raw.dtype != bool:
+            raw = _index_array(raw, 2, "leq")
+        leq = np.ascontiguousarray(raw, dtype=bool)
         n = leq.shape[0]
         if not leq[np.diag_indices(n)].all():
             raise ValueError("relation is not reflexive")

@@ -3,9 +3,9 @@ hemirings.
 
 A finite semilattice here is a total idempotent commutative monoid (M, v, 0),
 i.e. a join table.  Every such table is automatically a bounded lattice
-(pairwise meets exist as joins of common lower bounds), so the lattice
-wrapper below can always be built from a valid semilattice; the optional
-return of ``try_lattice`` guards against invalid input only.
+(pairwise meets exist as joins of common lower bounds), so ``try_lattice``,
+the only builder of the lattice wrapper, succeeds on every validated
+semilattice; its ``None`` answers only a join table that skipped validation.
 """
 
 from __future__ import annotations
@@ -124,22 +124,10 @@ def induced_order(M: FiniteSemilattice) -> PartialOrder:
 
 
 class FiniteLattice:
-    """A finite semilattice together with its meet table."""
+    """A finite semilattice together with its meet table; only
+    ``try_lattice`` builds one."""
 
     __slots__ = ("base", "meet")
-
-    def __init__(self, base: FiniteSemilattice, meet):
-        self.base = base
-        self.meet = as_op_table(meet, order=base.order)
-        want = induced_order(base).meet_table()
-        if want is None or not (want == self.meet).all():
-            raise ValueError("meet table is not the glb of the induced order")
-        # absorption: x v (x ^ y) = x and x ^ (x v y) = x
-        idx = np.arange(base.order)[:, None]
-        if not (base.join[idx, self.meet] == idx).all():
-            raise ValueError("absorption fails")
-        if not (self.meet[idx, base.join] == idx).all():
-            raise ValueError("absorption fails")
 
     @property
     def order(self) -> int:
@@ -150,9 +138,9 @@ def try_lattice(M: FiniteSemilattice) -> FiniteLattice | None:
     """Compute pairwise meets; None if some pair has no greatest lower bound.
 
     For a validated FiniteSemilattice this always succeeds (the join of the
-    common lower bounds is the meet); the optional covers malformed input.
-    The meets are the glbs by construction, so the lattice is built
-    through ``_trusted``.
+    common lower bounds is the meet); the optional covers a join table that
+    skipped validation.  The meets are the glbs by construction, so the
+    lattice is built through ``_trusted``.
     """
     meets = induced_order(M).meet_table()
     if meets is None:

@@ -50,17 +50,18 @@ __all__ = [
 ]
 
 class FiniteLeftSemimodule:
-    """A commutative monoid with an R-action table (|R| x order)."""
+    """A commutative monoid with an R-action table (|R| x order).  Its
+    ``members`` (the carrier as ring elements) are set only by
+    ``regular_semimodule`` and ``left_ideal_semimodule``, else None."""
 
     __slots__ = ("ring", "add", "zero", "action", "name", "members")
 
-    def __init__(self, ring: FiniteHemiring, add, zero: int, action,
-                 name: str = "", members: tuple[int, ...] | None = None):
+    def __init__(self, ring: FiniteHemiring, add, zero: int, action, name: str = ""):
         self.ring = ring
         self.add = as_op_table(add)
         self.zero = _element(zero, self.order, "zero")
         self.name = name
-        self.members = members   # carrier as ring elements, for ideal modules
+        self.members = None
         action = np.asarray(action)
         if action.shape != (ring.order, self.order):
             raise ValueError("action table shape must be |R| x order")

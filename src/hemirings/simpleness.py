@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteHemiring, HomMap, SizeGuardExceeded, _classes, _element, _memoised, \
-    _slab, _subset_closure, _trusted, hom_search, is_aic, is_additively_idempotent, natural_order
+from .core import FiniteHemiring, HomMap, SizeGuardExceeded, _classes, _element, _is_integer, \
+    _memoised, _slab, _subset_closure, _trusted, hom_search, is_aic, is_additively_idempotent, \
+    natural_order
 from .lattices import EndoSemiring
 
 __all__ = [
@@ -378,17 +379,21 @@ def all_congruences(R: FiniteHemiring) -> list[Congruence]:
 
 
 class IdealSubset:
-    """A subset closed under addition and the declared outer multiplications."""
+    """A subset closed under addition and the declared outer multiplications.
+
+    The constructor checks the sidedness, the order and the members, not
+    closure; the package builds its ideals through ``_trusted``."""
 
     __slots__ = ("members", "sidedness", "order")
 
     def __init__(self, members, sidedness: str, order: int):
         if sidedness not in ("left", "right", "two-sided"):
             raise ValueError(f"bad sidedness {sidedness!r}")
-        # in-range ints skip the call, which would cost all_ideals about 40%
-        self.members = frozenset(x if type(x) is int and 0 <= x < order
-                                 else _element(x, order, "ideal member") for x in members)
-        self.sidedness, self.order = sidedness, order
+        if not _is_integer(order) or order < 1:
+            raise ValueError(f"ideal order must be a positive integer; got {order!r}")
+        self.order = int(order)
+        self.members = frozenset(_element(x, self.order, "ideal member") for x in members)
+        self.sidedness = sidedness
 
     @property
     def is_zero(self) -> bool:
@@ -436,7 +441,8 @@ def generated_ideal(R: FiniteHemiring, seed, sidedness: str = "two-sided") -> Id
     for x in seed:
         mask[_element(x, n, "seed entry")] = True
     mask = _subset_closure(mask, R.add, outer[sidedness])
-    return IdealSubset(np.flatnonzero(mask).tolist(), sidedness, n)
+    return _trusted(IdealSubset, members=frozenset(np.flatnonzero(mask).tolist()),
+                    sidedness=sidedness, order=n)
 
 
 def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided") -> list[IdealSubset]:
@@ -452,10 +458,12 @@ def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided") -> list[IdealSub
         if J <= I:
             return I
         sums = R.add[sorted(I.members)][:, sorted(J.members)]
-        return IdealSubset(sums.ravel().tolist(), sidedness, n)
+        return _trusted(IdealSubset, members=frozenset(sums.ravel().tolist()),
+                        sidedness=sidedness, order=n)
 
     _check_closure_budget(n - 1, n, "ideal lattice enumeration")
-    return _join_closure(IdealSubset([R.zero], sidedness, n),
+    return _join_closure(_trusted(IdealSubset, members=frozenset({R.zero}),
+                                  sidedness=sidedness, order=n),
                          lambda x: generated_ideal(R, [x], sidedness),
                          [x for x in range(n) if x != R.zero], plus,
                          lambda I: (len(I.members), sorted(I.members)), "ideal")
@@ -568,7 +576,8 @@ def radical_left(R: FiniteHemiring) -> IdealSubset:
     for I in reversed(all_ideals(R, "left")[:-1]):     # the last one is R
         if not any(I.members <= S for S in maximal):
             maximal.append(I.members)
-    return IdealSubset(frozenset(range(n)).intersection(*maximal), "left", n)
+    return _trusted(IdealSubset, members=frozenset(range(n)).intersection(*maximal),
+                    sidedness="left", order=n)
 
 
 def aic_max_ideal(R: FiniteHemiring) -> IdealSubset:

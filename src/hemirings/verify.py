@@ -81,8 +81,7 @@ from .semimodules import (
 )
 
 __all__ = ["InstanceRecord", "VerificationReport", "SUITES", "classify",
-           "dense_embedding_search", "parse_tables_inline", "run_suite",
-           "suite_names"]
+           "parse_tables_inline", "run_suite", "suite_names"]
 
 
 @dataclass(frozen=True)

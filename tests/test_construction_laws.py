@@ -6,21 +6,26 @@ way to skip the check.  Tables the package builds are hemirings by
 construction and skip that scan through ``core._trusted``, so this
 file runs ``check_hemiring_axioms`` on every kind of construction output:
 the catalogs, M_2(R) and its corners, E_M and F_M, module endomorphism
-semirings and the small named algebras.  The orders, lattices and
-semimodules the package builds skip validation too, and are re-built here
-with the validating ``PartialOrder``, ``FiniteLattice`` and
-``FiniteLeftSemimodule``.
+semirings and the small named algebras.  The orders and semimodules the
+package builds skip validation too, and are re-built here with the
+validating ``PartialOrder`` and ``FiniteLeftSemimodule``.  ``FiniteLattice``,
+``MatrixSemiring`` and ``CornerSemiring`` have no public constructor; the
+meets of ``try_lattice`` are checked against the literal glb in
+``tests/test_oracles.py``.
 """
 
+import numpy as np
 import pytest
 
 from hemirings import (
     AxiomError,
+    CornerSemiring,
     FiniteHemiring,
     FiniteLattice,
     FiniteLeftSemimodule,
     FiniteSemilattice,
     HomMap,
+    MatrixSemiring,
     PartialOrder,
     boolean_B,
     build_E_M,
@@ -40,7 +45,6 @@ from hemirings import (
     natural_order,
     parse_algebra,
     regular_semimodule,
-    try_lattice,
     two_zero_mult,
 )
 from hemirings.constructions import FIELD_ORDERS, SEMILATTICE_ORDER_BOUND
@@ -113,7 +117,6 @@ def test_orders_and_lattices_pass_their_validation(plain_hemirings_upto3,
         PartialOrder(natural_order(R).leq)
     for M in semilattices:
         PartialOrder(induced_order(M).leq)
-        FiniteLattice(M, try_lattice(M).meet)
 
 
 def thm5_10_instances():
@@ -145,17 +148,36 @@ FAILING_TABLES = (
     (lambda B: FiniteHemiring([[0, 1], [0, 1]], [[0, 0], [0, 1]]),
      "add-commutative: FAIL at"),
     (lambda B: PartialOrder([[True, True], [True, True]]), "^relation is not antisymmetric$"),
+    # a fraction used to be read as True, so this was the discrete order
+    (lambda B: PartialOrder([[0.5, 0], [0, 1]]), "^leq entries must be integers, got dtype"),
+    # 2 and -1 used to be read as True, so this was a chain
+    (lambda B: PartialOrder([[2, 0], [-1, 1]]), r"^leq entry out of range \[0, 2\)$"),
     (lambda B: FiniteSemilattice([[0, 1], [1, 0]]), "^not a semilattice: idempotent fails"),
-    (lambda B: FiniteLattice(FiniteSemilattice(B.add), B.add),
-     "^meet table is not the glb of the induced order$"),
     (lambda B: FiniteLeftSemimodule(B, B.add, 0, [[0, 0], [0, 0]]),
      "^module not unital over a unital ring$"),
     (lambda B: HomMap(B, B, (1, 0)), r"^map \(1, 0\) is not a homomorphism$"),
-], ids=["FiniteHemiring", "PartialOrder", "FiniteSemilattice", "FiniteLattice",
-        "FiniteLeftSemimodule", "HomMap"])
+], ids=["FiniteHemiring", "PartialOrder", "PartialOrder-fraction", "PartialOrder-integers",
+        "FiniteSemilattice", "FiniteLeftSemimodule", "HomMap"])
 def test_public_constructors_reject_malformed_input(B, build, error):
     """Each public constructor checks its input, with no option to skip it."""
     with pytest.raises(ValueError, match=error):
+        build(B)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda B: FiniteLattice(FiniteSemilattice(B.add), B.add), "takes no arguments"),
+    # accepted with order 2 and decode(1) = [[1, 0], [0, 0]] by the former constructor
+    (lambda B: MatrixSemiring(B, 2, B, np.array([1])), "takes no arguments"),
+    # accepted by the former constructor, after which project(1) raised IndexError
+    (lambda B: CornerSemiring(B, 5, (0, 7, 9), B, np.array([0])), "takes no arguments"),
+    (lambda B: FiniteLeftSemimodule(B, B.add, 0, B.mul, members=(7, 9)),
+     "unexpected keyword argument 'members'"),
+], ids=["FiniteLattice", "MatrixSemiring", "CornerSemiring", "FiniteLeftSemimodule-members"])
+def test_derived_types_have_no_public_constructor(B, build, error):
+    """Types whose fields the package computes from another object are made
+    only by their builders (``try_lattice``, ``matrix_semiring``,
+    ``corner``), and a module's ring members only by the ideal modules."""
+    with pytest.raises(TypeError, match=error):
         build(B)
 
 

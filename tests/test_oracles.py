@@ -27,6 +27,7 @@ from hemirings import (
     generated_ideal,
     hom_search,
     hom_semimodules,
+    induced_order,
     integers_mod,
     is_additively_idempotent,
     is_congruence_simple,
@@ -964,6 +965,10 @@ def test_meet_table_against_pairwise_meet(semilattices_upto5, endo_cache):
             assert got is not None and (got == want).all()
     assert all(po.meet_table() is not None for po in lattices)
     assert without_meets >= 50
+    # the lattice try_lattice builds, on every catalog semilattice
+    for n in range(1, SEMILATTICE_ORDER_BOUND + 1):
+        for M in enumerate_semilattices(n):
+            assert (try_lattice(M).meet == pairwise_meet_table(induced_order(M))).all(), M.name
 
 
 def natural_orders(n):

@@ -455,6 +455,17 @@ def test_ideal_subset_rejects_non_element_members(members, order):
     assert I.members == {0, 1} and all(type(x) is int for x in I.members)
 
 
+@pytest.mark.parametrize("members, order", [([0], 2.5), ([], -1), ([], 0), ([0], True),
+                                            ([0], np.float64(2))])
+def test_ideal_subset_rejects_a_bad_order(members, order):
+    # IdealSubset([0], "left", 2.5) used to be accepted and made mask()
+    # raise a numpy TypeError; IdealSubset([], "left", -1) was accepted too
+    with pytest.raises(ValueError, match=r"^ideal order must be a positive integer; got "):
+        IdealSubset(members, "left", order)
+    I = IdealSubset([0], "left", np.int64(2))
+    assert type(I.order) is int and I.mask().tolist() == [True, False]
+
+
 @pytest.mark.parametrize("members", [[0, 1.2], [0, True], [0, 2]])
 def test_bourne_congruence_gets_no_coerced_ideal(B, members):
     # bourne_congruence(B, IdealSubset([0, 1.2], ...)) used to return a congruence

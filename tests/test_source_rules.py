@@ -5,7 +5,9 @@ program logic.  No ``np.unique``: rows are grouped by the one kernel,
 ``core._classes``.  ``core`` imports no other module of the package, so
 every other module can import it.  No ``validate`` option: every public
 constructor checks its input, and the package's own objects are built
-through ``core._trusted``.
+through ``core._trusted``.  No ``__init__`` only copies its parameters to
+attributes: a type whose fields the package computes has no public
+constructor.  Every name in a module's ``__all__`` is defined there.
 """
 
 import ast
@@ -48,6 +50,43 @@ def test_no_validate_option():
                     found.append(f"{p.name}:{node.lineno} declares validate")
             elif isinstance(node, ast.Call) and any(k.arg == "validate" for k in node.keywords):
                 found.append(f"{p.name}:{node.lineno} passes validate=")
+    assert found == []
+
+
+def copies_its_parameters_only(init: ast.FunctionDef) -> bool:
+    """Whether every statement of ``init`` is ``self.x = <parameter>``."""
+    args = init.args
+    params = {a.arg for a in args.posonlyargs + args.args[1:] + args.kwonlyargs}
+    return all(isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+               and isinstance(target := stmt.targets[0], ast.Attribute)
+               and isinstance(target.value, ast.Name) and target.value.id == "self"
+               and isinstance(stmt.value, ast.Name) and stmt.value.id in params
+               for stmt in init.body)
+
+
+def test_no_init_only_copies_its_parameters():
+    found = [f"{p.name}:{cls.name}" for p in SOURCES for cls in ast.walk(tree(p))
+             if isinstance(cls, ast.ClassDef)
+             for init in cls.body if isinstance(init, ast.FunctionDef)
+             and init.name == "__init__" and copies_its_parameters_only(init)]
+    assert found == []
+
+
+def test_all_names_are_defined_in_their_module():
+    found = []
+    for p in SOURCES:
+        body = tree(p).body
+        defined = {node.name for node in body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        defined |= {node.target.id for node in body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+        for node in body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                found += [f"{p.name}: {name}" for name in ast.literal_eval(node.value)
+                          if name not in defined]
     assert found == []
 
 
