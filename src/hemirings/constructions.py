@@ -47,7 +47,7 @@ import numpy as np
 from .core import (
     FiniteHemiring,
     InvariantViolation,
-    SizeGuardExceeded,
+    _check_bound,
     _classes,
     _element,
     _index_array,
@@ -198,9 +198,8 @@ def matrix_semiring(R: FiniteHemiring, n: int) -> MatrixSemiring:
         raise ValueError(f"n must be a positive integer; got {n!r}")
     b = R.order
     N = b ** (n * n)
-    if N > MATRIX_ORDER_BOUND:
-        raise SizeGuardExceeded(
-            f"matrix carrier {b}^{n * n} = {N} exceeds bound {MATRIX_ORDER_BOUND}")
+    _check_bound("matrix carrier", "MATRIX_ORDER_BOUND", MATRIX_ORDER_BOUND, N,
+                 f"{b}^{n * n} = {{}} elements")
 
     cells = n * n
     weights = b ** np.arange(cells, dtype=np.int64)
@@ -461,9 +460,8 @@ def enumerate_semilattices(order: int) -> list[FiniteSemilattice]:
     """
     if not _is_integer(order) or order < 1:
         raise ValueError(f"order must be a positive integer; got {order!r}")
-    if order > SEMILATTICE_ORDER_BOUND:
-        raise SizeGuardExceeded(f"semilattice enumeration is bounded at order "
-                                 f"{SEMILATTICE_ORDER_BOUND}; asked for {order}")
+    _check_bound("semilattice enumeration", "SEMILATTICE_ORDER_BOUND", SEMILATTICE_ORDER_BOUND,
+                 order, "order {}")
     names, joins = _join_tables(order)
     return [_trusted(FiniteSemilattice, join=J, zero=0, name=name)
             for name, J in zip(names, joins)]
@@ -542,11 +540,12 @@ def enumerate_hemirings(order: int, additively_idempotent: bool = False) -> list
     """
     if not _is_integer(order) or order < 1:
         raise ValueError(f"order must be a positive integer; got {order!r}")
-    bound = HEMIRING_IDEMPOTENT_BOUND if additively_idempotent else HEMIRING_ORDER_BOUND
-    if order > bound:
-        kind = "additively idempotent " if additively_idempotent else ""
-        raise SizeGuardExceeded(f"{kind}hemiring enumeration is bounded at order {bound}; "
-                                 f"asked for {order}")
+    if additively_idempotent:
+        _check_bound("additively idempotent hemiring enumeration", "HEMIRING_IDEMPOTENT_BOUND",
+                     HEMIRING_IDEMPOTENT_BOUND, order, "order {}")
+    else:
+        _check_bound("hemiring enumeration", "HEMIRING_ORDER_BOUND", HEMIRING_ORDER_BOUND, order,
+                     "order {}")
     cells = order * order
     tag = "ai" if additively_idempotent else "hr"
     pairs = _multiplications(_commutative_monoids(order, additively_idempotent))

@@ -58,7 +58,15 @@ __all__ = [
 
 
 class SizeGuardExceeded(RuntimeError):
-    """An operation was asked to run beyond its configured order bound."""
+    """An operation was asked to run past one of its named bounds (``_check_bound``)."""
+
+
+def _check_bound(work: str, name: str, bound: int, asked: int, amount: str = "{}") -> None:
+    """The one raise of ``SizeGuardExceeded``: refuse ``work`` if ``asked`` exceeds ``bound``,
+    the value of the constant ``name``; ``amount`` is a template that words ``asked``."""
+    if asked > bound:
+        raise SizeGuardExceeded(f"{work} is bounded at {name} = {bound}; "
+                                f"asked for {amount.format(asked)}")
 
 
 class InvariantViolation(RuntimeError):
@@ -101,7 +109,7 @@ def _index_array(raw: np.ndarray, bound: int, what: str) -> np.ndarray:
         raise ValueError(f"{what} entries must be integers, got dtype {raw.dtype}")
     if raw.min() < 0 or raw.max() >= bound:
         raise ValueError(f"{what} entry out of range [0, {bound})")
-    table = np.ascontiguousarray(raw, dtype=np.int32)
+    table = np.array(raw, dtype=np.int32, order="C")
     table.setflags(write=False)
     return table
 
@@ -488,7 +496,7 @@ class PartialOrder:
             raise ValueError("leq must be a square boolean matrix")
         if raw.dtype != bool:
             raw = _index_array(raw, 2, "leq")
-        leq = np.ascontiguousarray(raw, dtype=bool)
+        leq = np.array(raw, dtype=bool, order="C")
         n = leq.shape[0]
         if not leq[np.diag_indices(n)].all():
             raise ValueError("relation is not reflexive")
@@ -732,9 +740,7 @@ def _map_search(n: int, order: list[int], domains, tables=(), actions=(),
             yield tuple(f[:n])
             return
         nodes += 1
-        if nodes > node_budget:
-            raise SizeGuardExceeded(
-                f"map search exceeded its node budget of {node_budget} nodes")
+        _check_bound("map search", "HOM_SEARCH_BOUND", node_budget, nodes, "{} nodes")
         z = order[k]
         force = forcing[k]
         if force is None:
@@ -978,9 +984,7 @@ def _canonical_labelling(R: FiniteHemiring) -> tuple[tuple, tuple[int, ...]]:
     theirs, the identity labelling.
     """
     n = R.order
-    if n > CANONICAL_ORDER_BOUND:
-        raise SizeGuardExceeded(f"canonical form is bounded at CANONICAL_ORDER_BOUND = "
-                                 f"{CANONICAL_ORDER_BOUND}; asked for order {n}")
+    _check_bound("canonical form", "CANONICAL_ORDER_BOUND", CANONICAL_ORDER_BOUND, n, "order {}")
     [(flat, p)] = _lex_least_relabeling([(R.add, R.mul)], R.zero)
     return (flat[:n * n], flat[n * n:], None if R.one is None else p[R.one]), tuple(p)
 

@@ -154,10 +154,8 @@ def is_distributive(L: FiniteLattice) -> bool:
     return _law_witness(_distributive(L.meet, join, join), (n, n, n)) is None
 
 
-@_memoised("distributive")
 def _distributive_lattice(M: FiniteSemilattice) -> bool:
-    """Whether M is a lattice (``try_lattice``) that is distributive;
-    memoised in M."""
+    """Whether M is a lattice (``try_lattice``) that is distributive."""
     lat = try_lattice(M)
     return lat is not None and is_distributive(lat)
 
@@ -289,12 +287,11 @@ def generator_maps(M: FiniteSemilattice) -> list[Endo]:
     return sorted({e_ab(M, a, b) for a in range(M.order) for b in range(M.order)})
 
 
-@_memoised("F_M")
 def build_F_M(M: FiniteSemilattice) -> EndoSemiring:
     """The additive submonoid of E_M generated by all e_{a,b}: their
     ``_subset_closure`` under the pointwise join of ``build_E_M(M)``.
     Packaging re-checks closure under composition (F_M is an ideal of E_M).
-    Memoised in M like ``build_E_M``: rename a copy, never this one.
+    A new object on each call; only E_M is memoised in M.
     """
     E = build_E_M(M)
     mask = np.zeros(E.order, dtype=bool)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteHemiring, HomMap, SizeGuardExceeded, _classes, _element, _is_integer, \
+from .core import FiniteHemiring, HomMap, _check_bound, _classes, _element, _is_integer, \
     _memoised, _slab, _subset_closure, _trusted, hom_search, is_aic, is_additively_idempotent, \
     natural_order
 from .lattices import EndoSemiring
@@ -324,12 +324,9 @@ def is_congruence_simple(R: FiniteHemiring) -> bool:
 
 
 def _check_closure_budget(closures: int, n: int, work: str) -> None:
-    """Refuse ``work`` (a noun phrase for the message) once its closures
-    would read more than ``CLOSURE_BUDGET`` table cells."""
-    if (cells := closures * n * n) > CLOSURE_BUDGET:
-        raise SizeGuardExceeded(f"{work} is bounded at CLOSURE_BUDGET = "
-                                 f"{CLOSURE_BUDGET} table cells; asked for {cells} "
-                                 f"({closures} closures at order {n})")
+    """Refuse ``work`` once its closures would read more than ``CLOSURE_BUDGET`` table cells."""
+    _check_bound(work, "CLOSURE_BUDGET", CLOSURE_BUDGET, closures * n * n,
+                 f"{{}} table cells ({closures} closures at order {n})")
 
 
 def _join_closure(bottom, principal, seeds, join, key, kind: str) -> list:
@@ -346,9 +343,8 @@ def _join_closure(bottom, principal, seeds, join, key, kind: str) -> list:
     found = {bottom}
     for p in sorted({principal(s) for s in seeds}, key=key):
         found |= {join(c, p) for c in found}
-        if len(found) > LATTICE_BOUND:
-            raise SizeGuardExceeded(f"{kind} lattice enumeration bounded at "
-                                     f"{LATTICE_BOUND} {kind}s")
+        _check_bound(f"{kind} lattice enumeration", "LATTICE_BOUND", LATTICE_BOUND, len(found),
+                     f"{{}} {kind}s")
     return sorted(found, key=key)
 
 
@@ -378,6 +374,13 @@ def all_congruences(R: FiniteHemiring) -> list[Congruence]:
                          seeds, Congruence.join, lambda c: c.labels, "congruence")
 
 
+def _sidedness(sidedness: str) -> str:
+    """``sidedness`` if it names a kind of ideal, else ``ValueError``."""
+    if sidedness not in ("left", "right", "two-sided"):
+        raise ValueError(f"bad sidedness {sidedness!r}")
+    return sidedness
+
+
 class IdealSubset:
     """A subset closed under addition and the declared outer multiplications.
 
@@ -387,13 +390,11 @@ class IdealSubset:
     __slots__ = ("members", "sidedness", "order")
 
     def __init__(self, members, sidedness: str, order: int):
-        if sidedness not in ("left", "right", "two-sided"):
-            raise ValueError(f"bad sidedness {sidedness!r}")
+        self.sidedness = _sidedness(sidedness)
         if not _is_integer(order) or order < 1:
             raise ValueError(f"ideal order must be a positive integer; got {order!r}")
         self.order = int(order)
         self.members = frozenset(_element(x, self.order, "ideal member") for x in members)
-        self.sidedness = sidedness
 
     @property
     def is_zero(self) -> bool:
@@ -433,14 +434,13 @@ def generated_ideal(R: FiniteHemiring, seed, sidedness: str = "two-sided") -> Id
     in [0, R.order) raises ``ValueError`` rather than being truncated or
     wrapped, and so does an unknown sidedness, before anything is closed."""
     n = R.order
-    outer = {"left": (R.mul,), "right": (R.mul.T,), "two-sided": (R.mul, R.mul.T)}
-    if sidedness not in outer:
-        raise ValueError(f"bad sidedness {sidedness!r}")
+    outer = {"left": (R.mul,), "right": (R.mul.T,),
+             "two-sided": (R.mul, R.mul.T)}[_sidedness(sidedness)]
     mask = np.zeros(n, dtype=bool)
     mask[R.zero] = True
     for x in seed:
         mask[_element(x, n, "seed entry")] = True
-    mask = _subset_closure(mask, R.add, outer[sidedness])
+    mask = _subset_closure(mask, R.add, outer)
     return _trusted(IdealSubset, members=frozenset(np.flatnonzero(mask).tolist()),
                     sidedness=sidedness, order=n)
 
@@ -450,9 +450,9 @@ def all_ideals(R: FiniteHemiring, sidedness: str = "two-sided") -> list[IdealSub
 
     Every ideal I is the sum of {0} and the <x> with x nonzero in I.  I + J
     is already an ideal, by commutativity of + and distributivity, and
-    I + J = I when J is inside I.
+    I + J = I when J is inside I.  An unknown sidedness raises ValueError first.
     """
-    n = R.order
+    n, sidedness = R.order, _sidedness(sidedness)
 
     def plus(I: IdealSubset, J: IdealSubset) -> IdealSubset:
         if J <= I:

@@ -164,6 +164,21 @@ def test_public_constructors_reject_malformed_input(B, build, error):
         build(B)
 
 
+def test_public_constructors_copy_the_callers_arrays(B):
+    """A public constructor keeps a read-only copy of each array, also of one
+    already in the stored dtype, which it used to keep and freeze: the
+    caller's array stays writeable and shares no memory with the object."""
+    add, mul, act = B.add.copy(), B.mul.copy(), B.mul.copy()    # int32, as stored
+    leq = np.array([[True, True], [False, True]])
+    R = FiniteHemiring(add, mul, one=1)
+    module = FiniteLeftSemimodule(B, add, 0, act)
+    kept = [(add, R.add), (mul, R.mul), (leq, PartialOrder(leq).leq),
+            (add, FiniteSemilattice(add).join), (add, module.add), (act, module.action)]
+    for given, own in kept:
+        assert given.flags.writeable and not own.flags.writeable
+        assert not np.shares_memory(given, own)
+
+
 @pytest.mark.parametrize("build, error", [
     (lambda B: FiniteLattice(FiniteSemilattice(B.add), B.add), "takes no arguments"),
     # accepted with order 2 and decode(1) = [[1, 0], [0, 0]] by the former constructor

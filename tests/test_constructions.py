@@ -105,7 +105,9 @@ def test_matrix_entrywise_agreement(z3):
 
 
 def test_matrix_size_guard(B):
-    with pytest.raises(SizeGuardExceeded):
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"^matrix carrier is bounded at MATRIX_ORDER_BOUND = 6561; "
+                             r"asked for 2\^25 = 33554432 elements$"):
         matrix_semiring(B, 5)
 
 
@@ -282,7 +284,8 @@ def test_semilattice_counts_frozen():
 
 def test_semilattice_enumeration_guard():
     with pytest.raises(SizeGuardExceeded,
-                       match=r"^semilattice enumeration is bounded at order 6; asked for 7$"):
+                       match=r"^semilattice enumeration is bounded at "
+                             r"SEMILATTICE_ORDER_BOUND = 6; asked for order 7$"):
         enumerate_semilattices(7)
 
 
@@ -389,11 +392,12 @@ def test_catalog_isomorphism_in_every_memo_state(plain_hemirings_upto3, idem_hem
 
 def test_hemiring_enumeration_guard():
     with pytest.raises(SizeGuardExceeded,
-                       match=r"^hemiring enumeration is bounded at order 3; asked for 4$"):
+                       match=r"^hemiring enumeration is bounded at HEMIRING_ORDER_BOUND = 3; "
+                             r"asked for order 4$"):
         enumerate_hemirings(4)
     with pytest.raises(SizeGuardExceeded,
-                       match=r"^additively idempotent hemiring enumeration is bounded at order 4; "
-                             r"asked for 5$"):
+                       match=r"^additively idempotent hemiring enumeration is bounded at "
+                             r"HEMIRING_IDEMPOTENT_BOUND = 4; asked for order 5$"):
         enumerate_hemirings(5, additively_idempotent=True)
 
 

@@ -7,7 +7,12 @@ from hemirings import (
     AxiomError,
     FiniteHemiring,
     HomMap,
+    all_congruences,
+    all_ideals,
+    boolean_B,
     check_hemiring_axioms,
+    enumerate_hemirings,
+    enumerate_semilattices,
     generated_ideal,
     hom_search,
     infinite_element,
@@ -19,9 +24,11 @@ from hemirings import (
     is_isomorphic,
     is_lattice_ordered,
     is_zerosumfree,
+    matrix_semiring,
     natural_order,
     strong_semiisomorphism_search,
 )
+from hemirings import constructions, core, simpleness
 from hemirings.core import SizeGuardExceeded, _wl_colors, as_op_table, canonical_form
 from hemirings.lattices import induced_order
 from hemirings.simpleness import is_ideal_simple, is_simple
@@ -341,6 +348,31 @@ def test_canonical_form_is_refused_past_its_bound():
     with pytest.raises(SizeGuardExceeded, match=r"^canonical form is bounded at "
                                                 r"CANONICAL_ORDER_BOUND = 8; asked for order 9$"):
         canonical_form(integers_mod(9))
+
+
+CHAIN8 = np.maximum.outer(np.arange(8), np.arange(8))    # 128 ideals under zero products
+
+GUARDS = [    # (module, constant, patched value, a call past it)
+    (core, "HOM_SEARCH_BOUND", 1, lambda: list(hom_search(integers_mod(3), integers_mod(3)))),
+    (core, "CANONICAL_ORDER_BOUND", 2, lambda: canonical_form(integers_mod(3))),
+    (simpleness, "CLOSURE_BUDGET", 8, lambda: all_congruences(integers_mod(3))),
+    (simpleness, "LATTICE_BOUND", 3, lambda: all_ideals(FiniteHemiring(CHAIN8, 0 * CHAIN8))),
+    (constructions, "MATRIX_ORDER_BOUND", 15, lambda: matrix_semiring(boolean_B(), 2)),
+    (constructions, "SEMILATTICE_ORDER_BOUND", 2, lambda: enumerate_semilattices(3)),
+    (constructions, "HEMIRING_ORDER_BOUND", 1, lambda: enumerate_hemirings(2)),
+    (constructions, "HEMIRING_IDEMPOTENT_BOUND", 1,
+     lambda: enumerate_hemirings(2, additively_idempotent=True)),
+]
+
+
+@pytest.mark.parametrize("module, name, value, call", GUARDS, ids=[g[1] for g in GUARDS])
+def test_every_size_guard_names_its_bound(monkeypatch, module, name, value, call):
+    """Each of the eight bounds is read when its guard runs, and the refusal
+    names the constant, its value and the amount asked."""
+    monkeypatch.setattr(module, name, value)
+    with pytest.raises(SizeGuardExceeded,
+                       match=rf"^\S.* is bounded at {name} = {value}; asked for .*\d"):
+        call()
 
 
 def test_isomorphism_search_rejects_equal_colours_past_the_canonical_bound():

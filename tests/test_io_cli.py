@@ -272,7 +272,7 @@ def test_cli_size_guard_exit(tmp_path):
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr == ("size guard: congruence lattice enumeration is bounded at "
-                        "CLOSURE_BUDGET = 100000000 table cells; asked for 34292629504 "
+                        "CLOSURE_BUDGET = 100000000; asked for 34292629504 table cells "
                         "(130816 closures at order 512)\n")
 
 
@@ -359,7 +359,8 @@ def test_cli_enumerate_names_the_bound_it_exceeds(tmp_path):
     r = run_cli("enumerate", "hemirings", "--order", "4", "--out", str(tmp_path / "D"))
     assert r.returncode == 3
     assert r.stdout == ""
-    assert r.stderr == "size guard: hemiring enumeration is bounded at order 3; asked for 4\n"
+    assert r.stderr == ("size guard: hemiring enumeration is bounded at "
+                        "HEMIRING_ORDER_BOUND = 3; asked for order 4\n")
     # the output directory is made only once the enumeration has returned
     assert not (tmp_path / "D").exists()
 

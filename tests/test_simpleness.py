@@ -127,10 +127,12 @@ def test_lattice_walks_stop_at_the_bound(monkeypatch):
     assert len(all_congruences(R)) == len(all_ideals(R)) == 128
     monkeypatch.setattr(simpleness, "LATTICE_BOUND", 50)
     with pytest.raises(SizeGuardExceeded,
-                       match=r"^congruence lattice enumeration bounded at 50 congruences$"):
+                       match=r"^congruence lattice enumeration is bounded at LATTICE_BOUND = 50; "
+                             r"asked for 64 congruences$"):
         all_congruences(R)
     with pytest.raises(SizeGuardExceeded,
-                       match=r"^ideal lattice enumeration bounded at 50 ideals$"):
+                       match=r"^ideal lattice enumeration is bounded at LATTICE_BOUND = 50; "
+                             r"asked for 64 ideals$"):
         all_ideals(R)
 
 
@@ -303,7 +305,8 @@ def test_all_congruences_size_guard(monkeypatch):
 
     monkeypatch.setattr(simpleness, "_closure", no_closure)
     monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 120 * 16 * 16 - 1)
-    with pytest.raises(SizeGuardExceeded, match=r"asked for 30720 \(120 closures at order 16\)$"):
+    with pytest.raises(SizeGuardExceeded,
+                       match=r"asked for 30720 table cells \(120 closures at order 16\)$"):
         all_congruences(integers_mod(16))
     monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 140 * 70 * 70 - 1)
     E = build_E_M(chain_semilattice(5)).hemiring
@@ -311,7 +314,7 @@ def test_all_congruences_size_guard(monkeypatch):
     monkeypatch.setattr(simpleness, "is_congruence_simple", lambda R: False)
     with pytest.raises(SizeGuardExceeded,
                        match=r"^congruence lattice enumeration is bounded at CLOSURE_BUDGET = "
-                             r"685999 table cells; asked for 686000 \(140 closures at order 70\)$"):
+                             r"685999; asked for 686000 table cells \(140 closures at order 70\)$"):
         all_congruences(E)
 
 
@@ -325,7 +328,7 @@ def test_all_ideals_size_guard(monkeypatch):
     for sidedness in ("two-sided", "left", "right"):
         with pytest.raises(SizeGuardExceeded,
                            match=r"^ideal lattice enumeration is bounded at CLOSURE_BUDGET = "
-                                 r"338099 table cells; asked for 338100 "
+                                 r"338099; asked for 338100 table cells "
                                  r"\(69 closures at order 70\)$"):
             all_ideals(E, sidedness)
 
@@ -349,8 +352,8 @@ def test_simpleness_deciders_charge_the_closure_budget(monkeypatch):
     for decider, work in ((is_congruence_simple, "congruence-simple decision"),
                           (is_ideal_simple, "ideal-simple decision")):
         with pytest.raises(SizeGuardExceeded,
-                           match=rf"^{work} is bounded at CLOSURE_BUDGET = 161290 table "
-                                 r"cells; asked for 177419 \(11 closures at order 127\)$"):
+                           match=rf"^{work} is bounded at CLOSURE_BUDGET = 161290; asked "
+                                 r"for 177419 table cells \(11 closures at order 127\)$"):
             decider(R)
     assert (len(closures), len(ideals)) == (73, 73)
 
@@ -387,6 +390,15 @@ def test_generated_ideal_rejects_an_unknown_sidedness_before_closing(B, monkeypa
     monkeypatch.setattr(simpleness, "_subset_closure", closure)
     with pytest.raises(ValueError, match=r"^bad sidedness 'both'$"):
         generated_ideal(B, [1], "both")
+
+
+def test_all_ideals_rejects_an_unknown_sidedness_first(B, monkeypatch):
+    # the one-element walk has no seeds, so it used to return
+    # [IdealSubset([0], bogus)]; on B the budget was checked first
+    monkeypatch.setattr(simpleness, "CLOSURE_BUDGET", 0)
+    for R in (FiniteHemiring([[0]], [[0]]), B):
+        with pytest.raises(ValueError, match=r"^bad sidedness 'bogus'$"):
+            all_ideals(R, "bogus")
 
 
 @pytest.mark.parametrize("x", [1.7, 1.0, True, np.float64(0.0), -1, 2])

@@ -8,6 +8,8 @@ constructor checks its input, and the package's own objects are built
 through ``core._trusted``.  No ``__init__`` only copies its parameters to
 attributes: a type whose fields the package computes has no public
 constructor.  Every name in a module's ``__all__`` is defined there.
+``SizeGuardExceeded`` is constructed only in ``core._check_bound``, so
+every refusal names its bound in one wording.
 """
 
 import ast
@@ -103,3 +105,24 @@ def test_core_imports_no_package_module():
     found = [f"core.py:{node.lineno}" for node in ast.walk(tree(core))
              if imports_the_package(node)]
     assert found == []
+
+
+def size_guard_raises(node: ast.AST) -> list[ast.Call]:
+    """The calls under ``node`` that construct ``SizeGuardExceeded``."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and (call.func.id if isinstance(call.func, ast.Name)
+                 else getattr(call.func, "attr", None)) == "SizeGuardExceeded"]
+
+
+def test_size_guards_refuse_through_one_helper():
+    found, helpers = [], 0
+    for p in SOURCES:
+        module = tree(p)
+        allowed = {id(call) for f in module.body if p.name == "core.py"
+                   and isinstance(f, ast.FunctionDef) and f.name == "_check_bound"
+                   for call in size_guard_raises(f)}
+        helpers += len(allowed)
+        found += [f"{p.name}:{call.lineno}" for call in size_guard_raises(module)
+                  if id(call) not in allowed]
+    assert found == []
+    assert helpers == 1
